@@ -417,7 +417,8 @@ def report(out_dir, out):
 @click.option("--config", "config_path", type=click.Path(exists=True), required=True)
 @click.option("--out", type=click.Path(), default=None, help="Output directory override.")
 @click.option("--seed", type=int, default=None, help="Run seed override.")
-@click.option("--threads", type=int, default=None, help="Worker threads per stage.")
+@click.option("--threads", type=int, default=None,
+              help="Accepted for compatibility; every stage runs in one thread.")
 def run(config_path, out, seed, threads):
     """Run the full pipeline: ingest, tails, DFA, surrogates, rolling, regression."""
     try:

@@ -15,6 +15,7 @@ large scales.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 from dataclasses import dataclass
 
@@ -145,6 +146,52 @@ def make_scale_grid(length: int, config: DfaConfig = DfaConfig()) -> np.ndarray:
     return scales
 
 
+@functools.lru_cache(maxsize=256)
+def _basis(n: int, order: int) -> np.ndarray:
+    """Read-only orthonormal basis (n, order+1) of degree-`order` block fits."""
+    q, r = np.linalg.qr(legendre.legvander(np.linspace(-1.0, 1.0, n), order))
+    if np.min(np.abs(np.diag(r))) < 1e-12 * np.max(np.abs(np.diag(r))):
+        raise DfaError(f"singular block fit at scale {n}")
+    q.setflags(write=False)
+    return q
+
+
+def _fluctuation_rows(profiles: np.ndarray, scales, order: int) -> list[FluctuationCurve]:
+    """F(n) of every row of a finite (k, L) profile array, one curve per row.
+
+    Each scale costs one matmul pair over the blocks of all rows side by
+    side; every row keeps its own F-floor exclusion. The residuals of a row
+    are reduced as one C-contiguous (n, blocks) slab, the layout a lone
+    profile has, so a row's curve does not depend on the other rows.
+    """
+    k, length = profiles.shape
+    scales = np.asarray(scales, dtype=int)
+    values = np.empty((k, scales.size))
+    for j, n in enumerate(scales.tolist()):
+        blocks = length // n
+        if blocks < 1:
+            raise DfaError(f"scale {n} exceeds series length {length}")
+        if n < order + 2:
+            raise DfaError(f"scale {n} too small for order-{order} detrending")
+        q = _basis(n, order)
+        # (n, k*blocks): one column per block, fixed layout for determinism
+        seg = profiles[:, : blocks * n].reshape(k * blocks, n).T
+        resid = q @ (q.T @ seg)
+        np.subtract(seg, resid, out=resid)
+        slab = np.ascontiguousarray(resid.reshape(n, k, blocks).transpose(1, 0, 2))
+        values[:, j] = np.sqrt(np.mean(np.multiply(slab, slab, out=slab), axis=(1, 2)))
+    floors = _F_FLOOR_REL * np.max(np.abs(profiles), axis=1, initial=0.0)
+    curves = []
+    for row, floor in zip(values, floors):
+        keep = row > floor
+        curves.append(
+            FluctuationCurve(
+                scales=scales[keep], values=row[keep], detrend_order=order, series_length=length
+            )
+        )
+    return curves
+
+
 def fluctuation(profile_values, scales, detrend_order: int = 2) -> FluctuationCurve:
     """Block-detrended fluctuation function F(n) over the given scales.
 
@@ -158,35 +205,7 @@ def fluctuation(profile_values, scales, detrend_order: int = 2) -> FluctuationCu
     m = int(detrend_order)
     if m < 0:
         raise DfaError(f"detrend order must be >= 0, got {m}")
-    length = y.size
-    floor = _F_FLOOR_REL * float(np.max(np.abs(y))) if length else 0.0
-
-    kept_scales: list[int] = []
-    kept_f: list[float] = []
-    for n in np.asarray(scales, dtype=int):
-        n = int(n)
-        blocks = length // n
-        if blocks < 1:
-            raise DfaError(f"scale {n} exceeds series length {length}")
-        if n < m + 2:
-            raise DfaError(f"scale {n} too small for order-{m} detrending")
-        # (n, blocks): one column per block, fixed layout for determinism
-        seg = y[: blocks * n].reshape(blocks, n).T
-        basis = legendre.legvander(np.linspace(-1.0, 1.0, n), m)
-        q, r = np.linalg.qr(basis)
-        if np.min(np.abs(np.diag(r))) < 1e-12 * np.max(np.abs(np.diag(r))):
-            raise DfaError(f"singular block fit at scale {n}")
-        resid = seg - q @ (q.T @ seg)
-        f = float(np.sqrt(np.mean(resid * resid)))
-        if f > floor:
-            kept_scales.append(n)
-            kept_f.append(f)
-    return FluctuationCurve(
-        scales=np.asarray(kept_scales, dtype=int),
-        values=np.asarray(kept_f, dtype=float),
-        detrend_order=m,
-        series_length=length,
-    )
+    return _fluctuation_rows(y[np.newaxis, :], scales, m)[0]
 
 
 def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float, float]:
@@ -242,3 +261,39 @@ def dfa_hurst(series, config: DfaConfig = DfaConfig()) -> DfaFit:
     scales = make_scale_grid(prof.size, config)
     curve = fluctuation(prof, scales, config.detrend_order)
     return fit_hurst(curve)
+
+
+def dfa_hurst_rows(rows, config: DfaConfig = DfaConfig()) -> list[DfaFit | DfaError]:
+    """`dfa_hurst` of every row of a (k, L) array, with F(n) batched over rows.
+
+    Entry i is row i's DfaFit, or the DfaError that `dfa_hurst` raises on
+    row i alone. Errors that depend only on the length and the config (no
+    admissible scale grid, a singular block basis) would fail every row
+    alike and are raised.
+    """
+    x = np.asarray(rows, dtype=float)
+    length = x.shape[1]
+    if length < 2:
+        raise DfaError(f"profile needs at least 2 observations, got {length}")
+    scales = make_scale_grid(length, config)
+    with np.errstate(invalid="ignore"):  # a row with inf becomes an error entry, not a warning
+        profiles = x - x.mean(axis=1, keepdims=True)
+        np.cumsum(profiles, axis=1, out=profiles)
+    finite = np.isfinite(profiles).all(axis=1)
+    kept = profiles if finite.all() else profiles[finite]
+    curves = iter(_fluctuation_rows(kept, scales, config.detrend_order))
+    fits = []
+    for row, ok in zip(x, finite):
+        if not ok:
+            message = (
+                "profile must be a finite 1-d array"
+                if np.all(np.isfinite(row))
+                else "non-finite values in input series"
+            )
+            fits.append(DfaError(message))
+            continue
+        try:
+            fits.append(fit_hurst(next(curves)))
+        except DfaError as exc:
+            fits.append(exc)
+    return fits

@@ -104,10 +104,6 @@ class FlowPanel:
             and all(np.array_equal(self.series[k], other.series[k]) for k in self.series)
         )
 
-    @property
-    def groups(self) -> tuple[Group, ...]:
-        return tuple(sorted({g for g, _ in self.series}, key=lambda g: g.value))
-
 
 @dataclass(frozen=True)
 class LabeledSeries:

@@ -5,23 +5,23 @@ regressions.
 Every stage writes file artifacts (CSV for plot data, JSON for fits and
 summaries) into the output directory, and the run report ties them
 together with provenance (config hash, seed, derived stage seeds). Given
-the same inputs, config and seed, a rerun is bit-identical regardless of
-the worker-thread count: per-series random streams are pre-derived from
-stable labels and results are emitted in a fixed series order. Paths in
-the config are kept as written (resolved against the config file's
-directory only when opened), so the config hash does not depend on where
-the tree is checked out.
+the same inputs, config and seed, a rerun is bit-identical: per-series
+random streams are pre-derived from stable labels and results are emitted
+in a fixed series order. `threads` is accepted for compatibility; stages
+run in one thread, since the batched DFA kernel leaves a thread pool
+nothing to overlap. Paths in the config are kept as written (resolved
+against the config file's directory only when opened), so the config hash
+does not depend on where the tree is checked out.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import csv
 import hashlib
 import json
 import os
 import shutil
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -49,14 +49,6 @@ from .synth import RNG_NAME
 from .tails import empirical_ccdf, fit_tail_exponent, gaussian_ccdf_reference
 
 OUT_DIR_ENV = "FLOWMEM_OUT"
-
-# example stress-episode windows; regime dates are always user config
-DEFAULT_REGIMES = (
-    RegimeWindow("tariff", "2018-01-01", "2019-12-31"),
-    RegimeWindow("covid", "2020-01-20", "2021-12-31"),
-    RegimeWindow("disinflation", "2022-11-01", "2024-10-31"),
-)
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -127,10 +119,26 @@ class RunConfig:
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()
 
 
+_DFA_KEYS = {f.name for f in fields(DfaConfig)}
+
+
+def _typed(cast, value, key: str):
+    """cast(value), or a config error naming the key."""
+    try:
+        return cast(value)
+    except (TypeError, ValueError):
+        raise PipelineError("config", f"config key {key!r}: invalid value {value!r}") from None
+
+
 def config_from_json_dict(data: dict, base_dir: str = ".") -> RunConfig:
     try:
         dfa_block = dict(data.get("dfa", {}))
         include_order1 = bool(dfa_block.pop("include_order1", False))
+        for key, value in sorted(dfa_block.items()):
+            if key not in _DFA_KEYS:
+                raise PipelineError("config", f"unknown config key 'dfa.{key}'")
+            if not isinstance(value, (int, float)):
+                raise PipelineError("config", f"config key 'dfa.{key}': invalid value {value!r}")
         rolling = data.get("rolling", {})
         surr = data.get("surrogates", {})
         tails = data.get("tails", {})
@@ -143,19 +151,19 @@ def config_from_json_dict(data: dict, base_dir: str = ".") -> RunConfig:
             flows_csv=data["flows_csv"],
             prices_csv=data.get("prices_csv"),
             base_dir=base_dir,
-            seed=int(data.get("seed", 0)),
+            seed=_typed(int, data.get("seed", 0), "seed"),
             dfa=DfaConfig(**dfa_block),
             dfa_include_order1=include_order1,
-            rolling_window=int(rolling.get("window", 250)),
-            rolling_step=int(rolling.get("step", 5)),
+            rolling_window=_typed(int, rolling.get("window", 250), "rolling.window"),
+            rolling_step=_typed(int, rolling.get("step", 5), "rolling.step"),
             surrogate_kinds=tuple(surr.get("kinds", list(SURROGATE_KINDS))),
-            surrogate_count=int(surr.get("count", 20)),
-            tail_fraction=float(tails.get("tail_fraction", 0.05)),
+            surrogate_count=_typed(int, surr.get("count", 20), "surrogates.count"),
+            tail_fraction=_typed(float, tails.get("tail_fraction", 0.05), "tails.tail_fraction"),
             tail_net_side=tails.get("net_side", "absolute"),
             regimes=regimes,
             fill_policy=regression.get("fill_policy", "forward_fill"),
             robust_se=bool(regression.get("robust_se", True)),
-            lag_k=int(regression.get("lag_k", 0)),
+            lag_k=_typed(int, regression.get("lag_k", 0), "regression.lag_k"),
         )
     except KeyError as exc:
         raise PipelineError("config", f"missing config key: {exc}") from None
@@ -269,13 +277,6 @@ class _Run:
         self.written.append(name)
         self.report.artifacts.append(name)
 
-    def map_items(self, fn, items):
-        """Apply fn over items, in parallel if configured; order preserved."""
-        if self.config.threads > 1:
-            with concurrent.futures.ThreadPoolExecutor(self.config.threads) as pool:
-                return list(pool.map(fn, items))
-        return [fn(item) for item in items]
-
     def quarantine(self) -> None:
         qdir = os.path.join(self.out_dir, "quarantine")
         os.makedirs(qdir, exist_ok=True)
@@ -333,15 +334,9 @@ def tail_report(values, side: str, tail_fraction: float):
 def _stage_tails(run: _Run) -> None:
     config = run.config
 
-    def work(item):
-        group, flow_type, values = item
+    for group, flow_type, values in _series_items(run.panel):
         side = config.tail_net_side if flow_type.value == "NET" else "upper"
-        return tail_report(values, side, config.tail_fraction)
-
-    items = _series_items(run.panel)
-    for (group, flow_type, _), (ccdf, reference, summary) in zip(
-        items, run.map_items(work, items)
-    ):
+        ccdf, reference, summary = tail_report(values, side, config.tail_fraction)
         key = series_key(group, flow_type)
         run.emit_text(f"fig2_ccdf_{key}.csv", _ccdf_with_reference_text(ccdf, reference))
         run.emit_text(f"tails_{key}.json", _json_text(summary))
@@ -376,34 +371,22 @@ def _stage_static_dfa(run: _Run) -> None:
 
 def _stage_surrogates(run: _Run) -> None:
     config = run.config
-    jobs = [
-        (group, flow_type, values, kind)
-        for group, flow_type, values in _series_items(run.panel)
-        for kind in config.surrogate_kinds
-    ]
-
-    def work(job):
-        group, flow_type, values, kind = job
-        label = f"surrogate/{kind}/{series_key(group, flow_type)}"
-        seed = stage_seed(config.seed, label)
-        spec = SurrogateSpec(kind=kind, seed=seed, count=config.surrogate_count)
-        return surrogate_band(values, spec, config.dfa), seed
-
-    for (group, flow_type, _, kind), (band, seed) in zip(
-        jobs, run.map_items(work, jobs)
-    ):
+    for group, flow_type, values in _series_items(run.panel):
         key = series_key(group, flow_type)
-        run.emit_file(f"surrogate_{kind}_{key}.json", band.write_json)
-        run.report.series[key].setdefault("surrogates", {})[kind] = band.to_json_dict()
-        run.report.provenance["stage_seeds"][f"surrogate/{kind}/{key}"] = seed
+        for kind in config.surrogate_kinds:
+            seed = stage_seed(config.seed, f"surrogate/{kind}/{key}")
+            spec = SurrogateSpec(kind=kind, seed=seed, count=config.surrogate_count)
+            band = surrogate_band(values, spec, config.dfa)
+            run.emit_file(f"surrogate_{kind}_{key}.json", band.write_json)
+            run.report.series[key].setdefault("surrogates", {})[kind] = band.to_json_dict()
+            run.report.provenance["stage_seeds"][f"surrogate/{kind}/{key}"] = seed
 
 
 def _stage_rolling(run: _Run) -> None:
     config = run.config
 
-    def work(item):
-        group, flow_type, values = item
-        return rolling_hurst(
+    for group, flow_type, values in _series_items(run.panel):
+        roll = rolling_hurst(
             values,
             run.panel.calendar,
             window=config.rolling_window,
@@ -411,9 +394,6 @@ def _stage_rolling(run: _Run) -> None:
             config=config.dfa,
             label=(group.value, flow_type.value),
         )
-
-    items = _series_items(run.panel)
-    for (group, flow_type, _), roll in zip(items, run.map_items(work, items)):
         key = series_key(group, flow_type)
         run.emit_file(f"fig4_rolling_{key}.csv", roll.write_csv)
         run.report.series[key]["rolling"] = {

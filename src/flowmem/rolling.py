@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dfa import DfaConfig, dfa_hurst, make_scale_grid
+from .dfa import DfaConfig, dfa_hurst_rows
 from .errors import DfaError
 
 
@@ -35,9 +35,6 @@ class RollingHurst:
     window: int
     step: int
     label: tuple[str, str] | None = None
-
-    def valid_entries(self) -> tuple[RollingEntry, ...]:
-        return tuple(e for e in self.entries if e.ok)
 
     def hurst_values(self) -> np.ndarray:
         return np.asarray([e.hurst for e in self.entries if e.ok])
@@ -105,19 +102,21 @@ def rolling_hurst(
     from the window length so exclusions are identical across windows.
     """
     x = np.asarray(values, dtype=float)
+    if x.ndim != 1:
+        raise DfaError("rolling_hurst expects a 1-d series")
     if x.size != len(calendar):
         raise DfaError(f"series length {x.size} != calendar length {len(calendar)}")
     if window < 2 or step < 1:
         raise DfaError(f"invalid window/step ({window}, {step})")
     if x.size < window:
         raise DfaError(f"series length {x.size} shorter than window {window}")
-    make_scale_grid(window, config)  # fail fast if the window cannot host a grid
-
+    windows = np.lib.stride_tricks.sliding_window_view(x, window)[::step]
     entries = []
-    for start in range(0, x.size - window + 1, step):
+    for start, fit in zip(range(0, x.size - window + 1, step), dfa_hurst_rows(windows, config)):
         end_date = calendar[start + window - 1]
-        try:
-            fit = dfa_hurst(x[start : start + window], config)
+        if isinstance(fit, DfaError):
+            entries.append(RollingEntry(end_date, None, None, None, 0, ok=False, error=str(fit)))
+        else:
             entries.append(
                 RollingEntry(
                     end_date=end_date,
@@ -126,18 +125,6 @@ def rolling_hurst(
                     r_squared=fit.r_squared,
                     n_points_used=fit.n_points_used,
                     ok=True,
-                )
-            )
-        except DfaError as exc:
-            entries.append(
-                RollingEntry(
-                    end_date=end_date,
-                    hurst=None,
-                    stderr=None,
-                    r_squared=None,
-                    n_points_used=0,
-                    ok=False,
-                    error=str(exc),
                 )
             )
     return RollingHurst(entries=tuple(entries), window=window, step=step, label=label)

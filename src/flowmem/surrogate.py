@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dfa import DfaConfig, dfa_hurst
-from .errors import SurrogateError
+from .dfa import DfaConfig, dfa_hurst_rows
+from .errors import DfaError, SurrogateError
+from .synth import _rng
 
 SURROGATE_KINDS = ("shuffle", "phase_randomize")
 
@@ -25,10 +26,6 @@ _QUANTILES = (0.05, 0.25, 0.5, 0.75, 0.95)
 def child_seed(seed: int, index: int) -> np.random.SeedSequence:
     """Independent stream for surrogate `index`; no need to draw 0..index-1."""
     return np.random.SeedSequence(entropy=seed, spawn_key=(index,))
-
-
-def _rng(seed) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(seed))
 
 
 @dataclass(frozen=True)
@@ -125,10 +122,14 @@ def surrogate_band(series, spec: SurrogateSpec, config: DfaConfig = DfaConfig())
     Surrogate k is driven by a stream derived from (spec.seed, k), so any
     single surrogate is reproducible in isolation.
     """
+    copies = np.stack(
+        [_make_surrogate(series, spec.kind, child_seed(spec.seed, k)) for k in range(spec.count)]
+    )
     hurst_values = []
-    for k in range(spec.count):
-        surr = _make_surrogate(series, spec.kind, child_seed(spec.seed, k))
-        hurst_values.append(dfa_hurst(surr, config).hurst)
+    for fit in dfa_hurst_rows(copies, config):
+        if isinstance(fit, DfaError):
+            raise fit
+        hurst_values.append(fit.hurst)
     hs = np.asarray(hurst_values)
     quantiles = {
         f"q{int(q * 100):02d}": float(np.quantile(hs, q)) for q in _QUANTILES

@@ -155,6 +155,16 @@ class TestRunCommand:
         prov = json.loads((tmp_path / "out" / "provenance.json").read_text())
         assert prov["seed"] == 99
 
+    def test_bad_config_fails_cleanly_naming_key(self, runner, data_dir, tmp_path):
+        config = json.loads((data_dir / "run_config.json").read_text())
+        config["seed"] = "abc"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(config))
+        result = invoke(runner, "run", "--config", bad, "--out", tmp_path / "out")
+        assert result.exit_code == 1
+        assert "stage 'config'" in result.output and "'seed'" in result.output
+        assert not (tmp_path / "out").exists()
+
     def test_run_error_names_stage(self, runner, data_dir, tmp_path):
         config = json.loads((data_dir / "run_config.json").read_text())
         config["rolling"]["window"] = 10_000

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from numpy.polynomial import legendre
 
 from flowmem.dfa import (
     DfaConfig,
     FluctuationCurve,
+    _basis,
     dfa_hurst,
     fit_hurst,
     fluctuation,
@@ -11,6 +13,14 @@ from flowmem.dfa import (
     profile,
 )
 from flowmem.errors import DfaError
+from flowmem.rolling import rolling_hurst
+from flowmem.surrogate import (
+    SurrogateSpec,
+    child_seed,
+    phase_randomize,
+    shuffle,
+    surrogate_band,
+)
 from flowmem.synth import cumsum, fgn, iid_gaussian
 
 
@@ -232,3 +242,83 @@ class TestSerialization:
         loaded = json.loads(path.read_text())
         assert loaded["hurst"] == fit.hurst
         assert loaded["n_points_used"] == fit.n_points_used
+
+
+def per_scale_fluctuation(y, scales, m):
+    """Reference path: a fresh Legendre basis and QR for every scale of one profile."""
+    floor = 1e-12 * float(np.max(np.abs(y)))
+    kept_n, kept_f = [], []
+    for n in scales:
+        n = int(n)
+        blocks = y.size // n
+        seg = y[: blocks * n].reshape(blocks, n).T
+        q, _ = np.linalg.qr(legendre.legvander(np.linspace(-1.0, 1.0, n), m))
+        resid = seg - q @ (q.T @ seg)
+        f = float(np.sqrt(np.mean(resid * resid)))
+        if f > floor:
+            kept_n.append(n)
+            kept_f.append(f)
+    return FluctuationCurve(np.asarray(kept_n, dtype=int), np.asarray(kept_f), m, y.size)
+
+
+def per_scale_hurst(x, config=DfaConfig()):
+    prof = profile(x)
+    scales = make_scale_grid(prof.size, config)
+    return fit_hurst(per_scale_fluctuation(prof, scales, config.detrend_order))
+
+
+class TestBatchedKernelOracle:
+    """The batched kernel reproduces the per-scale path exactly (==, not allclose)."""
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 3])
+    def test_fluctuation_matches_per_scale_path(self, order):
+        y = profile(fgn(0.7, 1000, seed=order))
+        scales = make_scale_grid(y.size, DfaConfig(detrend_order=order, n_min=order + 2))
+        got = fluctuation(y, scales, order)
+        want = per_scale_fluctuation(y, scales, order)
+        assert got.scales.tolist() == want.scales.tolist()
+        assert got.values.tolist() == want.values.tolist()
+
+    @pytest.mark.filterwarnings("error")
+    def test_every_rolling_window_matches(self):
+        x = fgn(0.75, 700, seed=31)
+        x[150:430] = 1.25  # windows inside are gaps; windows at its edges drop scales
+        x[600] = np.inf  # windows over these are non-finite gaps, without a warning
+        x[640] = np.nan
+        calendar = tuple(f"d{i:04d}" for i in range(x.size))
+        roll = rolling_hurst(x, calendar, window=250, step=3)
+
+        dropped = gaps = 0
+        starts = range(0, x.size - 250 + 1, 3)
+        assert len(roll.entries) == len(starts)
+        for start, entry in zip(starts, roll.entries):
+            assert entry.end_date == calendar[start + 249]
+            try:
+                want = per_scale_hurst(x[start : start + 250])
+            except DfaError as exc:
+                gaps += 1
+                assert (entry.ok, entry.hurst, entry.n_points_used) == (False, None, 0)
+                assert entry.error == str(exc)
+                continue
+            dropped += want.n_points_used < make_scale_grid(250).size
+            assert entry.ok and entry.error is None
+            assert entry.hurst == want.hurst
+            assert entry.stderr == want.slope_stderr
+            assert entry.r_squared == want.r_squared
+            assert entry.n_points_used == want.n_points_used
+        errors = {e.error for e in roll.entries if not e.ok}
+        assert {"non-finite values in input series"} < errors
+        assert dropped and gaps and gaps < len(starts)
+
+    @pytest.mark.parametrize("kind, make", [("shuffle", shuffle), ("phase_randomize", phase_randomize)])
+    def test_surrogate_band_matches(self, kind, make):
+        x = fgn(0.8, 800, seed=44)
+        band = surrogate_band(x, SurrogateSpec(kind=kind, seed=17, count=20))
+        want = [per_scale_hurst(make(x, child_seed(17, k))).hurst for k in range(20)]
+        assert list(band.hurst_values) == want
+
+    def test_basis_is_cached_and_read_only(self):
+        q = _basis(12, 2)
+        assert _basis(12, 2) is q
+        assert not q.flags.writeable
+        np.testing.assert_allclose(q.T @ q, np.eye(3), atol=1e-14)

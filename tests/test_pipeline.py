@@ -166,6 +166,23 @@ class TestConfig:
         config = load_config(data_dir / "run_config.json", seed=7)
         assert config.seed == 7
 
+    @pytest.mark.parametrize(
+        "patch, key",
+        [
+            ({"dfa": {"detrend_ordr": 2}}, "dfa.detrend_ordr"),
+            ({"dfa": {"n_min": "5"}}, "dfa.n_min"),
+            ({"seed": "abc"}, "seed"),
+            ({"rolling": {"window": "wide"}}, "rolling.window"),
+            ({"tails": {"tail_fraction": None}}, "tails.tail_fraction"),
+        ],
+    )
+    def test_bad_key_or_value_is_config_error_naming_key(self, data_dir, patch, key):
+        data = json.loads((data_dir / "run_config.json").read_text())
+        data.update(patch)
+        with pytest.raises(PipelineError, match=f"'{key}'") as info:
+            config_from_json_dict(data)
+        assert info.value.stage == "config"
+
 
 class TestStageSeeds:
     def test_frozen_derivations(self):
