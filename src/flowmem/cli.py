@@ -11,7 +11,7 @@ import click
 import numpy as np
 
 from . import __version__
-from .dfa import DfaConfig, fit_hurst, fluctuation, make_scale_grid, profile
+from .dfa import DfaConfig
 from .errors import FlowmemError
 from .flows import Group, aggregate_daily, extract_series, read_flows_csv, write_flows_csv
 from .pipeline import (
@@ -19,21 +19,15 @@ from .pipeline import (
     _json_text,
     _write_text,
     assemble_report,
+    fits_json_text,
     load_config,
     run_pipeline,
     stage_seed,
+    static_dfa,
     tail_report,
 )
-from .rolling import RollingEntry, RollingHurst, rolling_hurst
-from .stats import (
-    align_h_rv,
-    ols,
-    read_prices_csv,
-    regression_table_rows,
-    returns_from_prices,
-    squared_return_vol,
-    write_regression_table_csv,
-)
+from .rolling import RollingHurst, rolling_hurst
+from .stats import FILL_POLICIES, regression_table, write_regression_table_csv
 from .surrogate import SurrogateSpec, surrogate_band
 from .synth import GeneratorSpec, generate
 
@@ -231,19 +225,14 @@ def dfa(flows, series, group, flow, order, n_min, n_max_fraction, n_scales,
     try:
         _, values, label = _load_series(flows, series, group, flow)
         config = _dfa_config(order, n_min, n_max_fraction, n_scales, min_blocks)
-        prof = profile(values)
-        scales = make_scale_grid(prof.size, config)
-        curve = fluctuation(prof, scales, config.detrend_order)
-        fit = fit_hurst(curve)
-        payload = {"fit": fit.to_json_dict()}
-        if include_order1:
-            payload["fit_order1"] = fit_hurst(fluctuation(prof, scales, 1)).to_json_dict()
+        curve, fits = static_dfa(values, config, include_order1)
     except FlowmemError as exc:
         _fail(exc)
     if out_curve:
         curve.write_csv(out_curve)
     if out_fit:
-        _write_text(out_fit, _json_text(payload))
+        _write_text(out_fit, fits_json_text(fits))
+    fit = fits["fit"]
     click.echo(
         f"{label}: hurst={fit.hurst:.4f} stderr={fit.slope_stderr:.4f} "
         f"r2={fit.r_squared:.4f} scales={fit.scale_range} points={fit.n_points_used}"
@@ -295,7 +284,7 @@ def surrogate(flows, series, group, flow, kind, count, seed, order, n_min,
         band = surrogate_band(values, SurrogateSpec(kind=kind, seed=seed, count=count), config)
     except FlowmemError as exc:
         _fail(exc)
-    band.write_json(out)
+    _write_text(out, _json_text(band.to_json_dict()))
     if out_values:
         band.write_values_csv(out_values)
     std = "n/a" if band.std is None else f"{band.std:.4f}"
@@ -330,61 +319,31 @@ def tails(flows, series, group, flow, side, tail_fraction, out_ccdf, out_fit):
         click.echo(f"{label}: warning: tail fit methods disagree by > 0.3")
 
 
-_ROLL_CSV_RE = re.compile(r"^fig4_rolling_(retail|institutional|foreign)_(BUY|SELL|NET)\.csv$")
-
-
-def _read_rolling_csv(path, window, step):
-    entries = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            if row["H"] == "":
-                entries.append(RollingEntry(row["end_date"], None, None, None, 0, False, "gap"))
-            else:
-                entries.append(
-                    RollingEntry(
-                        row["end_date"], float(row["H"]), float(row["stderr"]),
-                        float(row["r2"]), 0, True,
-                    )
-                )
-    return RollingHurst(entries=tuple(entries), window=window, step=step)
-
-
 @main.command()
 @click.option("--roll-dir", type=click.Path(exists=True, file_okay=False), required=True,
               help="Directory holding fig4_rolling_<group>_<flow>.csv files.")
 @click.option("--prices", type=click.Path(exists=True), required=True)
-@click.option("--window", default=250, show_default=True)
-@click.option("--step", default=5, show_default=True)
-@click.option("--fill", type=click.Choice(["forward_fill", "step_dates_only"]),
+@click.option("--step", default=5, show_default=True,
+              help="Rolling step in trading days; caps how long forward_fill holds an exponent.")
+@click.option("--fill", type=click.Choice(FILL_POLICIES),
               default="forward_fill", show_default=True)
 @click.option("--lag", default=0, show_default=True)
 @click.option("--robust/--no-robust", default=True, show_default=True)
 @click.option("--out", type=click.Path(), required=True)
-def regress(roll_dir, prices, window, step, fill, lag, robust, out):
+def regress(roll_dir, prices, step, fill, lag, robust, out):
     """Volatility-on-persistence regressions, one row per rolling series."""
-    present = {n for n in os.listdir(roll_dir) if _ROLL_CSV_RE.match(n)}
     # canonical series order, matching the pipeline's table
-    names = [
-        f"fig4_rolling_{g.value}_{ft}.csv"
+    paths = {
+        (g.value, ft): os.path.join(roll_dir, f"fig4_rolling_{g.value}_{ft}.csv")
         for g in Group
         for ft in ("BUY", "SELL", "NET")
-        if f"fig4_rolling_{g.value}_{ft}.csv" in present
-    ]
-    if not names:
+    }
+    present = {key: path for key, path in paths.items() if os.path.isfile(path)}
+    if not present:
         raise click.ClickException(f"no fig4_rolling_*.csv files in {roll_dir}")
     try:
-        calendar, closes = read_prices_csv(prices)
-        rv = squared_return_vol(returns_from_prices(calendar, closes))
-        classic, robust_res = {}, ({} if robust else None)
-        for name in names:
-            m = _ROLL_CSV_RE.match(name)
-            key = (m.group(1), m.group(2))
-            rolled = _read_rolling_csv(os.path.join(roll_dir, name), window, step)
-            pairs = align_h_rv(rolled, rv, fill).lagged(lag)
-            classic[key] = ols(pairs.volatility, pairs.hurst)
-            if robust_res is not None:
-                robust_res[key] = ols(pairs.volatility, pairs.hurst, robust=True)
-        rows = regression_table_rows(classic, robust_res)
+        rolling = {key: RollingHurst.read_csv(path, step) for key, path in present.items()}
+        rows = regression_table(rolling, prices, fill, lag, robust)
         write_regression_table_csv(out, rows)
     except FlowmemError as exc:
         _fail(exc)
@@ -417,12 +376,10 @@ def report(out_dir, out):
 @click.option("--config", "config_path", type=click.Path(exists=True), required=True)
 @click.option("--out", type=click.Path(), default=None, help="Output directory override.")
 @click.option("--seed", type=int, default=None, help="Run seed override.")
-@click.option("--threads", type=int, default=None,
-              help="Accepted for compatibility; every stage runs in one thread.")
-def run(config_path, out, seed, threads):
+def run(config_path, out, seed):
     """Run the full pipeline: ingest, tails, DFA, surrogates, rolling, regression."""
     try:
-        config = load_config(config_path, out_dir=out, seed=seed, threads=threads)
+        config = load_config(config_path, out_dir=out, seed=seed)
         result = run_pipeline(config)
     except FlowmemError as exc:
         _fail(exc)

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import csv
 import functools
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,11 +100,6 @@ class DfaFit:
             "n_points_used": self.n_points_used,
             "detrend_order": self.detrend_order,
         }
-
-    def write_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, sort_keys=True, indent=2)
-            fh.write("\n")
 
 
 def profile(series) -> np.ndarray:

@@ -7,41 +7,30 @@ summaries) into the output directory, and the run report ties them
 together with provenance (config hash, seed, derived stage seeds). Given
 the same inputs, config and seed, a rerun is bit-identical: per-series
 random streams are pre-derived from stable labels and results are emitted
-in a fixed series order. `threads` is accepted for compatibility; stages
-run in one thread, since the batched DFA kernel leaves a thread pool
-nothing to overlap. Paths in the config are kept as written (resolved
-against the config file's directory only when opened), so the config hash
-does not depend on where the tree is checked out.
+in a fixed series order. Paths in the config are kept as written
+(resolved against the config file's directory only when opened), so the
+config hash does not depend on where the tree is checked out.
 """
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import os
 import shutil
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import __version__
 from .dfa import DfaConfig, fit_hurst, fluctuation, make_scale_grid, profile
 from .errors import FlowmemError, PipelineError, TailError
-from .flows import FLOW_TYPES, GROUPS, FlowPanel, aggregate_daily, read_flows_csv
-from .rolling import (
-    RegimeWindow,
-    regime_summary,
-    rolling_hurst,
-    write_regime_summaries_json,
-)
+from .flows import FLOW_TYPES, GROUPS, FlowPanel, FlowType, aggregate_daily, read_flows_csv
+from .rolling import RegimeWindow, RollingHurst, regime_summary, rolling_hurst
 from .stats import (
-    align_h_rv,
-    ols,
-    read_prices_csv,
-    regression_table_rows,
-    returns_from_prices,
-    squared_return_vol,
+    FILL_POLICIES,
+    read_regression_table_csv,
+    regression_table,
     write_regression_table_csv,
 )
 from .surrogate import SURROGATE_KINDS, SurrogateSpec, surrogate_band
@@ -69,7 +58,6 @@ class RunConfig:
     fill_policy: str = "forward_fill"
     robust_se: bool = True
     lag_k: int = 0
-    threads: int = 1
 
     def resolve(self, path: str | None) -> str | None:
         if path is None:
@@ -112,14 +100,22 @@ class RunConfig:
         }
 
     def canonical_json(self) -> str:
-        """Stable serialization; out_dir, base_dir and threads are runtime-only."""
+        """Stable serialization; out_dir and base_dir are runtime-only."""
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
 
     def sha256(self) -> str:
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()
 
 
-_DFA_KEYS = {f.name for f in fields(DfaConfig)}
+# the accepted keys: those config.json holds, plus the runtime-only out_dir
+_SCHEMA = RunConfig(flows_csv="").to_json_dict()
+_TOP_KEYS = {*_SCHEMA, "out_dir"}
+_REGIME_KEYS = {"label", "start_date", "end_date"}
+_NET_SIDES = ("absolute", "upper")
+
+
+def _bad_value(key: str, value) -> PipelineError:
+    return PipelineError("config", f"config key {key!r}: invalid value {value!r}")
 
 
 def _typed(cast, value, key: str):
@@ -127,22 +123,45 @@ def _typed(cast, value, key: str):
     try:
         return cast(value)
     except (TypeError, ValueError):
-        raise PipelineError("config", f"config key {key!r}: invalid value {value!r}") from None
+        raise _bad_value(key, value) from None
+
+
+def _known_keys(block: dict, allowed, prefix: str = "") -> None:
+    if not isinstance(block, dict):
+        raise _bad_value(prefix.rstrip(".") or "<top level>", block)
+    for key in sorted(block):
+        if key not in allowed:
+            raise PipelineError("config", f"unknown config key {prefix + key!r}")
+
+
+def _one_of(value, allowed, key: str):
+    if value not in allowed:
+        raise _bad_value(key, value)
+    return value
 
 
 def config_from_json_dict(data: dict, base_dir: str = ".") -> RunConfig:
+    """Validate a parsed config in full: unknown keys and bad values are
+    config errors naming the key, raised before any stage runs."""
+    _known_keys(data, _TOP_KEYS)
+    for name, block in _SCHEMA.items():
+        if isinstance(block, dict):
+            _known_keys(data.get(name, {}), block, f"{name}.")
+    for i, entry in enumerate(data.get("regimes", [])):
+        _known_keys(entry, _REGIME_KEYS, f"regimes[{i}].")
     try:
         dfa_block = dict(data.get("dfa", {}))
         include_order1 = bool(dfa_block.pop("include_order1", False))
         for key, value in sorted(dfa_block.items()):
-            if key not in _DFA_KEYS:
-                raise PipelineError("config", f"unknown config key 'dfa.{key}'")
             if not isinstance(value, (int, float)):
-                raise PipelineError("config", f"config key 'dfa.{key}': invalid value {value!r}")
+                raise _bad_value(f"dfa.{key}", value)
         rolling = data.get("rolling", {})
         surr = data.get("surrogates", {})
         tails = data.get("tails", {})
         regression = data.get("regression", {})
+        kinds = tuple(surr.get("kinds", SURROGATE_KINDS))
+        for kind in kinds:
+            _one_of(kind, SURROGATE_KINDS, "surrogates.kinds")
         regimes = tuple(
             RegimeWindow(w["label"], w["start_date"], w["end_date"])
             for w in data.get("regimes", [])
@@ -156,12 +175,14 @@ def config_from_json_dict(data: dict, base_dir: str = ".") -> RunConfig:
             dfa_include_order1=include_order1,
             rolling_window=_typed(int, rolling.get("window", 250), "rolling.window"),
             rolling_step=_typed(int, rolling.get("step", 5), "rolling.step"),
-            surrogate_kinds=tuple(surr.get("kinds", list(SURROGATE_KINDS))),
+            surrogate_kinds=kinds,
             surrogate_count=_typed(int, surr.get("count", 20), "surrogates.count"),
             tail_fraction=_typed(float, tails.get("tail_fraction", 0.05), "tails.tail_fraction"),
-            tail_net_side=tails.get("net_side", "absolute"),
+            tail_net_side=_one_of(tails.get("net_side", "absolute"), _NET_SIDES, "tails.net_side"),
             regimes=regimes,
-            fill_policy=regression.get("fill_policy", "forward_fill"),
+            fill_policy=_one_of(
+                regression.get("fill_policy", "forward_fill"), FILL_POLICIES, "regression.fill_policy"
+            ),
             robust_se=bool(regression.get("robust_se", True)),
             lag_k=_typed(int, regression.get("lag_k", 0), "regression.lag_k"),
         )
@@ -169,7 +190,7 @@ def config_from_json_dict(data: dict, base_dir: str = ".") -> RunConfig:
         raise PipelineError("config", f"missing config key: {exc}") from None
 
 
-def load_config(path, out_dir=None, seed=None, threads=None) -> RunConfig:
+def load_config(path, out_dir=None, seed=None) -> RunConfig:
     """Parse a JSON config file; CLI flags and FLOWMEM_OUT override it."""
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
@@ -178,8 +199,6 @@ def load_config(path, out_dir=None, seed=None, threads=None) -> RunConfig:
     )
     if seed is not None:
         config = replace(config, seed=int(seed))
-    if threads is not None:
-        config = replace(config, threads=int(threads))
     resolved_out = out_dir or os.environ.get(OUT_DIR_ENV) or data.get("out_dir")
     if resolved_out is not None:
         config = replace(config, out_dir=str(resolved_out))
@@ -222,7 +241,7 @@ class RunReport:
     series: dict
     regimes: dict
     regression: dict | None
-    artifacts: list[str] = field(default_factory=list)
+    artifacts: list[str]
 
     def to_json_dict(self) -> dict:
         return {
@@ -237,6 +256,11 @@ class RunReport:
         return _json_text(self.to_json_dict())
 
 
+# what a finished run writes besides the stage artifacts; a failed rerun
+# moves an older run's copies aside so they cannot pass for its own
+_RUN_FILES = ("config.json", "provenance.json", "report.json")
+
+
 class _Run:
     """One pipeline execution; tracks written artifacts for quarantine."""
 
@@ -248,18 +272,7 @@ class _Run:
         self.panel: FlowPanel | None = None
         self.rollers: dict = {}
         self.written: list[str] = []
-        self.report = RunReport(
-            provenance={
-                "config_sha256": config.sha256(),
-                "seed": config.seed,
-                "version": __version__,
-                "rng": RNG_NAME,
-                "stage_seeds": {},
-            },
-            series={series_key(g, ft): {} for g in GROUPS for ft in FLOW_TYPES},
-            regimes={},
-            regression=None,
-        )
+        self.stage_seeds: dict = {}
 
     def path(self, name: str) -> str:
         return os.path.join(self.out_dir, name)
@@ -267,7 +280,6 @@ class _Run:
     def emit_text(self, name: str, text: str) -> None:
         _write_text(self.path(name), text)
         self.written.append(name)
-        self.report.artifacts.append(name)
 
     def emit_file(self, name: str, writer) -> None:
         target = self.path(name)
@@ -275,12 +287,11 @@ class _Run:
         writer(tmp)
         os.replace(tmp, target)
         self.written.append(name)
-        self.report.artifacts.append(name)
 
     def quarantine(self) -> None:
         qdir = os.path.join(self.out_dir, "quarantine")
         os.makedirs(qdir, exist_ok=True)
-        for name in self.written:
+        for name in dict.fromkeys([*self.written, *_RUN_FILES]):
             src = self.path(name)
             if os.path.exists(src):
                 shutil.move(src, os.path.join(qdir, name))
@@ -295,8 +306,11 @@ def _series_items(panel: FlowPanel):
 
 
 def _stage_ingest(run: _Run) -> None:
-    records = read_flows_csv(run.config.resolve(run.config.flows_csv))
-    run.panel = aggregate_daily(records)
+    path = run.config.resolve(run.config.flows_csv)
+    run.panel = aggregate_daily(read_flows_csv(path))
+    for group in GROUPS:
+        if not any(run.panel.series[(group, side)].any() for side in (FlowType.BUY, FlowType.SELL)):
+            raise PipelineError("ingest", f"{path}: no flows for investor group {group.value!r}")
 
 
 def tail_report(values, side: str, tail_fraction: float):
@@ -333,27 +347,40 @@ def tail_report(values, side: str, tail_fraction: float):
 
 def _stage_tails(run: _Run) -> None:
     config = run.config
-
     for group, flow_type, values in _series_items(run.panel):
         side = config.tail_net_side if flow_type.value == "NET" else "upper"
         ccdf, reference, summary = tail_report(values, side, config.tail_fraction)
         key = series_key(group, flow_type)
         run.emit_text(f"fig2_ccdf_{key}.csv", _ccdf_with_reference_text(ccdf, reference))
         run.emit_text(f"tails_{key}.json", _json_text(summary))
-        run.report.series[key]["tails"] = dict(summary, ccdf_csv=f"fig2_ccdf_{key}.csv")
+
+
+def static_dfa(values, config: DfaConfig, include_order1: bool = False):
+    """Static DFA of one series: (curve, fits).
+
+    `fits` holds the DfaFit under "fit" and, when include_order1 is set,
+    the order-1 cross-check under "fit_order1"; its JSON form is the
+    dfa_fit artifact.
+    """
+    prof = profile(values)
+    scales = make_scale_grid(prof.size, config)
+    curve = fluctuation(prof, scales, config.detrend_order)
+    fits = {"fit": fit_hurst(curve)}
+    if include_order1:
+        fits["fit_order1"] = fit_hurst(fluctuation(prof, scales, 1))
+    return curve, fits
+
+
+def fits_json_text(fits: dict) -> str:
+    return _json_text({name: fit.to_json_dict() for name, fit in fits.items()})
 
 
 def static_dfa_table(panel: FlowPanel, config: DfaConfig, include_order1: bool = False) -> dict:
-    """Static DFA curve and fit per series; the report's static section."""
+    """Static DFA per series: {(group, flow_type): {"curve", "fit"[, "fit_order1"]}}."""
     out = {}
     for group, flow_type, values in _series_items(panel):
-        prof = profile(values)
-        scales = make_scale_grid(prof.size, config)
-        curve = fluctuation(prof, scales, config.detrend_order)
-        entry = {"curve": curve, "fit": fit_hurst(curve), "fit_order1": None}
-        if include_order1:
-            entry["fit_order1"] = fit_hurst(fluctuation(prof, scales, 1))
-        out[(group, flow_type)] = entry
+        curve, fits = static_dfa(values, config, include_order1)
+        out[(group, flow_type)] = {"curve": curve, **fits}
     return out
 
 
@@ -361,12 +388,9 @@ def _stage_static_dfa(run: _Run) -> None:
     table = static_dfa_table(run.panel, run.config.dfa, run.config.dfa_include_order1)
     for (group, flow_type), entry in table.items():
         key = series_key(group, flow_type)
-        run.emit_file(f"fig3_dfa_{key}.csv", entry["curve"].write_csv)
-        payload = {"fit": entry["fit"].to_json_dict()}
-        if entry["fit_order1"] is not None:
-            payload["fit_order1"] = entry["fit_order1"].to_json_dict()
-        run.emit_text(f"dfa_fit_{key}.json", _json_text(payload))
-        run.report.series[key]["static_dfa"] = dict(payload, curve_csv=f"fig3_dfa_{key}.csv")
+        curve = entry.pop("curve")
+        run.emit_file(f"fig3_dfa_{key}.csv", curve.write_csv)
+        run.emit_text(f"dfa_fit_{key}.json", fits_json_text(entry))
 
 
 def _stage_surrogates(run: _Run) -> None:
@@ -377,14 +401,12 @@ def _stage_surrogates(run: _Run) -> None:
             seed = stage_seed(config.seed, f"surrogate/{kind}/{key}")
             spec = SurrogateSpec(kind=kind, seed=seed, count=config.surrogate_count)
             band = surrogate_band(values, spec, config.dfa)
-            run.emit_file(f"surrogate_{kind}_{key}.json", band.write_json)
-            run.report.series[key].setdefault("surrogates", {})[kind] = band.to_json_dict()
-            run.report.provenance["stage_seeds"][f"surrogate/{kind}/{key}"] = seed
+            run.emit_text(f"surrogate_{kind}_{key}.json", _json_text(band.to_json_dict()))
+            run.stage_seeds[f"surrogate/{kind}/{key}"] = seed
 
 
 def _stage_rolling(run: _Run) -> None:
     config = run.config
-
     for group, flow_type, values in _series_items(run.panel):
         roll = rolling_hurst(
             values,
@@ -396,49 +418,35 @@ def _stage_rolling(run: _Run) -> None:
         )
         key = series_key(group, flow_type)
         run.emit_file(f"fig4_rolling_{key}.csv", roll.write_csv)
-        run.report.series[key]["rolling"] = {
-            "csv": f"fig4_rolling_{key}.csv",
-            "n_windows": len(roll.entries),
-            "n_gaps": sum(1 for e in roll.entries if not e.ok),
-            "window": roll.window,
-            "step": roll.step,
-        }
         if config.regimes:
             summaries = regime_summary(roll, config.regimes)
-            run.emit_file(
-                f"regimes_{key}.json",
-                lambda p, s=summaries: write_regime_summaries_json(p, s),
-            )
-            run.report.regimes[key] = [s.to_json_dict() for s in summaries]
-        run.rollers[(group, flow_type)] = roll
+            run.emit_text(f"regimes_{key}.json", _json_text([s.to_json_dict() for s in summaries]))
+        run.rollers[(group.value, flow_type.value)] = roll
 
 
 def _stage_regression(run: _Run) -> None:
     config = run.config
-    calendar, closes = read_prices_csv(config.resolve(config.prices_csv))
-    rv = squared_return_vol(returns_from_prices(calendar, closes))
-
-    classic = {}
-    robust = {} if config.robust_se else None
-    n_pairs = {}
-    for (group, flow_type), roll in run.rollers.items():
-        pairs = align_h_rv(roll, rv, config.fill_policy).lagged(config.lag_k)
-        classic[(group.value, flow_type.value)] = ols(pairs.volatility, pairs.hurst)
-        if robust is not None:
-            robust[(group.value, flow_type.value)] = ols(
-                pairs.volatility, pairs.hurst, robust=True
-            )
-        n_pairs[series_key(group, flow_type)] = len(pairs.dates)
-
-    rows = regression_table_rows(classic, robust)
+    rows = regression_table(
+        run.rollers, config.resolve(config.prices_csv), config.fill_policy, config.lag_k,
+        config.robust_se,
+    )
     run.emit_file("table1_regression.csv", lambda p: write_regression_table_csv(p, rows))
-    run.report.regression = {
-        "rows": rows,
-        "fill_policy": config.fill_policy,
-        "lag_k": config.lag_k,
-        "n_pairs": n_pairs,
-        "csv": "table1_regression.csv",
+
+
+def _stage_report(run: _Run) -> RunReport:
+    config = run.config
+    provenance = {
+        "config_sha256": config.sha256(),
+        "seed": config.seed,
+        "version": __version__,
+        "rng": RNG_NAME,
+        "stage_seeds": run.stage_seeds,
     }
+    run.emit_text("config.json", config.canonical_json())
+    run.emit_text("provenance.json", _json_text(provenance))
+    report = assemble_report(run.out_dir)
+    run.emit_text("report.json", report.canonical_json())
+    return report
 
 
 _STAGES = [
@@ -453,8 +461,10 @@ _STAGES = [
 def run_pipeline(config: RunConfig) -> RunReport:
     """Execute every stage, write artifacts, and return the run report.
 
-    On a stage failure the artifacts written so far move to
-    `<out_dir>/quarantine/` and a PipelineError naming the stage is
+    The report is assembled from the artifacts the stages wrote, exactly
+    as `assemble_report` rebuilds it later. On a failure the artifacts
+    written so far, and an older run's config, provenance and report, move
+    to `<out_dir>/quarantine/` and a PipelineError naming the stage is
     raised.
     """
     run = _Run(config)
@@ -463,22 +473,18 @@ def run_pipeline(config: RunConfig) -> RunReport:
     stages = list(_STAGES)
     if config.prices_csv is not None:
         stages.append(("regression", _stage_regression))
+    stages.append(("report", _stage_report))
 
     for name, step in stages:
         try:
-            step(run)
+            report = step(run)
         except PipelineError:
             run.quarantine()
             raise
         except (FlowmemError, OSError) as exc:
             run.quarantine()
             raise PipelineError(name, str(exc)) from exc
-
-    run.emit_text("config.json", config.canonical_json())
-    run.emit_text("provenance.json", _json_text(run.report.provenance))
-    run.report.artifacts.append("report.json")
-    _write_text(run.path("report.json"), run.report.canonical_json())
-    return run.report
+    return report
 
 
 def _load_json_artifact(out_dir: str, name: str) -> dict:
@@ -499,12 +505,12 @@ def _require(out_dir: str, name: str) -> str:
 
 
 def assemble_report(out_dir: str) -> RunReport:
-    """Rebuild the run report from the stage artifacts in a directory.
+    """Build the run report from the stage artifacts in a directory.
 
-    The result is byte-identical to the report.json the pipeline wrote,
-    which makes stage outputs and the assembled view interchangeable.
-    Missing or malformed artifacts raise a stage-labeled error naming the
-    offending path.
+    This is the only report builder: `run_pipeline` calls it on the
+    artifacts it just wrote, and `flowmem report` on any finished run
+    directory. Missing or malformed artifacts raise a stage-labeled error
+    naming the offending path.
     """
     config_data = _load_json_artifact(out_dir, "config.json")
     config = config_from_json_dict(config_data, base_dir=out_dir)
@@ -515,7 +521,7 @@ def assemble_report(out_dir: str) -> RunReport:
         series={series_key(g, ft): {} for g in GROUPS for ft in FLOW_TYPES},
         regimes={},
         regression=None,
-        artifacts=["config.json", "provenance.json", "report.json"],
+        artifacts=list(_RUN_FILES),
     )
 
     for group in GROUPS:
@@ -537,14 +543,15 @@ def assemble_report(out_dir: str) -> RunReport:
                 report.artifacts.append(f"surrogate_{kind}_{key}.json")
 
             roll_csv = _require(out_dir, f"fig4_rolling_{key}.csv")
-            with open(os.path.join(out_dir, roll_csv), newline="", encoding="utf-8") as fh:
-                rows = list(csv.DictReader(fh))
+            roll = RollingHurst.read_csv(
+                os.path.join(out_dir, roll_csv), config.rolling_step, config.rolling_window
+            )
             report.series[key]["rolling"] = {
                 "csv": roll_csv,
-                "n_windows": len(rows),
-                "n_gaps": sum(1 for r in rows if r["H"] == ""),
-                "window": config.rolling_window,
-                "step": config.rolling_step,
+                "n_windows": len(roll.entries),
+                "n_gaps": sum(1 for e in roll.entries if not e.ok),
+                "window": roll.window,
+                "step": roll.step,
             }
             report.artifacts.append(roll_csv)
 
@@ -555,32 +562,7 @@ def assemble_report(out_dir: str) -> RunReport:
 
     if config.prices_csv is not None:
         table_csv = _require(out_dir, "table1_regression.csv")
-        with open(os.path.join(out_dir, table_csv), newline="", encoding="utf-8") as fh:
-            raw_rows = list(csv.DictReader(fh))
-        rows = []
-        for raw in raw_rows:
-            rows.append(
-                {
-                    "group": raw["group"],
-                    "flow": raw["flow"],
-                    "alpha": float(raw["alpha"]),
-                    "t_alpha": float(raw["t_alpha"]),
-                    "alpha_stars": raw["alpha_stars"],
-                    "beta": float(raw["beta"]),
-                    "t_beta": float(raw["t_beta"]),
-                    "beta_stars": raw["beta_stars"],
-                    "r_squared": float(raw["r_squared"]),
-                    "n": int(raw["n"]),
-                    **(
-                        {
-                            "t_alpha_robust": float(raw["t_alpha_robust"]),
-                            "t_beta_robust": float(raw["t_beta_robust"]),
-                        }
-                        if "t_beta_robust" in raw
-                        else {}
-                    ),
-                }
-            )
+        rows = read_regression_table_csv(os.path.join(out_dir, table_csv))
         report.regression = {
             "rows": rows,
             "fill_policy": config.fill_policy,

@@ -9,7 +9,6 @@ date alignment cannot silently shift.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +31,7 @@ class RollingEntry:
 @dataclass(frozen=True)
 class RollingHurst:
     entries: tuple[RollingEntry, ...]
-    window: int
+    window: int | None
     step: int
     label: tuple[str, str] | None = None
 
@@ -51,6 +50,22 @@ class RollingHurst:
                     )
                 else:
                     writer.writerow([e.end_date, "", "", ""])
+
+    @classmethod
+    def read_csv(cls, path, step: int, window: int | None = None) -> "RollingHurst":
+        """Read what write_csv wrote. The file does not hold the window
+        length, n_points_used or a gap's reason, so those come back as
+        `window`, 0 and "gap"."""
+        entries = []
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = csv.reader(fh)
+            next(rows)  # end_date,H,stderr,r2
+            for end_date, h, stderr, r2 in rows:
+                if h == "":
+                    entries.append(RollingEntry(end_date, None, None, None, 0, False, "gap"))
+                else:
+                    entries.append(RollingEntry(end_date, float(h), float(stderr), float(r2), 0, True))
+        return cls(entries=tuple(entries), window=window, step=step)
 
 
 @dataclass(frozen=True)
@@ -162,8 +177,3 @@ def regime_summary(rolling: RollingHurst, windows) -> list[RegimeSummary]:
             )
     return out
 
-
-def write_regime_summaries_json(path, summaries) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump([s.to_json_dict() for s in summaries], fh, sort_keys=True, indent=2)
-        fh.write("\n")

@@ -298,6 +298,28 @@ def regression_table_rows(results: dict, robust_results: dict | None = None) -> 
     return rows
 
 
+def regression_table(rolling: dict, prices_csv, fill_policy: str, lag: int, robust: bool) -> list[dict]:
+    """Volatility-on-persistence table from a prices file.
+
+    `rolling` maps (group, flow) -> RollingHurst; each series is aligned
+    with the squared-return volatility under `fill_policy`, lagged by
+    `lag` days and regressed with classical (and, if `robust`, HC1)
+    t-values. Rows come out in the mapping's iteration order.
+    """
+    calendar, closes = read_prices_csv(prices_csv)
+    rv = squared_return_vol(returns_from_prices(calendar, closes))
+    classic, robust_results = {}, ({} if robust else None)
+    for key, roll in rolling.items():
+        pairs = align_h_rv(roll, rv, fill_policy).lagged(lag)
+        classic[key] = ols(pairs.volatility, pairs.hurst)
+        if robust_results is not None:
+            robust_results[key] = ols(pairs.volatility, pairs.hurst, robust=True)
+    return regression_table_rows(classic, robust_results)
+
+
+_TEXT_COLUMNS = ("group", "flow", "alpha_stars", "beta_stars")
+
+
 def write_regression_table_csv(path, rows) -> None:
     if not rows:
         raise StatsError("no regression rows to write")
@@ -312,3 +334,15 @@ def write_regression_table_csv(path, rows) -> None:
                     for v in (row[f] for f in fields)
                 ]
             )
+
+
+def read_regression_table_csv(path) -> list[dict]:
+    """The rows write_regression_table_csv wrote, with their types restored."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        return [
+            {
+                k: v if k in _TEXT_COLUMNS else int(v) if k == "n" else float(v)
+                for k, v in raw.items()
+            }
+            for raw in csv.DictReader(fh)
+        ]

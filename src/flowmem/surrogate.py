@@ -9,7 +9,6 @@ by side they separate distribution-driven from correlation-driven effects.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,11 +101,6 @@ class SurrogateBand:
             "quantiles": self.quantiles,
             "hurst_values": list(self.hurst_values),
         }
-
-    def write_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, sort_keys=True, indent=2)
-            fh.write("\n")
 
     def write_values_csv(self, path) -> None:
         with open(path, "w", newline="", encoding="utf-8") as fh:

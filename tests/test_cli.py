@@ -165,6 +165,10 @@ class TestRunCommand:
         assert "stage 'config'" in result.output and "'seed'" in result.output
         assert not (tmp_path / "out").exists()
 
+    def test_no_ignored_options(self, runner):
+        assert "--threads" not in invoke(runner, "run", "--help").output
+        assert "--window" not in invoke(runner, "regress", "--help").output
+
     def test_run_error_names_stage(self, runner, data_dir, tmp_path):
         config = json.loads((data_dir / "run_config.json").read_text())
         config["rolling"]["window"] = 10_000

@@ -236,9 +236,11 @@ class TestSerialization:
     def test_fit_json_round_trip(self, tmp_path):
         import json
 
+        from flowmem.pipeline import _json_text
+
         fit = dfa_hurst(fgn(0.6, 1024, seed=1))
         path = tmp_path / "fit.json"
-        fit.write_json(path)
+        path.write_text(_json_text(fit.to_json_dict()))
         loaded = json.loads(path.read_text())
         assert loaded["hurst"] == fit.hurst
         assert loaded["n_points_used"] == fit.n_points_used

@@ -2,13 +2,15 @@ import hashlib
 import importlib.util
 import json
 import math
+import re
+import shutil
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from flowmem.errors import PipelineError
-from flowmem.flows import FlowPanel, FlowType, Group
+from flowmem.flows import FlowPanel, FlowType, Group, aggregate_daily, read_flows_csv
 from flowmem.pipeline import (
     OUT_DIR_ENV,
     RunConfig,
@@ -126,6 +128,29 @@ class TestStageErrors:
         assert quarantined  # partial outputs moved aside
         assert [p for p in out.iterdir() if p.name != "quarantine"] == []
 
+    def test_failed_rerun_moves_older_report_aside(self, data_dir, bundled_run, tmp_path):
+        _, _, previous = bundled_run
+        out = tmp_path / "out"
+        shutil.copytree(previous, out)
+        config = load_config(data_dir / "run_config.json", out_dir=str(out))
+        with pytest.raises(PipelineError, match="rolling"):
+            run_pipeline(replace(config, rolling_window=5000))
+        for name in ("config.json", "provenance.json", "report.json"):
+            assert not (out / name).exists()
+            assert (out / "quarantine" / name).read_bytes() == (previous / name).read_bytes()
+
+    def test_absent_group_fails_at_ingest_naming_it(self, data_dir, tmp_path):
+        flows = tmp_path / "flows.csv"
+        lines = (data_dir / "flows_synth.csv").read_text().splitlines(keepends=True)
+        flows.write_text("".join(line for line in lines if ",institutional," not in line))
+        assert aggregate_daily(read_flows_csv(flows)).calendar  # a partial file still parses
+        config = RunConfig(flows_csv=str(flows), out_dir=str(tmp_path / "out"))
+        with pytest.raises(PipelineError, match="institutional") as info:
+            run_pipeline(config)
+        assert info.value.stage == "ingest"
+        assert str(flows) in str(info.value)
+        assert not list((tmp_path / "out" / "quarantine").iterdir())
+
     def test_missing_out_dir(self, data_dir):
         config = load_config(data_dir / "run_config.json")
         with pytest.raises(PipelineError, match="output directory"):
@@ -149,7 +174,7 @@ class TestConfig:
 
     def test_hash_ignores_runtime_fields(self, data_dir):
         config = load_config(data_dir / "run_config.json")
-        moved = replace(config, out_dir="/elsewhere", threads=8, base_dir="/tmp")
+        moved = replace(config, out_dir="/elsewhere", base_dir="/tmp")
         assert moved.sha256() == config.sha256()
 
     def test_env_var_overrides_out_dir(self, data_dir, tmp_path, monkeypatch):
@@ -174,14 +199,30 @@ class TestConfig:
             ({"seed": "abc"}, "seed"),
             ({"rolling": {"window": "wide"}}, "rolling.window"),
             ({"tails": {"tail_fraction": None}}, "tails.tail_fraction"),
+            ({"surogates": {"count": 3}}, "surogates"),
+            ({"rolling": {"windw": 100}}, "rolling.windw"),
+            ({"rolling": 250}, "rolling"),
+            ({"regimes": [{"label": "a", "start_date": "2015-01-01", "end": "2016-01-01"}]},
+             "regimes[0].end"),
+            ({"tails": {"net_side": "bogus"}}, "tails.net_side"),
+            ({"surrogates": {"kinds": ["bootstrap"]}}, "surrogates.kinds"),
+            ({"regression": {"fill_policy": "nope"}}, "regression.fill_policy"),
         ],
     )
     def test_bad_key_or_value_is_config_error_naming_key(self, data_dir, patch, key):
         data = json.loads((data_dir / "run_config.json").read_text())
         data.update(patch)
-        with pytest.raises(PipelineError, match=f"'{key}'") as info:
+        with pytest.raises(PipelineError, match=re.escape(f"'{key}'")) as info:
             config_from_json_dict(data)
         assert info.value.stage == "config"
+
+    def test_out_dir_key_is_accepted(self, data_dir, tmp_path, monkeypatch):
+        monkeypatch.delenv(OUT_DIR_ENV, raising=False)
+        data = json.loads((data_dir / "run_config.json").read_text())
+        data["out_dir"] = "results"
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(data))
+        assert load_config(path).out_dir == "results"
 
 
 class TestStageSeeds:

@@ -114,8 +114,10 @@ class TestSurrogateBand:
 
         x = pareto(2.0, 600, seed=5)
         band = surrogate_band(x, SurrogateSpec(kind="shuffle", seed=2, count=3))
+        from flowmem.pipeline import _json_text
+
         jpath = tmp_path / "band.json"
-        band.write_json(jpath)
+        jpath.write_text(_json_text(band.to_json_dict()))
         loaded = json.loads(jpath.read_text())
         assert loaded["count"] == 3
         assert len(loaded["hurst_values"]) == 3
