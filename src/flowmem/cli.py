@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-import csv
 import datetime
+import functools
 import os
 import re
 
@@ -13,8 +13,9 @@ import numpy as np
 from . import __version__
 from .dfa import DfaConfig
 from .errors import FlowmemError
-from .flows import Group, aggregate_daily, extract_series, read_flows_csv, write_flows_csv
+from .flows import FlowType, Group, aggregate_daily, extract_series, read_flows_csv, write_flows_csv
 from .pipeline import (
+    RunConfig,
     _ccdf_with_reference_text,
     _json_text,
     _write_text,
@@ -27,38 +28,64 @@ from .pipeline import (
     tail_report,
 )
 from .rolling import RollingHurst, rolling_hurst
-from .stats import FILL_POLICIES, regression_table, write_regression_table_csv
-from .surrogate import SurrogateSpec, surrogate_band
+from .stats import FILL_POLICIES, read_prices_csv, regression_table, write_regression_table_csv
+from .surrogate import SURROGATE_KINDS, SurrogateSpec, surrogate_band
 from .synth import GeneratorSpec, generate
+from .tails import TAIL_SIDES
 
 
-def _fail(exc: FlowmemError):
-    raise click.ClickException(str(exc))
+class _Main(click.Group):
+    """The root group: a FlowmemError from any command is reported as
+    `Error: <message>` with exit status 1, not a traceback."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except FlowmemError as exc:
+            raise click.ClickException(str(exc)) from exc
 
 
-dfa_options = [
-    click.option("--order", default=2, show_default=True, help="Detrending polynomial order."),
-    click.option("--n-min", default=5, show_default=True),
-    click.option("--n-max-fraction", default=0.25, show_default=True),
-    click.option("--n-scales", default=20, show_default=True),
-    click.option("--min-blocks", default=4, show_default=True),
-]
+def _options(*options):
+    def decorate(fn):
+        for opt in reversed(options):
+            fn = opt(fn)
+        return fn
+    return decorate
+
+
+def with_series_options(fn):
+    """--flows/--series/--group/--flow, handed to the command as one
+    `loaded` argument: (calendar, values, label)."""
+
+    @functools.wraps(fn)
+    def command(flows, series, group, flow, **kwargs):
+        return fn(loaded=_load_series(flows, series, group, flow), **kwargs)
+
+    return _options(
+        click.option("--flows", type=click.Path(exists=True)),
+        click.option("--series", type=click.Path(exists=True), help="A date,value CSV."),
+        click.option("--group", type=click.Choice([g.value for g in Group])),
+        click.option("--flow", type=click.Choice([f.value for f in FlowType])),
+    )(command)
 
 
 def with_dfa_options(fn):
-    for opt in reversed(dfa_options):
-        fn = opt(fn)
-    return fn
+    """The DfaConfig fields as options, defaulting to the field defaults and
+    handed to the command as one `dfa_config` argument."""
 
+    @functools.wraps(fn)
+    def command(order, n_min, n_max_fraction, n_scales, min_blocks, **kwargs):
+        config = DfaConfig(order, n_min, n_max_fraction, n_scales, min_blocks)
+        return fn(dfa_config=config, **kwargs)
 
-def _dfa_config(order, n_min, n_max_fraction, n_scales, min_blocks) -> DfaConfig:
-    return DfaConfig(
-        detrend_order=order,
-        n_min=n_min,
-        n_max_fraction=n_max_fraction,
-        n_scales=n_scales,
-        min_blocks=min_blocks,
-    )
+    return _options(
+        click.option("--order", default=DfaConfig.detrend_order, show_default=True,
+                     help="Detrending polynomial order."),
+        click.option("--n-min", default=DfaConfig.n_min, show_default=True),
+        click.option("--n-max-fraction", default=DfaConfig.n_max_fraction, show_default=True),
+        click.option("--n-scales", default=DfaConfig.n_scales, show_default=True),
+        click.option("--min-blocks", default=DfaConfig.min_blocks, show_default=True),
+    )(command)
 
 
 def _load_series(flows, series, group, flow):
@@ -71,17 +98,8 @@ def _load_series(flows, series, group, flow):
         panel = aggregate_daily(read_flows_csv(flows))
         labeled = extract_series(panel, group, flow)
         return labeled.calendar, labeled.values, f"{group}_{flow}"
-    dates, values = [], []
-    with open(series, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(h.strip().lower() for h in header) != ("date", "value"):
-            raise click.ClickException(f"{series}: expected header date,value")
-        for row in reader:
-            if row:
-                dates.append(row[0])
-                values.append(float(row[1]))
-    return tuple(dates), np.asarray(values), os.path.basename(series)
+    calendar, values = read_prices_csv(series, column="value")
+    return calendar, values, os.path.basename(series)
 
 
 def _date_range(start: str, n: int) -> list[str]:
@@ -89,7 +107,7 @@ def _date_range(start: str, n: int) -> list[str]:
     return [(d0 + datetime.timedelta(days=i)).isoformat() for i in range(n)]
 
 
-@click.group()
+@click.group(cls=_Main)
 @click.version_option(version=__version__, prog_name="flowmem")
 def main():
     """Long-memory diagnostics for investor-segregated trading flows."""
@@ -99,11 +117,8 @@ def main():
 @click.argument("flows_csv", type=click.Path(exists=True))
 def ingest_check(flows_csv):
     """Parse and aggregate a flows CSV, reporting what it contains."""
-    try:
-        records = read_flows_csv(flows_csv)
-        panel = aggregate_daily(records)
-    except FlowmemError as exc:
-        _fail(exc)
+    records = read_flows_csv(flows_csv)
+    panel = aggregate_daily(records)
     click.echo(f"records: {len(records)}")
     click.echo(f"trading days: {len(panel.calendar)} ({panel.calendar[0]} .. {panel.calendar[-1]})")
     for (group, flow_type), values in sorted(
@@ -127,11 +142,8 @@ def synth():
 @click.option("--out", type=click.Path(), required=True)
 def synth_series(kind, hurst, alpha, length, seed, start_date, out):
     """One synthetic series as a date,value CSV (plus a .meta.json sidecar)."""
-    try:
-        spec = GeneratorSpec(kind=kind, n=length, seed=seed, hurst=hurst, alpha=alpha)
-        values = generate(spec)
-    except FlowmemError as exc:
-        _fail(exc)
+    spec = GeneratorSpec(kind=kind, n=length, seed=seed, hurst=hurst, alpha=alpha)
+    values = generate(spec)
     dates = _date_range(start_date, length)
     lines = ["date,value"] + [f"{d},{float(v)!r}" for d, v in zip(dates, values)]
     _write_text(out, "\n".join(lines) + "\n")
@@ -172,17 +184,14 @@ def synth_flows(group_specs, length, seed, start_date, out):
     dates = _date_range(start_date, length)
     columns = {}
     meta = {"seed": seed, "groups": {}}
-    try:
-        for text in group_specs:
-            group, kind, hurst, alpha = _parse_group_spec(text)
-            for side in ("BUY", "SELL"):
-                side_seed = stage_seed(seed, f"synth-flows/{group}/{side}")
-                spec = GeneratorSpec(kind=kind, n=length, seed=side_seed, hurst=hurst, alpha=alpha)
-                raw = generate(spec)
-                columns[(group, side)] = raw - raw.min()
-                meta["groups"].setdefault(group, {})[side] = spec.metadata()
-    except FlowmemError as exc:
-        _fail(exc)
+    for text in group_specs:
+        group, kind, hurst, alpha = _parse_group_spec(text)
+        for side in ("BUY", "SELL"):
+            side_seed = stage_seed(seed, f"synth-flows/{group}/{side}")
+            spec = GeneratorSpec(kind=kind, n=length, seed=side_seed, hurst=hurst, alpha=alpha)
+            raw = generate(spec)
+            columns[(group, side)] = raw - raw.min()
+            meta["groups"].setdefault(group, {})[side] = spec.metadata()
     rows = []
     for i, date in enumerate(dates):
         for group in sorted({g for g, _ in columns}):
@@ -211,23 +220,15 @@ def synth_prices(length, seed, daily_vol, start_date, out):
 
 
 @main.command()
-@click.option("--flows", type=click.Path(exists=True))
-@click.option("--series", type=click.Path(exists=True))
-@click.option("--group", type=click.Choice([g.value for g in Group]))
-@click.option("--flow", type=click.Choice(["BUY", "SELL", "NET"]))
+@with_series_options
 @with_dfa_options
 @click.option("--include-order1", is_flag=True, help="Also fit with order-1 detrending.")
 @click.option("--out-curve", type=click.Path(), default=None)
 @click.option("--out-fit", type=click.Path(), default=None)
-def dfa(flows, series, group, flow, order, n_min, n_max_fraction, n_scales,
-        min_blocks, include_order1, out_curve, out_fit):
+def dfa(loaded, dfa_config, include_order1, out_curve, out_fit):
     """Static DFA: fluctuation curve and log-log scaling fit."""
-    try:
-        _, values, label = _load_series(flows, series, group, flow)
-        config = _dfa_config(order, n_min, n_max_fraction, n_scales, min_blocks)
-        curve, fits = static_dfa(values, config, include_order1)
-    except FlowmemError as exc:
-        _fail(exc)
+    _, values, label = loaded
+    curve, fits = static_dfa(values, dfa_config, include_order1)
     if out_curve:
         curve.write_csv(out_curve)
     if out_fit:
@@ -240,23 +241,15 @@ def dfa(flows, series, group, flow, order, n_min, n_max_fraction, n_scales,
 
 
 @main.command()
-@click.option("--flows", type=click.Path(exists=True))
-@click.option("--series", type=click.Path(exists=True))
-@click.option("--group", type=click.Choice([g.value for g in Group]))
-@click.option("--flow", type=click.Choice(["BUY", "SELL", "NET"]))
-@click.option("--window", default=250, show_default=True)
-@click.option("--step", default=5, show_default=True)
+@with_series_options
+@click.option("--window", default=RunConfig.rolling_window, show_default=True)
+@click.option("--step", default=RunConfig.rolling_step, show_default=True)
 @with_dfa_options
 @click.option("--out", type=click.Path(), required=True)
-def roll(flows, series, group, flow, window, step, order, n_min, n_max_fraction,
-         n_scales, min_blocks, out):
+def roll(loaded, window, step, dfa_config, out):
     """Rolling-window DFA exponent, written as end_date,H,stderr,r2."""
-    try:
-        calendar, values, label = _load_series(flows, series, group, flow)
-        config = _dfa_config(order, n_min, n_max_fraction, n_scales, min_blocks)
-        rolled = rolling_hurst(values, calendar, window=window, step=step, config=config)
-    except FlowmemError as exc:
-        _fail(exc)
+    calendar, values, label = loaded
+    rolled = rolling_hurst(values, calendar, window=window, step=step, config=dfa_config)
     rolled.write_csv(out)
     ok = rolled.hurst_values()
     gaps = len(rolled.entries) - ok.size
@@ -264,26 +257,18 @@ def roll(flows, series, group, flow, window, step, order, n_min, n_max_fraction,
 
 
 @main.command()
-@click.option("--flows", type=click.Path(exists=True))
-@click.option("--series", type=click.Path(exists=True))
-@click.option("--group", type=click.Choice([g.value for g in Group]))
-@click.option("--flow", type=click.Choice(["BUY", "SELL", "NET"]))
-@click.option("--kind", type=click.Choice(["shuffle", "phase_randomize"]), required=True)
-@click.option("--count", default=20, show_default=True)
+@with_series_options
+@click.option("--kind", type=click.Choice(SURROGATE_KINDS), required=True)
+@click.option("--count", default=RunConfig.surrogate_count, show_default=True)
 @click.option("--seed", type=int, required=True)
 @with_dfa_options
 @click.option("--out", type=click.Path(), required=True)
 @click.option("--out-values", type=click.Path(), default=None,
               help="Optional CSV of individual surrogate exponents.")
-def surrogate(flows, series, group, flow, kind, count, seed, order, n_min,
-              n_max_fraction, n_scales, min_blocks, out, out_values):
+def surrogate(loaded, kind, count, seed, dfa_config, out, out_values):
     """Surrogate null band: DFA exponent distribution over randomized copies."""
-    try:
-        _, values, label = _load_series(flows, series, group, flow)
-        config = _dfa_config(order, n_min, n_max_fraction, n_scales, min_blocks)
-        band = surrogate_band(values, SurrogateSpec(kind=kind, seed=seed, count=count), config)
-    except FlowmemError as exc:
-        _fail(exc)
+    _, values, label = loaded
+    band = surrogate_band(values, SurrogateSpec(kind=kind, seed=seed, count=count), dfa_config)
     _write_text(out, _json_text(band.to_json_dict()))
     if out_values:
         band.write_values_csv(out_values)
@@ -292,22 +277,15 @@ def surrogate(flows, series, group, flow, kind, count, seed, order, n_min,
 
 
 @main.command()
-@click.option("--flows", type=click.Path(exists=True))
-@click.option("--series", type=click.Path(exists=True))
-@click.option("--group", type=click.Choice([g.value for g in Group]))
-@click.option("--flow", type=click.Choice(["BUY", "SELL", "NET"]))
-@click.option("--side", type=click.Choice(["upper", "absolute"]), default="upper",
-              show_default=True)
-@click.option("--tail-fraction", default=0.05, show_default=True)
+@with_series_options
+@click.option("--side", type=click.Choice(TAIL_SIDES), default="upper", show_default=True)
+@click.option("--tail-fraction", default=RunConfig.tail_fraction, show_default=True)
 @click.option("--out-ccdf", type=click.Path(), default=None)
 @click.option("--out-fit", type=click.Path(), default=None)
-def tails(flows, series, group, flow, side, tail_fraction, out_ccdf, out_fit):
+def tails(loaded, side, tail_fraction, out_ccdf, out_fit):
     """Empirical CCDF vs Gaussian reference plus power-law tail fits."""
-    try:
-        _, values, label = _load_series(flows, series, group, flow)
-        ccdf, reference, summary = tail_report(values, side, tail_fraction)
-    except FlowmemError as exc:
-        _fail(exc)
+    _, values, label = loaded
+    ccdf, reference, summary = tail_report(values, side, tail_fraction)
     if out_ccdf:
         _write_text(out_ccdf, _ccdf_with_reference_text(ccdf, reference))
     if out_fit:
@@ -323,12 +301,12 @@ def tails(flows, series, group, flow, side, tail_fraction, out_ccdf, out_fit):
 @click.option("--roll-dir", type=click.Path(exists=True, file_okay=False), required=True,
               help="Directory holding fig4_rolling_<group>_<flow>.csv files.")
 @click.option("--prices", type=click.Path(exists=True), required=True)
-@click.option("--step", default=5, show_default=True,
+@click.option("--step", default=RunConfig.rolling_step, show_default=True,
               help="Rolling step in trading days; caps how long forward_fill holds an exponent.")
 @click.option("--fill", type=click.Choice(FILL_POLICIES),
-              default="forward_fill", show_default=True)
-@click.option("--lag", default=0, show_default=True)
-@click.option("--robust/--no-robust", default=True, show_default=True)
+              default=RunConfig.fill_policy, show_default=True)
+@click.option("--lag", default=RunConfig.lag_k, show_default=True)
+@click.option("--robust/--no-robust", default=RunConfig.robust_se, show_default=True)
 @click.option("--out", type=click.Path(), required=True)
 def regress(roll_dir, prices, step, fill, lag, robust, out):
     """Volatility-on-persistence regressions, one row per rolling series."""
@@ -336,17 +314,14 @@ def regress(roll_dir, prices, step, fill, lag, robust, out):
     paths = {
         (g.value, ft): os.path.join(roll_dir, f"fig4_rolling_{g.value}_{ft}.csv")
         for g in Group
-        for ft in ("BUY", "SELL", "NET")
+        for ft in (f.value for f in FlowType)
     }
     present = {key: path for key, path in paths.items() if os.path.isfile(path)}
     if not present:
         raise click.ClickException(f"no fig4_rolling_*.csv files in {roll_dir}")
-    try:
-        rolling = {key: RollingHurst.read_csv(path, step) for key, path in present.items()}
-        rows = regression_table(rolling, prices, fill, lag, robust)
-        write_regression_table_csv(out, rows)
-    except FlowmemError as exc:
-        _fail(exc)
+    rolling = {key: RollingHurst.read_csv(path, step) for key, path in present.items()}
+    rows = regression_table(rolling, prices, fill, lag, robust)
+    write_regression_table_csv(out, rows)
     for row in rows:
         click.echo(
             f"{row['group']:14s} {row['flow']:4s} beta={row['beta']:+.6f} "
@@ -360,10 +335,7 @@ def regress(roll_dir, prices, step, fill, lag, robust, out):
               help="Where to write the assembled report (default: stdout).")
 def report(out_dir, out):
     """Assemble a run report from the stage artifacts in a directory."""
-    try:
-        assembled = assemble_report(out_dir)
-    except FlowmemError as exc:
-        _fail(exc)
+    assembled = assemble_report(out_dir)
     text = assembled.canonical_json()
     if out:
         _write_text(out, text)
@@ -378,11 +350,8 @@ def report(out_dir, out):
 @click.option("--seed", type=int, default=None, help="Run seed override.")
 def run(config_path, out, seed):
     """Run the full pipeline: ingest, tails, DFA, surrogates, rolling, regression."""
-    try:
-        config = load_config(config_path, out_dir=out, seed=seed)
-        result = run_pipeline(config)
-    except FlowmemError as exc:
-        _fail(exc)
+    config = load_config(config_path, out_dir=out, seed=seed)
+    result = run_pipeline(config)
     click.echo(f"report: {os.path.join(config.out_dir, 'report.json')}")
     for key, payload in result.series.items():
         fit = payload["static_dfa"]["fit"]

@@ -208,7 +208,7 @@ def read_flows_csv(path) -> list[FlowRecord]:
 
     Long: date,firm_id,group,side,amount (firm_id may be empty).
     Wide (pre-aggregated): date,group,buy,sell -> one BUY and one SELL
-    record per row.
+    record per row; a repeated (date, group) row is an error.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -226,6 +226,7 @@ def read_flows_csv(path) -> list[FlowRecord]:
                 f"{','.join(LONG_HEADER)} or {','.join(WIDE_HEADER)}"
             )
         records: list[FlowRecord] = []
+        first_lines: dict = {}  # wide schema: (date, group) -> line
         for row in reader:
             if not row:
                 continue
@@ -235,6 +236,11 @@ def read_flows_csv(path) -> list[FlowRecord]:
             if wide:
                 date = _parse_date(row[0], line)
                 group = _parse_group(row[1], line)
+                first = first_lines.setdefault((date, group), line)
+                if first != line:
+                    raise FlowError(
+                        f"line {line}: repeats the {date} {group.value} row of line {first}"
+                    )
                 records.append(
                     FlowRecord(date=date, group=group, side=Side.BUY,
                                amount=_parse_amount(row[2], line))

@@ -14,18 +14,27 @@ config hash does not depend on where the tree is checked out.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
 import shutil
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
 from . import __version__
 from .dfa import DfaConfig, fit_hurst, fluctuation, make_scale_grid, profile
 from .errors import FlowmemError, PipelineError, TailError
-from .flows import FLOW_TYPES, GROUPS, FlowPanel, FlowType, aggregate_daily, read_flows_csv
+from .flows import (
+    _DATE_RE,
+    FLOW_TYPES,
+    GROUPS,
+    FlowPanel,
+    FlowType,
+    aggregate_daily,
+    read_flows_csv,
+)
 from .rolling import RegimeWindow, RollingHurst, regime_summary, rolling_hurst
 from .stats import (
     FILL_POLICIES,
@@ -35,7 +44,7 @@ from .stats import (
 )
 from .surrogate import SURROGATE_KINDS, SurrogateSpec, surrogate_band
 from .synth import RNG_NAME
-from .tails import empirical_ccdf, fit_tail_exponent, gaussian_ccdf_reference
+from .tails import TAIL_SIDES, empirical_ccdf, fit_tail_exponent, gaussian_ccdf_reference
 
 OUT_DIR_ENV = "FLOWMEM_OUT"
 
@@ -67,37 +76,16 @@ class RunConfig:
         return os.path.normpath(os.path.join(self.base_dir, path))
 
     def to_json_dict(self) -> dict:
-        return {
-            "flows_csv": self.flows_csv,
-            "prices_csv": self.prices_csv,
-            "seed": self.seed,
-            "dfa": {
-                "detrend_order": self.dfa.detrend_order,
-                "n_min": self.dfa.n_min,
-                "n_max_fraction": self.dfa.n_max_fraction,
-                "n_scales": self.dfa.n_scales,
-                "min_blocks": self.dfa.min_blocks,
-                "include_order1": self.dfa_include_order1,
-            },
-            "rolling": {"window": self.rolling_window, "step": self.rolling_step},
-            "surrogates": {
-                "kinds": list(self.surrogate_kinds),
-                "count": self.surrogate_count,
-            },
-            "tails": {
-                "tail_fraction": self.tail_fraction,
-                "net_side": self.tail_net_side,
-            },
-            "regimes": [
-                {"label": w.label, "start_date": w.start_date, "end_date": w.end_date}
-                for w in self.regimes
-            ],
-            "regression": {
-                "fill_policy": self.fill_policy,
-                "robust_se": self.robust_se,
-                "lag_k": self.lag_k,
-            },
-        }
+        """The config.json form: every key of _KEYS but the runtime-only out_dir."""
+        out = {}
+        for key, (field, _, _) in _KEYS.items():
+            block, _, name = key.rpartition(".")
+            if key != "out_dir" and "[" not in block:
+                value = functools.reduce(getattr, field.split("."), self)
+                if isinstance(value, tuple):
+                    value = [asdict(v) if is_dataclass(v) else v for v in value]
+                (out.setdefault(block, {}) if block else out)[name] = value
+        return out
 
     def canonical_json(self) -> str:
         """Stable serialization; out_dir and base_dir are runtime-only."""
@@ -107,102 +95,113 @@ class RunConfig:
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()
 
 
-# the accepted keys: those config.json holds, plus the runtime-only out_dir
-_SCHEMA = RunConfig(flows_csv="").to_json_dict()
-_TOP_KEYS = {*_SCHEMA, "out_dir"}
-_REGIME_KEYS = {"label", "start_date", "end_date"}
-_NET_SIDES = ("absolute", "upper")
+# Every config key: the field it sets ("dfa.<name>" is a field of
+# RunConfig.dfa, "regimes[].<name>" one of a RegimeWindow entry), the JSON
+# types it takes, and its rule: a tuple of allowed values (of each element,
+# none repeated, for a list), the class a list's entries build, or a
+# predicate. Defaults live on the dataclass fields alone; a field without
+# one is a required key.
+_KEYS = {
+    "flows_csv": ("flows_csv", (str,), None),
+    "prices_csv": ("prices_csv", (str, type(None)), None),
+    "out_dir": ("out_dir", (str, type(None)), None),
+    "seed": ("seed", (int,), lambda v: v >= 0),
+    "dfa.detrend_order": ("dfa.detrend_order", (int,), None),
+    "dfa.n_min": ("dfa.n_min", (int,), None),
+    "dfa.n_max_fraction": ("dfa.n_max_fraction", (int, float), None),
+    "dfa.n_scales": ("dfa.n_scales", (int,), None),
+    "dfa.min_blocks": ("dfa.min_blocks", (int,), None),
+    "dfa.include_order1": ("dfa_include_order1", (bool,), None),
+    "rolling.window": ("rolling_window", (int,), lambda v: v >= 2),
+    "rolling.step": ("rolling_step", (int,), lambda v: v >= 1),
+    "surrogates.kinds": ("surrogate_kinds", (list,), SURROGATE_KINDS),
+    "surrogates.count": ("surrogate_count", (int,), lambda v: v >= 1),
+    "tails.tail_fraction": ("tail_fraction", (int, float), lambda v: 0 < v <= 1),
+    "tails.net_side": ("tail_net_side", (str,), TAIL_SIDES),
+    "regimes": ("regimes", (list,), RegimeWindow),
+    "regimes[].label": ("label", (str,), None),
+    "regimes[].start_date": ("start_date", (str,), _DATE_RE.match),
+    "regimes[].end_date": ("end_date", (str,), _DATE_RE.match),
+    "regression.fill_policy": ("fill_policy", (str,), FILL_POLICIES),
+    "regression.robust_se": ("robust_se", (bool,), None),
+    "regression.lag_k": ("lag_k", (int,), lambda v: v >= 0),
+}
+_BLOCKS = {key.rpartition(".")[0] for key in _KEYS if "." in key and "[" not in key}
 
 
 def _bad_value(key: str, value) -> PipelineError:
     return PipelineError("config", f"config key {key!r}: invalid value {value!r}")
 
 
-def _typed(cast, value, key: str):
-    """cast(value), or a config error naming the key."""
+def _build(cls, kwargs: dict, where: str):
+    """cls(**kwargs); a missing required key or a FlowmemError from the
+    constructor is a config error naming `where` (a key prefix)."""
+    for f in fields(cls):
+        if f.default is MISSING and f.name not in kwargs:
+            raise PipelineError("config", f"missing config key {where + f.name!r}")
     try:
-        return cast(value)
-    except (TypeError, ValueError):
-        raise _bad_value(key, value) from None
+        return cls(**kwargs)
+    except FlowmemError as exc:
+        raise PipelineError("config", f"config key {where.rstrip('.')!r}: {exc}") from None
 
 
-def _known_keys(block: dict, allowed, prefix: str = "") -> None:
-    if not isinstance(block, dict):
-        raise _bad_value(prefix.rstrip(".") or "<top level>", block)
-    for key in sorted(block):
-        if key not in allowed:
-            raise PipelineError("config", f"unknown config key {prefix + key!r}")
-
-
-def _one_of(value, allowed, key: str):
-    if value not in allowed:
-        raise _bad_value(key, value)
-    return value
+def _read(obj, prefix: str = "", where: str = "") -> dict:
+    """{field: value} for one JSON object, each key checked against its row
+    of _KEYS; `prefix` is the rows' key prefix, `where` its name in errors."""
+    if type(obj) is not dict:
+        raise _bad_value(where.rstrip(".") or "<top level>", obj)
+    out = {}
+    for name in sorted(obj):
+        key, value = prefix + name, obj[name]
+        if key in _BLOCKS:
+            out.update(_read(value, f"{key}.", f"{where}{name}."))
+            continue
+        if key not in _KEYS:
+            raise PipelineError("config", f"unknown config key {where + name!r}")
+        field, types, rule = _KEYS[key]
+        if type(value) not in types:
+            raise _bad_value(where + name, value)
+        if isinstance(rule, type):  # a list of objects, each one an entry
+            entries = [f"{where}{name}[{i}]." for i in range(len(value))]
+            value = [_build(rule, _read(v, f"{key}[].", e), e) for v, e in zip(value, entries)]
+        elif rule is not None:
+            items = value if type(value) is list else [value]
+            if not all(v in rule if isinstance(rule, tuple) else rule(v) for v in items):
+                raise _bad_value(where + name, value)
+            if len(set(items)) < len(items):
+                raise _bad_value(where + name, value)
+        if type(value) is list:
+            value = tuple(value)
+        out[field] = float(value) if float in types else value
+    return out
 
 
 def config_from_json_dict(data: dict, base_dir: str = ".") -> RunConfig:
-    """Validate a parsed config in full: unknown keys and bad values are
-    config errors naming the key, raised before any stage runs."""
-    _known_keys(data, _TOP_KEYS)
-    for name, block in _SCHEMA.items():
-        if isinstance(block, dict):
-            _known_keys(data.get(name, {}), block, f"{name}.")
-    for i, entry in enumerate(data.get("regimes", [])):
-        _known_keys(entry, _REGIME_KEYS, f"regimes[{i}].")
-    try:
-        dfa_block = dict(data.get("dfa", {}))
-        include_order1 = bool(dfa_block.pop("include_order1", False))
-        for key, value in sorted(dfa_block.items()):
-            if not isinstance(value, (int, float)):
-                raise _bad_value(f"dfa.{key}", value)
-        rolling = data.get("rolling", {})
-        surr = data.get("surrogates", {})
-        tails = data.get("tails", {})
-        regression = data.get("regression", {})
-        kinds = tuple(surr.get("kinds", SURROGATE_KINDS))
-        for kind in kinds:
-            _one_of(kind, SURROGATE_KINDS, "surrogates.kinds")
-        regimes = tuple(
-            RegimeWindow(w["label"], w["start_date"], w["end_date"])
-            for w in data.get("regimes", [])
-        )
-        return RunConfig(
-            flows_csv=data["flows_csv"],
-            prices_csv=data.get("prices_csv"),
-            base_dir=base_dir,
-            seed=_typed(int, data.get("seed", 0), "seed"),
-            dfa=DfaConfig(**dfa_block),
-            dfa_include_order1=include_order1,
-            rolling_window=_typed(int, rolling.get("window", 250), "rolling.window"),
-            rolling_step=_typed(int, rolling.get("step", 5), "rolling.step"),
-            surrogate_kinds=kinds,
-            surrogate_count=_typed(int, surr.get("count", 20), "surrogates.count"),
-            tail_fraction=_typed(float, tails.get("tail_fraction", 0.05), "tails.tail_fraction"),
-            tail_net_side=_one_of(tails.get("net_side", "absolute"), _NET_SIDES, "tails.net_side"),
-            regimes=regimes,
-            fill_policy=_one_of(
-                regression.get("fill_policy", "forward_fill"), FILL_POLICIES, "regression.fill_policy"
-            ),
-            robust_se=bool(regression.get("robust_se", True)),
-            lag_k=_typed(int, regression.get("lag_k", 0), "regression.lag_k"),
-        )
-    except KeyError as exc:
-        raise PipelineError("config", f"missing config key: {exc}") from None
+    """Validate a parsed config in full against _KEYS: an unknown key, a
+    value of the wrong JSON type or out of range is a config error naming
+    the key, raised before any stage runs."""
+    given = _read(data)
+    nested: dict = {}
+    for path in [p for p in given if "." in p]:
+        owner, name = path.split(".")
+        nested.setdefault(owner, {})[name] = given.pop(path)
+    for owner, kwargs in nested.items():
+        given[owner] = _build(type(getattr(RunConfig, owner)), kwargs, f"{owner}.")
+    return _build(RunConfig, {**given, "base_dir": base_dir}, "")
 
 
 def load_config(path, out_dir=None, seed=None) -> RunConfig:
     """Parse a JSON config file; CLI flags and FLOWMEM_OUT override it."""
     with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    config = config_from_json_dict(
-        data, base_dir=os.path.dirname(os.path.abspath(path))
-    )
-    if seed is not None:
-        config = replace(config, seed=int(seed))
-    resolved_out = out_dir or os.environ.get(OUT_DIR_ENV) or data.get("out_dir")
-    if resolved_out is not None:
-        config = replace(config, out_dir=str(resolved_out))
-    return config
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise PipelineError("config", f"{path}: {exc}") from None
+    if seed is not None and isinstance(data, dict):
+        data["seed"] = seed
+    config = config_from_json_dict(data, base_dir=os.path.dirname(os.path.abspath(path)))
+    resolved_out = out_dir or os.environ.get(OUT_DIR_ENV)
+    return replace(config, out_dir=str(resolved_out)) if resolved_out else config
 
 
 def stage_seed(run_seed: int, label: str) -> int:

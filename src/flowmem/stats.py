@@ -102,18 +102,20 @@ def returns_from_prices(calendar, closes) -> ReturnSeries:
     )
 
 
-def read_prices_csv(path) -> tuple[tuple[str, ...], np.ndarray]:
-    """Parse `date,close`; returns (calendar, closes)."""
+def read_prices_csv(path, column: str = "close") -> tuple[tuple[str, ...], np.ndarray]:
+    """Parse `date,<column>`; returns (calendar, values). Values must be
+    finite, and positive for `close` (prices); dates strictly increasing."""
+    positive = column == "close"
     dates: list[str] = []
-    closes: list[float] = []
+    values: list[float] = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = tuple(h.strip().lower() for h in next(reader))
         except StopIteration:
             raise StatsError(f"{path}: empty file") from None
-        if header != ("date", "close"):
-            raise StatsError(f"{path}: expected header date,close, got {header!r}")
+        if header != ("date", column):
+            raise StatsError(f"{path}: expected header date,{column}, got {header!r}")
         for row in reader:
             if not row:
                 continue
@@ -122,17 +124,18 @@ def read_prices_csv(path) -> tuple[tuple[str, ...], np.ndarray]:
                 raise StatsError(f"line {line}: expected 2 fields")
             dates.append(row[0].strip())
             try:
-                close = float(row[1])
+                value = float(row[1])
             except ValueError:
-                raise StatsError(f"line {line}: bad close {row[1]!r}") from None
-            if not math.isfinite(close) or close <= 0:
-                raise StatsError(f"line {line}: close must be positive and finite")
-            closes.append(close)
+                raise StatsError(f"line {line}: bad {column} {row[1]!r}") from None
+            if not math.isfinite(value) or (positive and value <= 0):
+                rule = "positive and finite" if positive else "finite"
+                raise StatsError(f"line {line}: {column} must be {rule}")
+            values.append(value)
     if not dates:
         raise StatsError(f"{path}: no data rows")
     if any(b <= a for a, b in zip(dates, dates[1:])):
         raise StatsError(f"{path}: dates must be strictly increasing")
-    return tuple(dates), np.asarray(closes)
+    return tuple(dates), np.asarray(values)
 
 
 def squared_return_vol(returns: ReturnSeries) -> VolatilitySeries:

@@ -51,6 +51,21 @@ class TestSynthAndDfa:
         hurst = float(re.search(r"hurst=([0-9.]+)", result.output).group(1))
         assert abs(hurst - 0.7) < 0.06
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("2020-01-01,1.0\n2020-01-02,abc\n", "line 3: bad value 'abc'"),
+            ("2020-01-01,1.0\n2020-01-02,inf\n", "line 3: value must be finite"),
+            ("2020-01-02,1.0\n2020-01-01,2.0\n", "dates must be strictly increasing"),
+        ],
+    )
+    def test_bad_series_file_fails_cleanly(self, runner, tmp_path, rows, message):
+        series = tmp_path / "s.csv"
+        series.write_text("date,value\n" + rows)
+        result = invoke(runner, "dfa", "--series", series)
+        assert result.exit_code == 1
+        assert result.output.startswith("Error: ") and message in result.output
+
     def test_flows_spec_validation(self, runner, tmp_path):
         result = invoke(
             runner, "synth", "flows", "--group", "retail=fgn",

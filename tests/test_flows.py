@@ -206,6 +206,27 @@ class TestCsv:
         panel = aggregate_daily(records)
         np.testing.assert_array_equal(panel.series[(Group.RETAIL, FlowType.NET)], [3.5, 0.0])
 
+    def test_wide_repeated_date_group_reports_both_lines(self, tmp_path):
+        path = tmp_path / "flows.csv"
+        path.write_text(
+            "date,group,buy,sell\n"
+            "2020-01-02,retail,5,0\n"
+            "2020-01-02,retail,1,0\n"
+            "2020-01-03,retail,4,0\n"
+        )
+        with pytest.raises(FlowError, match="line 3: .*2020-01-02 retail.*line 2"):
+            read_flows_csv(path)
+
+    def test_long_repeated_date_group_side_is_summed(self, tmp_path):
+        path = tmp_path / "flows.csv"
+        path.write_text(
+            "date,firm_id,group,side,amount\n"
+            "2020-01-02,f1,retail,BUY,5\n"
+            "2020-01-02,f2,retail,BUY,1\n"
+        )
+        panel = aggregate_daily(read_flows_csv(path))
+        np.testing.assert_array_equal(panel.series[(Group.RETAIL, FlowType.BUY)], [6.0])
+
     def test_unknown_group_reports_line(self, tmp_path):
         path = tmp_path / "flows.csv"
         path.write_text("date,firm_id,group,side,amount\n2020-01-02,f1,hedge_fund,BUY,5\n")

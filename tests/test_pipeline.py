@@ -207,6 +207,30 @@ class TestConfig:
             ({"tails": {"net_side": "bogus"}}, "tails.net_side"),
             ({"surrogates": {"kinds": ["bootstrap"]}}, "surrogates.kinds"),
             ({"regression": {"fill_policy": "nope"}}, "regression.fill_policy"),
+            ({"dfa": {"detrend_order": -1}}, "dfa"),
+            ({"regimes": [{"label": "x", "start_date": "2021-01-01", "end_date": "2020-01-01"}]},
+             "regimes[0]"),
+            ({"regression": {"robust_se": "false"}}, "regression.robust_se"),
+            ({"dfa": {"include_order1": "no"}}, "dfa.include_order1"),
+            ({"seed": 1.9}, "seed"),
+            ({"seed": True}, "seed"),
+            ({"seed": -1}, "seed"),
+            ({"rolling": {"window": 250.7}}, "rolling.window"),
+            ({"rolling": {"window": 1}}, "rolling.window"),
+            ({"dfa": {"n_min": 5.5}}, "dfa.n_min"),
+            ({"rolling": {"step": 0}}, "rolling.step"),
+            ({"surrogates": {"count": 0}}, "surrogates.count"),
+            ({"regression": {"lag_k": -1}}, "regression.lag_k"),
+            ({"tails": {"tail_fraction": 2.0}}, "tails.tail_fraction"),
+            ({"flows_csv": 5}, "flows_csv"),
+            ({"regimes": [{"label": "x", "start_date": 2015, "end_date": "2016-01-01"}]},
+             "regimes[0].start_date"),
+            ({"regimes": [{"label": "x", "start_date": "2020-3-1", "end_date": "2020-04-01"}]},
+             "regimes[0].start_date"),
+            ({"regimes": [{"start_date": "2020-03-01", "end_date": "2020-04-01"}]},
+             "regimes[0].label"),
+            ({"out_dir": 5}, "out_dir"),
+            ({"surrogates": {"kinds": ["shuffle", "shuffle"]}}, "surrogates.kinds"),
         ],
     )
     def test_bad_key_or_value_is_config_error_naming_key(self, data_dir, patch, key):
@@ -215,6 +239,45 @@ class TestConfig:
         with pytest.raises(PipelineError, match=re.escape(f"'{key}'")) as info:
             config_from_json_dict(data)
         assert info.value.stage == "config"
+
+    @pytest.mark.parametrize(
+        "patch",
+        [{"rolling": {"step": 0}}, {"surrogates": {"count": 0}},
+         {"regression": {"lag_k": -1}}, {"tails": {"tail_fraction": 2.0}}],
+    )
+    def test_bad_range_fails_before_out_dir_exists(self, data_dir, tmp_path, patch):
+        data = json.loads((data_dir / "run_config.json").read_text())
+        data.update(patch)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(PipelineError, match="stage 'config'"):
+            run_pipeline(load_config(path, out_dir=str(tmp_path / "out")))
+        assert not (tmp_path / "out").exists()
+
+    def test_seed_override_is_checked(self, data_dir):
+        with pytest.raises(PipelineError, match="'seed'"):
+            load_config(data_dir / "run_config.json", seed=-1)
+
+    def test_malformed_json_is_config_error_naming_file(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text('{"flows_csv": "f.csv",\n}')
+        with pytest.raises(PipelineError, match=r"config\.json: .*line 2") as info:
+            load_config(path)
+        assert info.value.stage == "config"
+
+    def test_defaults_hash_is_pinned(self):
+        # the defaults live on the RunConfig and DfaConfig fields alone
+        config = config_from_json_dict({"flows_csv": "f.csv"})
+        assert config.sha256() == (
+            "ef4cdcfce1127217ceb6e65b9006bb4ce8a0426a7191e24d28b379516cc85f34"
+        )
+        assert config == RunConfig(flows_csv="f.csv")
+
+    def test_readme_quick_start_config_is_valid(self):
+        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        block = re.search(r"cat > config\.json <<'EOF'\n(.*?)\nEOF\n", readme, re.S)
+        config = config_from_json_dict(json.loads(block.group(1)))
+        assert config.surrogate_count == 50 and len(config.regimes) == 1
 
     def test_out_dir_key_is_accepted(self, data_dir, tmp_path, monkeypatch):
         monkeypatch.delenv(OUT_DIR_ENV, raising=False)
