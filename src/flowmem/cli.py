@@ -117,7 +117,7 @@ def main():
 @click.argument("flows_csv", type=click.Path(exists=True))
 def ingest_check(flows_csv):
     """Parse and aggregate a flows CSV, reporting what it contains."""
-    records = read_flows_csv(flows_csv)
+    records = list(read_flows_csv(flows_csv))
     panel = aggregate_daily(records)
     click.echo(f"records: {len(records)}")
     click.echo(f"trading days: {len(panel.calendar)} ({panel.calendar[0]} .. {panel.calendar[-1]})")

@@ -1,16 +1,18 @@
-"""Investor-flow data model: records, daily aggregation, panel extraction.
+"""Investor-flow data model: CSV streaming, daily aggregation, panel extraction.
 
 A FlowPanel carries the nine market-wide series (three investor groups x
-BUY/SELL/NET) on a shared trading calendar. Dates are opaque sortable
-identifiers (ISO strings); the toolkit never invents calendar dates, so
-holidays are simply whatever the input omits.
+BUY/SELL/NET) on a shared trading calendar. Dates are real calendar dates
+written YYYY-MM-DD, so they sort as strings; the toolkit never invents
+calendar dates, so holidays are simply whatever the input omits.
 """
 
 from __future__ import annotations
 
 import csv
+import datetime
 import math
-import re
+from collections import defaultdict
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -39,21 +41,8 @@ class FlowType(str, Enum):
 GROUPS = tuple(Group)
 FLOW_TYPES = tuple(FlowType)
 
-_DATE_RE = re.compile(r"^\d{4}-\d{2}-\d{2}$")
-
 LONG_HEADER = ("date", "firm_id", "group", "side", "amount")
 WIDE_HEADER = ("date", "group", "buy", "sell")
-
-
-@dataclass(frozen=True)
-class FlowRecord:
-    """One (date, group, side) cash amount, optionally per firm."""
-
-    date: str
-    group: Group
-    side: Side
-    amount: float
-    firm_id: str | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,41 +105,33 @@ class LabeledSeries:
 
 
 def aggregate_daily(records) -> FlowPanel:
-    """Pivot records into the nine per-day series; NET = BUY - SELL.
+    """Pivot (date, group, side, amount) tuples into the nine per-day
+    series; NET = BUY - SELL.
 
-    Summation per (date, group, side) cell uses exactly rounded
-    compensated accumulation (math.fsum), so the result is invariant
-    under any reordering of the input records. Days with no records for
+    `records` is any iterable of tuples as `read_flows_csv` yields them,
+    consumed once. Summation per (date, group, side) cell uses exactly
+    rounded compensated accumulation (math.fsum), so the result is
+    invariant under any reordering of the input. Days with no records for
     a group get an explicit zero, and the calendar is the sorted set of
     distinct dates present in the input.
     """
-    records = list(records)
-    if not records:
+    cells: defaultdict[tuple[str, Group, Side], list[float]] = defaultdict(list)
+    for date, group, side, amount in records:
+        cells[date, group, side].append(amount)
+    if not cells:
         raise FlowError("no records")
-    cells: dict[tuple[str, Group, Side], list[float]] = {}
-    for rec in records:
-        amount = float(rec.amount)
-        if not math.isfinite(amount):
-            raise FlowError(f"non-finite amount in record {rec!r}")
-        if amount < 0:
-            raise FlowError(f"negative amount in record {rec!r}")
-        try:
-            key = (rec.date, Group(rec.group), Side(rec.side))
-        except ValueError:
-            raise FlowError(f"unknown group or side in record {rec!r}") from None
-        cells.setdefault(key, []).append(amount)
-
-    calendar = tuple(sorted({rec.date for rec in records}))
+    calendar = tuple(sorted({date for date, _, _ in cells}))
     index = {date: i for i, date in enumerate(calendar)}
+    columns = {(group, side): np.zeros(len(calendar)) for group in GROUPS for side in Side}
+    for (date, group, side), amounts in cells.items():
+        try:
+            column = columns[group, side]
+        except KeyError:
+            raise FlowError(f"unknown group or side ({group!r}, {side!r})") from None
+        column[index[date]] = math.fsum(amounts)
     series = {}
     for group in GROUPS:
-        buy = np.zeros(len(calendar))
-        sell = np.zeros(len(calendar))
-        for (date, g, side), amounts in cells.items():
-            if g is not group:
-                continue
-            target = buy if side is Side.BUY else sell
-            target[index[date]] = math.fsum(amounts)
+        buy, sell = columns[group, Side.BUY], columns[group, Side.SELL]
         series[(group, FlowType.BUY)] = buy
         series[(group, FlowType.SELL)] = sell
         series[(group, FlowType.NET)] = buy - sell
@@ -170,10 +151,18 @@ def extract_series(panel: FlowPanel, group, flow_type) -> LabeledSeries:
     )
 
 
+def _valid_date(token: str) -> bool:
+    """True for a real calendar date written YYYY-MM-DD."""
+    try:
+        return datetime.date.fromisoformat(token).isoformat() == token
+    except ValueError:
+        return False
+
+
 def _parse_date(token: str, line_num: int) -> str:
     token = token.strip()
-    if not _DATE_RE.match(token):
-        raise FlowError(f"line {line_num}: bad date {token!r}, expected YYYY-MM-DD")
+    if not _valid_date(token):
+        raise FlowError(f"line {line_num}: bad date {token!r}, expected a YYYY-MM-DD date")
     return token
 
 
@@ -203,12 +192,25 @@ def _parse_amount(token: str, line_num: int) -> float:
     return value
 
 
-def read_flows_csv(path) -> list[FlowRecord]:
-    """Parse a flows CSV in either supported schema.
+def _first_sight(cache: dict, parse, token: str, reader):
+    """Check a token not seen before in this file and remember the result."""
+    value = cache[token] = parse(token, reader.line_num)
+    return value
 
-    Long: date,firm_id,group,side,amount (firm_id may be empty).
-    Wide (pre-aggregated): date,group,buy,sell -> one BUY and one SELL
-    record per row; a repeated (date, group) row is an error.
+
+def read_flows_csv(path) -> Iterator[tuple[str, Group, Side, float]]:
+    """Stream a flows CSV in either supported schema as (date, group,
+    side, amount) tuples, for `aggregate_daily`.
+
+    Long: date,firm_id,group,side,amount, one tuple per row (firm_id is
+    not read and may be empty). Wide (pre-aggregated): date,group,buy,sell,
+    one BUY and one SELL tuple per row; a repeated (date, group) row is an
+    error. Dates must be real calendar dates and amounts finite and
+    non-negative. The file is read as the tuples are consumed, and a bad
+    row raises a FlowError naming its line then.
+
+    Each distinct raw date, group and side token is checked once per file
+    and its value cached; every amount is checked.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -216,52 +218,49 @@ def read_flows_csv(path) -> list[FlowRecord]:
             header = tuple(h.strip().lower() for h in next(reader))
         except StopIteration:
             raise FlowError(f"{path}: empty file") from None
-        if header == LONG_HEADER:
-            wide = False
-        elif header == WIDE_HEADER:
-            wide = True
-        else:
+        if header not in (LONG_HEADER, WIDE_HEADER):
             raise FlowError(
                 f"{path}: unrecognized header {header!r}; expected "
                 f"{','.join(LONG_HEADER)} or {','.join(WIDE_HEADER)}"
             )
-        records: list[FlowRecord] = []
+        wide = header == WIDE_HEADER
+        # raw token -> checked value; no checked value is empty, so
+        # `cache.get(token) or ...` checks a token only on first sight
+        dates: dict[str, str] = {}
+        groups: dict[str, Group] = {}
+        sides: dict[str, Side] = {}
         first_lines: dict = {}  # wide schema: (date, group) -> line
+        rows = 0
         for row in reader:
             if not row:
                 continue
-            line = reader.line_num
             if len(row) != len(header):
-                raise FlowError(f"line {line}: expected {len(header)} fields, got {len(row)}")
+                raise FlowError(
+                    f"line {reader.line_num}: expected {len(header)} fields, got {len(row)}"
+                )
+            rows += 1
             if wide:
-                date = _parse_date(row[0], line)
-                group = _parse_group(row[1], line)
+                d, g, buy, sell = row
+                line = reader.line_num
+                date = dates.get(d) or _first_sight(dates, _parse_date, d, reader)
+                group = groups.get(g) or _first_sight(groups, _parse_group, g, reader)
                 first = first_lines.setdefault((date, group), line)
                 if first != line:
                     raise FlowError(
                         f"line {line}: repeats the {date} {group.value} row of line {first}"
                     )
-                records.append(
-                    FlowRecord(date=date, group=group, side=Side.BUY,
-                               amount=_parse_amount(row[2], line))
-                )
-                records.append(
-                    FlowRecord(date=date, group=group, side=Side.SELL,
-                               amount=_parse_amount(row[3], line))
-                )
+                yield date, group, Side.BUY, _parse_amount(buy, line)
+                yield date, group, Side.SELL, _parse_amount(sell, line)
             else:
-                records.append(
-                    FlowRecord(
-                        date=_parse_date(row[0], line),
-                        firm_id=row[1].strip() or None,
-                        group=_parse_group(row[2], line),
-                        side=_parse_side(row[3], line),
-                        amount=_parse_amount(row[4], line),
-                    )
+                d, _, g, s, amount = row
+                yield (
+                    dates.get(d) or _first_sight(dates, _parse_date, d, reader),
+                    groups.get(g) or _first_sight(groups, _parse_group, g, reader),
+                    sides.get(s) or _first_sight(sides, _parse_side, s, reader),
+                    _parse_amount(amount, reader.line_num),
                 )
-    if not records:
+    if not rows:
         raise FlowError(f"{path}: no data rows")
-    return records
 
 
 def write_flows_csv(path, rows) -> None:

@@ -27,11 +27,11 @@ from . import __version__
 from .dfa import DfaConfig, fit_hurst, fluctuation, make_scale_grid, profile
 from .errors import FlowmemError, PipelineError, TailError
 from .flows import (
-    _DATE_RE,
     FLOW_TYPES,
     GROUPS,
     FlowPanel,
     FlowType,
+    _valid_date,
     aggregate_daily,
     read_flows_csv,
 )
@@ -120,8 +120,8 @@ _KEYS = {
     "tails.net_side": ("tail_net_side", (str,), TAIL_SIDES),
     "regimes": ("regimes", (list,), RegimeWindow),
     "regimes[].label": ("label", (str,), None),
-    "regimes[].start_date": ("start_date", (str,), _DATE_RE.match),
-    "regimes[].end_date": ("end_date", (str,), _DATE_RE.match),
+    "regimes[].start_date": ("start_date", (str,), _valid_date),
+    "regimes[].end_date": ("end_date", (str,), _valid_date),
     "regression.fill_policy": ("fill_policy", (str,), FILL_POLICIES),
     "regression.robust_se": ("robust_se", (bool,), None),
     "regression.lag_k": ("lag_k", (int,), lambda v: v >= 0),
@@ -461,10 +461,11 @@ def run_pipeline(config: RunConfig) -> RunReport:
     """Execute every stage, write artifacts, and return the run report.
 
     The report is assembled from the artifacts the stages wrote, exactly
-    as `assemble_report` rebuilds it later. On a failure the artifacts
-    written so far, and an older run's config, provenance and report, move
-    to `<out_dir>/quarantine/` and a PipelineError naming the stage is
-    raised.
+    as `assemble_report` rebuilds it later. On any exception in a stage
+    the artifacts written so far, and an older run's config, provenance
+    and report, move to `<out_dir>/quarantine/` and a PipelineError naming
+    the stage is raised; an error from outside the toolkit keeps its type
+    name in the message.
     """
     run = _Run(config)
     os.makedirs(run.out_dir, exist_ok=True)
@@ -477,12 +478,12 @@ def run_pipeline(config: RunConfig) -> RunReport:
     for name, step in stages:
         try:
             report = step(run)
-        except PipelineError:
+        except Exception as exc:
             run.quarantine()
-            raise
-        except (FlowmemError, OSError) as exc:
-            run.quarantine()
-            raise PipelineError(name, str(exc)) from exc
+            if isinstance(exc, PipelineError):
+                raise
+            known = isinstance(exc, (FlowmemError, OSError))
+            raise PipelineError(name, str(exc) if known else f"{type(exc).__name__}: {exc}") from exc
     return report
 
 

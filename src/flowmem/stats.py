@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import t as student_t
+from scipy.special import stdtr
 
 from .errors import StatsError
 from .rolling import RollingHurst
@@ -263,7 +263,7 @@ def significance_stars(t_value: float, n: int) -> str:
     """Two-sided stars at the 10/5/1% levels with n-2 degrees of freedom."""
     if not math.isfinite(t_value):
         return "***"
-    p = 2.0 * float(student_t.sf(abs(t_value), n - 2))
+    p = 2.0 * float(stdtr(n - 2, -abs(t_value)))
     if p < 0.01:
         return "***"
     if p < 0.05:

@@ -1,9 +1,14 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import flowmem
 from flowmem.cli import main
 
 
@@ -34,6 +39,37 @@ class TestIngestCheck:
         assert result.exit_code != 0
         assert "line 2" in result.output
         assert "whale" in result.output
+
+    def test_record_count_for_wide_and_long_files(self, runner, data_dir, tmp_path):
+        wide = data_dir / "flows_synth.csv"
+        long = tmp_path / "long.csv"
+        lines = ["date,firm_id,group,side,amount"]
+        for row in wide.read_text().splitlines()[1:]:
+            date, group, buy, sell = row.split(",")
+            lines += [f"{date},,{group},BUY,{buy}", f"{date},F1,{group},SELL,{sell}"]
+        long.write_text("\n".join(lines) + "\n")
+        wide_out = invoke(runner, "ingest-check", wide).output
+        long_out = invoke(runner, "ingest-check", long).output
+        assert wide_out.splitlines()[0] == "records: 3600"
+        assert long_out == wide_out  # same records, same days, same totals
+
+    def test_impossible_date_fails_with_line_number(self, runner, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("date,group,buy,sell\n2020-01-02,retail,1,2\n2020-13-45,retail,3,4\n")
+        result = invoke(runner, "ingest-check", bad)
+        assert result.exit_code == 1
+        assert "line 3: bad date '2020-13-45'" in result.output
+        assert "trading days" not in result.output
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    """scipy.stats costs about a second to import; nothing at start-up needs it."""
+    src = Path(flowmem.__file__).resolve().parents[1]
+    code = "import sys, flowmem.cli; print('scipy.stats' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120, check=True)
+    assert done.stdout.strip() == "False"
 
 
 class TestSynthAndDfa:

@@ -1,4 +1,7 @@
+import csv
+import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +11,6 @@ from hypothesis import strategies as st
 from flowmem.errors import FlowError
 from flowmem.flows import (
     FlowPanel,
-    FlowRecord,
     FlowType,
     Group,
     Side,
@@ -18,9 +20,13 @@ from flowmem.flows import (
     write_flows_csv,
 )
 
+LONG = "date,firm_id,group,side,amount"
+WIDE = "date,group,buy,sell"
 
-def rec(date, group, side, amount, firm=None):
-    return FlowRecord(date=date, group=Group(group), side=Side(side), amount=amount, firm_id=firm)
+
+def rec(date, group, side, amount):
+    """One record as read_flows_csv yields it: (date, group, side, amount)."""
+    return (date, Group(group), Side(side), float(amount))
 
 
 record_strategy = st.builds(
@@ -35,7 +41,7 @@ record_strategy = st.builds(
 class TestAggregateDaily:
     def test_two_record_sum(self):
         panel = aggregate_daily(
-            [rec("2020-01-02", "retail", "BUY", 5, "f1"), rec("2020-01-02", "retail", "BUY", 3, "f2")]
+            [rec("2020-01-02", "retail", "BUY", 5), rec("2020-01-02", "retail", "BUY", 3)]
         )
         assert panel.series[(Group.RETAIL, FlowType.BUY)][0] == 8.0
 
@@ -51,23 +57,23 @@ class TestAggregateDaily:
 
     def test_matches_brute_force_group_by(self):
         records = [
-            rec("2020-01-06", "retail", "BUY", 1.5, "a"),
-            rec("2020-01-02", "foreign", "SELL", 2.25, "b"),
-            rec("2020-01-02", "retail", "BUY", 4.0, "a"),
-            rec("2020-01-03", "foreign", "BUY", 0.5, "c"),
-            rec("2020-01-03", "retail", "SELL", 3.125, "a"),
-            rec("2020-01-02", "retail", "BUY", 2.0, "c"),
-            rec("2020-01-06", "foreign", "SELL", 7.75, "b"),
-            rec("2020-01-06", "retail", "BUY", 0.25, "b"),
-            rec("2020-01-03", "foreign", "BUY", 1.125, "a"),
-            rec("2020-01-02", "retail", "SELL", 9.0, "b"),
+            rec("2020-01-06", "retail", "BUY", 1.5),
+            rec("2020-01-02", "foreign", "SELL", 2.25),
+            rec("2020-01-02", "retail", "BUY", 4.0),
+            rec("2020-01-03", "foreign", "BUY", 0.5),
+            rec("2020-01-03", "retail", "SELL", 3.125),
+            rec("2020-01-02", "retail", "BUY", 2.0),
+            rec("2020-01-06", "foreign", "SELL", 7.75),
+            rec("2020-01-06", "retail", "BUY", 0.25),
+            rec("2020-01-03", "foreign", "BUY", 1.125),
+            rec("2020-01-02", "retail", "SELL", 9.0),
         ]
-        panel = aggregate_daily(records)
+        panel = aggregate_daily(iter(records))  # any iterable, consumed once
 
         sums: dict = {}
-        for r in records:
-            sums[(r.date, r.group, r.side)] = sums.get((r.date, r.group, r.side), 0.0) + r.amount
-        dates = sorted({r.date for r in records})
+        for date, group, side, amount in records:
+            sums[(date, group, side)] = sums.get((date, group, side), 0.0) + amount
+        dates = sorted({date for date, _, _, _ in records})
         for group in Group:
             for side in Side:
                 got = panel.series[(group, FlowType(side.value))]
@@ -83,10 +89,13 @@ class TestAggregateDaily:
         with pytest.raises(FlowError, match="no records"):
             aggregate_daily([])
 
-    def test_non_finite_amount_names_record(self):
-        bad = rec("2020-01-02", "retail", "BUY", math.nan, "f9")
-        with pytest.raises(FlowError, match="f9"):
-            aggregate_daily([bad])
+    def test_non_finite_amount_rejected(self):
+        with pytest.raises(FlowError, match="non-finite"):
+            aggregate_daily([rec("2020-01-02", "retail", "BUY", math.nan)])
+
+    def test_unknown_group_or_side_rejected(self):
+        with pytest.raises(FlowError, match="unknown group or side"):
+            aggregate_daily([("2020-01-02", "hedge_fund", Side.BUY, 1.0)])
 
     def test_negative_amount_rejected(self):
         with pytest.raises(FlowError, match="negative"):
@@ -111,7 +120,7 @@ class TestAggregateDaily:
             net = panel.series[(group, FlowType.NET)]
             np.testing.assert_array_equal(net, buy - sell)
             for side, col in ((Side.BUY, buy), (Side.SELL, sell)):
-                total = math.fsum(r.amount for r in records if r.group is group and r.side is side)
+                total = math.fsum(a for _, g, s, a in records if g is group and s is side)
                 assert math.fsum(col) == pytest.approx(total, rel=1e-15, abs=1e-9)
 
 
@@ -182,6 +191,10 @@ class TestFlowPanelValidation:
             panel.series[(Group.RETAIL, FlowType.BUY)][0] = 99.0
 
 
+def read(path):
+    return list(read_flows_csv(path))
+
+
 class TestCsv:
     def test_long_format(self, tmp_path):
         path = tmp_path / "flows.csv"
@@ -191,17 +204,18 @@ class TestCsv:
             "2020-01-02,,retail,SELL,2\n"
             "2020-01-03,f2,foreign,buy,1.25\n"
         )
-        records = read_flows_csv(path)
-        assert len(records) == 3
-        assert records[1].firm_id is None
-        assert records[2].side is Side.BUY
+        assert read(path) == [
+            ("2020-01-02", Group.RETAIL, Side.BUY, 5.5),
+            ("2020-01-02", Group.RETAIL, Side.SELL, 2.0),
+            ("2020-01-03", Group.FOREIGN, Side.BUY, 1.25),
+        ]
 
     def test_wide_format(self, tmp_path):
         path = tmp_path / "flows.csv"
         path.write_text(
             "date,group,buy,sell\n2020-01-02,retail,5.5,2.0\n2020-01-03,institutional,1,4\n"
         )
-        records = read_flows_csv(path)
+        records = read(path)
         assert len(records) == 4
         panel = aggregate_daily(records)
         np.testing.assert_array_equal(panel.series[(Group.RETAIL, FlowType.NET)], [3.5, 0.0])
@@ -215,7 +229,7 @@ class TestCsv:
             "2020-01-03,retail,4,0\n"
         )
         with pytest.raises(FlowError, match="line 3: .*2020-01-02 retail.*line 2"):
-            read_flows_csv(path)
+            read(path)
 
     def test_long_repeated_date_group_side_is_summed(self, tmp_path):
         path = tmp_path / "flows.csv"
@@ -231,7 +245,7 @@ class TestCsv:
         path = tmp_path / "flows.csv"
         path.write_text("date,firm_id,group,side,amount\n2020-01-02,f1,hedge_fund,BUY,5\n")
         with pytest.raises(FlowError, match="line 2.*hedge_fund"):
-            read_flows_csv(path)
+            read(path)
 
     def test_unknown_side_reports_line(self, tmp_path):
         path = tmp_path / "flows.csv"
@@ -241,30 +255,163 @@ class TestCsv:
             "2020-01-03,f1,retail,HOLD,5\n"
         )
         with pytest.raises(FlowError, match="line 3.*HOLD"):
-            read_flows_csv(path)
+            read(path)
 
     def test_bad_date(self, tmp_path):
         path = tmp_path / "flows.csv"
         path.write_text("date,firm_id,group,side,amount\n02/01/2020,f1,retail,BUY,5\n")
         with pytest.raises(FlowError, match="line 2"):
-            read_flows_csv(path)
+            read(path)
+
+    @pytest.mark.parametrize("date", ["2020-13-45", "2020-02-30", "20200103", "2020-W01-5"])
+    def test_impossible_or_non_iso_date_names_line(self, tmp_path, date):
+        path = tmp_path / "flows.csv"
+        path.write_text(f"date,group,buy,sell\n2020-01-02,retail,1,2\n{date},retail,3,4\n")
+        with pytest.raises(FlowError, match=f"line 3: bad date '{date}'"):
+            read(path)
+
+    @pytest.mark.parametrize(
+        "header, row, message",
+        [
+            (LONG, "2020-01-02,f1,retail,BUY", "expected 5 fields, got 4"),
+            (LONG, "2020-01-02,f1,retail,BUY,abc", "bad amount 'abc'"),
+            (LONG, "2020-01-02,f1,retail,BUY,nan", "non-finite amount 'nan'"),
+            (LONG, "2020-01-02,f1,retail,BUY,-1", "negative amount '-1'"),
+            (LONG, "2020-01-32,f1,retail,BUY,1", "bad date '2020-01-32'"),
+            (WIDE, "2020-01-02,retail,1,2,3", "expected 4 fields, got 5"),
+            (WIDE, "2020-01-02,whale,1,2", "unknown group 'whale'"),
+            (WIDE, "2020-01-02,retail,1,-inf", "non-finite amount '-inf'"),
+            (WIDE, "2020-01-02,retail,-0.5,2", "negative amount '-0.5'"),
+        ],
+    )
+    def test_every_rejection_names_its_line(self, tmp_path, header, row, message):
+        good = "2020-01-01,f0,retail,SELL,1" if header == LONG else "2020-01-01,retail,1,2"
+        path = tmp_path / "flows.csv"
+        path.write_text(f"{header}\n{good}\n\n{row}\n")  # the blank line still counts
+        with pytest.raises(FlowError, match=f"^line 4: {re.escape(message)}"):
+            read(path)
 
     def test_non_finite_amount(self, tmp_path):
         path = tmp_path / "flows.csv"
         path.write_text("date,firm_id,group,side,amount\n2020-01-02,f1,retail,BUY,inf\n")
         with pytest.raises(FlowError, match="line 2"):
-            read_flows_csv(path)
+            read(path)
 
     def test_unrecognized_header(self, tmp_path):
         path = tmp_path / "flows.csv"
         path.write_text("ticker,qty\nA,5\n")
         with pytest.raises(FlowError, match="header"):
-            read_flows_csv(path)
+            read(path)
+
+    @pytest.mark.parametrize("text, message", [("", "empty file"), (f"{LONG}\n\n", "no data rows")])
+    def test_empty_files(self, tmp_path, text, message):
+        path = tmp_path / "flows.csv"
+        path.write_text(text)
+        with pytest.raises(FlowError, match=message):
+            read(path)
 
     def test_write_round_trip(self, tmp_path):
         path = tmp_path / "flows.csv"
         write_flows_csv(path, [("2020-01-02", "retail", 5.5, 2.0)])
-        records = read_flows_csv(path)
-        panel = aggregate_daily(records)
+        panel = aggregate_daily(read_flows_csv(path))
         assert panel.series[(Group.RETAIL, FlowType.BUY)][0] == 5.5
         assert panel.series[(Group.RETAIL, FlowType.SELL)][0] == 2.0
+
+
+def reference_panel(path) -> FlowPanel:
+    """The record-based ingest that the streaming pass replaced, kept as an
+    oracle: every row becomes a record first, then each group rescans all
+    (date, group, side) cells and sums them with math.fsum."""
+    records = []
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        wide = ",".join(h.strip().lower() for h in next(reader)) == WIDE
+        for row in filter(None, reader):
+            if wide:
+                date, group, buy, sell = row
+                records.append((date.strip(), Group(group.strip().lower()), Side.BUY, float(buy)))
+                records.append((date.strip(), Group(group.strip().lower()), Side.SELL, float(sell)))
+            else:
+                date, _firm, group, side, amount = row
+                records.append(
+                    (date.strip(), Group(group.strip().lower()), Side(side.strip().upper()),
+                     float(amount))
+                )
+    cells: dict = {}
+    for date, group, side, amount in records:
+        cells.setdefault((date, group, side), []).append(amount)
+    calendar = tuple(sorted({r[0] for r in records}))
+    index = {date: i for i, date in enumerate(calendar)}
+    series = {}
+    for group in Group:
+        buy = np.zeros(len(calendar))
+        sell = np.zeros(len(calendar))
+        for (date, g, side), amounts in cells.items():
+            if g is group:
+                (buy if side is Side.BUY else sell)[index[date]] = math.fsum(amounts)
+        series[(group, FlowType.BUY)] = buy
+        series[(group, FlowType.SELL)] = sell
+        series[(group, FlowType.NET)] = buy - sell
+    return FlowPanel(calendar=calendar, series=series)
+
+
+DATES = ["2019-12-31", "2020-01-02", "2020-01-03", "2020-02-29"]
+
+
+def spelled(token):
+    """The ways a CSV may write a group or side token: any case, padded."""
+    return st.sampled_from(
+        [token, token.upper(), token.lower(), token.title(), f" {token}", f"{token.lower()}  "]
+    )
+
+
+amounts = st.floats(0, 1e9, allow_nan=False).map(repr)
+dates = st.sampled_from(DATES).flatmap(lambda d: st.sampled_from([d, f" {d}", f"{d} "]))
+
+
+@st.composite
+def long_rows(draw):
+    rows = draw(st.lists(
+        st.tuples(
+            dates,
+            st.sampled_from(["", "F1", " f2 "]),
+            st.sampled_from([g.value for g in Group]).flatmap(spelled),
+            st.sampled_from([s.value for s in Side]).flatmap(spelled),
+            amounts,
+        ),
+        min_size=1, max_size=40,
+    ))
+    return LONG, rows
+
+
+@st.composite
+def wide_rows(draw):
+    keys = draw(st.lists(
+        st.tuples(st.sampled_from(DATES), st.sampled_from([g.value for g in Group])),
+        min_size=1, max_size=12, unique=True,
+    ))
+    return WIDE, [
+        (draw(st.sampled_from([date, f" {date}"])), draw(spelled(group)), draw(amounts), draw(amounts))
+        for date, group in keys
+    ]
+
+
+class TestStreamingMatchesRecordPath:
+    @given(st.one_of(long_rows(), wide_rows()), st.randoms())
+    @settings(max_examples=60, deadline=None)
+    def test_any_row_order_matches_reference(self, tmp_path_factory, drawn, rand):
+        header, rows = drawn
+        directory = tmp_path_factory.mktemp("stream")
+        shuffled = list(rows)
+        rand.shuffle(shuffled)
+        panels = []
+        for name, ordered in (("given.csv", rows), ("shuffled.csv", shuffled)):
+            text = io.StringIO()
+            text.write(header + "\n")
+            csv.writer(text, lineterminator="\n").writerows(ordered)
+            path = directory / name
+            path.write_text(text.getvalue(), encoding="utf-8")
+            panels.append(aggregate_daily(read_flows_csv(path)))
+        expected = reference_panel(directory / "given.csv")
+        assert panels[0] == expected
+        assert panels[1] == expected

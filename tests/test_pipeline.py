@@ -128,6 +128,17 @@ class TestStageErrors:
         assert quarantined  # partial outputs moved aside
         assert [p for p in out.iterdir() if p.name != "quarantine"] == []
 
+    def test_any_stage_exception_quarantines_and_names_stage(self, data_dir, tmp_path):
+        out = tmp_path / "out"
+        config = load_config(data_dir / "run_config.json", out_dir=str(out))
+        # a negative seed gets past no config check here; numpy rejects it
+        with pytest.raises(PipelineError, match="ValueError: ") as info:
+            run_pipeline(replace(config, seed=-1))
+        assert info.value.stage == "surrogates"
+        assert isinstance(info.value.__cause__, ValueError)
+        assert list((out / "quarantine").iterdir())
+        assert [p.name for p in out.iterdir()] == ["quarantine"]
+
     def test_failed_rerun_moves_older_report_aside(self, data_dir, bundled_run, tmp_path):
         _, _, previous = bundled_run
         out = tmp_path / "out"
@@ -231,6 +242,10 @@ class TestConfig:
              "regimes[0].label"),
             ({"out_dir": 5}, "out_dir"),
             ({"surrogates": {"kinds": ["shuffle", "shuffle"]}}, "surrogates.kinds"),
+            ({"regimes": [{"label": "x", "start_date": "2020-02-30", "end_date": "2020-04-01"}]},
+             "regimes[0].start_date"),
+            ({"regimes": [{"label": "x", "start_date": "2020-03-01", "end_date": "20200401"}]},
+             "regimes[0].end_date"),
         ],
     )
     def test_bad_key_or_value_is_config_error_naming_key(self, data_dir, patch, key):

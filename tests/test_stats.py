@@ -247,6 +247,21 @@ class TestStarsAndTable:
         assert significance_stars(1.0, n) == ""
         assert significance_stars(math.inf, n) == "***"
 
+    def test_stars_match_student_t_sf_at_the_boundaries(self):
+        from scipy.stats import t as student_t
+
+        def expected(t_value, n):
+            p = 2.0 * float(student_t.sf(abs(t_value), n - 2))
+            return "***" if p < 0.01 else "**" if p < 0.05 else "*" if p < 0.1 else ""
+
+        for n in (3, 4, 5, 10, 30, 100, 2000, 10**6):
+            points = [0.0, 0.5, 1.0, 1.5, 1.7, 2.0, 2.5, 3.0, 4.0, 8.0, 40.0]
+            for level in (0.1, 0.05, 0.01):
+                critical = float(student_t.isf(level / 2, n - 2))
+                points += [critical, math.nextafter(critical, 0), math.nextafter(critical, math.inf)]
+            for t_value in points + [-t for t in points]:
+                assert significance_stars(t_value, n) == expected(t_value, n), (t_value, n)
+
     def test_table_rows_and_csv(self, tmp_path):
         res = OlsResult(
             alpha=0.003, beta=0.046, t_alpha=0.58, t_beta=4.72,
