@@ -15,6 +15,8 @@ from .dfa import DfaConfig
 from .errors import FlowmemError
 from .flows import FlowType, Group, aggregate_daily, extract_series, read_flows_csv, write_flows_csv
 from .pipeline import (
+    REPORT_JSON,
+    ROLLING_CSV,
     RunConfig,
     _ccdf_with_reference_text,
     _json_text,
@@ -23,6 +25,7 @@ from .pipeline import (
     fits_json_text,
     load_config,
     run_pipeline,
+    series_key,
     stage_seed,
     static_dfa,
     tail_report,
@@ -299,7 +302,7 @@ def tails(loaded, side, tail_fraction, out_ccdf, out_fit):
 
 @main.command()
 @click.option("--roll-dir", type=click.Path(exists=True, file_okay=False), required=True,
-              help="Directory holding fig4_rolling_<group>_<flow>.csv files.")
+              help=f"Directory holding {ROLLING_CSV.format(key='<group>_<flow>')} files.")
 @click.option("--prices", type=click.Path(exists=True), required=True)
 @click.option("--step", default=RunConfig.rolling_step, show_default=True,
               help="Rolling step in trading days; caps how long forward_fill holds an exponent.")
@@ -312,13 +315,13 @@ def regress(roll_dir, prices, step, fill, lag, robust, out):
     """Volatility-on-persistence regressions, one row per rolling series."""
     # canonical series order, matching the pipeline's table
     paths = {
-        (g.value, ft): os.path.join(roll_dir, f"fig4_rolling_{g.value}_{ft}.csv")
+        (g.value, ft.value): os.path.join(roll_dir, ROLLING_CSV.format(key=series_key(g, ft)))
         for g in Group
-        for ft in (f.value for f in FlowType)
+        for ft in FlowType
     }
     present = {key: path for key, path in paths.items() if os.path.isfile(path)}
     if not present:
-        raise click.ClickException(f"no fig4_rolling_*.csv files in {roll_dir}")
+        raise click.ClickException(f"no {ROLLING_CSV.format(key='*')} files in {roll_dir}")
     rolling = {key: RollingHurst.read_csv(path, step) for key, path in present.items()}
     rows = regression_table(rolling, prices, fill, lag, robust)
     write_regression_table_csv(out, rows)
@@ -352,7 +355,7 @@ def run(config_path, out, seed):
     """Run the full pipeline: ingest, tails, DFA, surrogates, rolling, regression."""
     config = load_config(config_path, out_dir=out, seed=seed)
     result = run_pipeline(config)
-    click.echo(f"report: {os.path.join(config.out_dir, 'report.json')}")
+    click.echo(f"report: {os.path.join(config.out_dir, REPORT_JSON)}")
     for key, payload in result.series.items():
         fit = payload["static_dfa"]["fit"]
         shuffled = payload.get("surrogates", {}).get("shuffle")

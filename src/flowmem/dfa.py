@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import csv
 import functools
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from numpy.polynomial import legendre
@@ -91,15 +91,7 @@ class DfaFit:
     detrend_order: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "hurst": self.hurst,
-            "intercept": self.intercept,
-            "slope_stderr": self.slope_stderr,
-            "r_squared": self.r_squared,
-            "scale_range": list(self.scale_range),
-            "n_points_used": self.n_points_used,
-            "detrend_order": self.detrend_order,
-        }
+        return asdict(self)
 
 
 def profile(series) -> np.ndarray:
@@ -202,9 +194,11 @@ def fluctuation(profile_values, scales, detrend_order: int = 2) -> FluctuationCu
     return _fluctuation_rows(y[np.newaxis, :], scales, m)[0]
 
 
-def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float, float]:
-    """Closed-form simple OLS: (slope, intercept, slope_stderr, r_squared)."""
-    n = x.size
+def line_fit(x: np.ndarray, y: np.ndarray):
+    """Closed-form simple OLS of y on x, the one core of `fit_hurst` and
+    `stats.ols`: (slope, intercept, ssr, sst, sxx, dx, resid), with dx the
+    deviations of x from its mean. A constant x raises ZeroDivisionError.
+    """
     xm = x.mean()
     ym = y.mean()
     dx = x - xm
@@ -213,15 +207,7 @@ def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float, float]
     slope = float(dx @ dy) / sxx
     intercept = ym - slope * xm
     resid = y - intercept - slope * x
-    ssr = float(resid @ resid)
-    sst = float(dy @ dy)
-    if sst > 0.0:
-        r_squared = max(0.0, min(1.0, 1.0 - ssr / sst))
-    else:
-        r_squared = 1.0
-    dof = n - 2
-    stderr = float(np.sqrt(max(ssr, 0.0) / dof / sxx)) if dof > 0 else 0.0
-    return slope, float(intercept), stderr, r_squared
+    return slope, intercept, float(resid @ resid), float(dy @ dy), sxx, dx, resid
 
 
 def fit_hurst(curve: FluctuationCurve, fit_range: tuple[int, int] | None = None) -> DfaFit:
@@ -235,14 +221,14 @@ def fit_hurst(curve: FluctuationCurve, fit_range: tuple[int, int] | None = None)
         values = values[mask]
     if scales.size < 4:
         raise DfaError(f"insufficient scales for fit: {scales.size} < 4")
-    slope, intercept, stderr, r_squared = _line_fit(
+    slope, intercept, ssr, sst, sxx, _, _ = line_fit(
         np.log10(scales.astype(float)), np.log10(values)
     )
     return DfaFit(
         hurst=slope,
-        intercept=intercept,
-        slope_stderr=stderr,
-        r_squared=r_squared,
+        intercept=float(intercept),
+        slope_stderr=float(np.sqrt(max(ssr, 0.0) / (scales.size - 2) / sxx)),
+        r_squared=max(0.0, min(1.0, 1.0 - ssr / sst)) if sst > 0.0 else 1.0,
         scale_range=(int(scales[0]), int(scales[-1])),
         n_points_used=int(scales.size),
         detrend_order=curve.detrend_order,

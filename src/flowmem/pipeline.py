@@ -3,8 +3,10 @@ surrogate bands, rolling DFA with regime summaries, and the volatility
 regressions.
 
 Every stage writes file artifacts (CSV for plot data, JSON for fits and
-summaries) into the output directory, and the run report ties them
-together with provenance (config hash, seed, derived stage seeds). Given
+summaries), named from the one `ARTIFACTS` table, into a staging
+directory; the run report ties them together with provenance (config
+hash, seed, derived stage seeds), and the run is then published whole
+into the output directory, or quarantined if a stage failed. Given
 the same inputs, config and seed, a rerun is bit-identical: per-series
 random streams are pre-derived from stable labels and results are emitted
 in a fixed series order. Paths in the config are kept as written
@@ -216,11 +218,57 @@ def series_key(group, flow_type) -> str:
     return f"{group.value}_{flow_type.value}"
 
 
+SERIES_KEYS = tuple(series_key(g, ft) for g in GROUPS for ft in FLOW_TYPES)
+
+# Every file a run can write, grouped by the stage that writes it, as name
+# templates over {key} (a series key) and {kind} (a surrogate kind).
+# "regimes" is the rolling stage's regime summaries, written only when
+# regimes are configured; "regression" only with a prices file. The
+# stages, `assemble_report`, the publish step and `flowmem regress` all
+# take their file names from here.
+ARTIFACTS = {
+    "tails": ("fig2_ccdf_{key}.csv", "tails_{key}.json"),
+    "static_dfa": ("fig3_dfa_{key}.csv", "dfa_fit_{key}.json"),
+    "surrogates": ("surrogate_{kind}_{key}.json",),
+    "rolling": ("fig4_rolling_{key}.csv",),
+    "regimes": ("regimes_{key}.json",),
+    "regression": ("table1_regression.csv",),
+    "report": ("config.json", "provenance.json", "report.json"),
+}
+CCDF_CSV, TAILS_JSON = ARTIFACTS["tails"]
+CURVE_CSV, DFA_FIT_JSON = ARTIFACTS["static_dfa"]
+(SURROGATE_JSON,) = ARTIFACTS["surrogates"]
+(ROLLING_CSV,) = ARTIFACTS["rolling"]
+(REGIMES_JSON,) = ARTIFACTS["regimes"]
+(TABLE_CSV,) = ARTIFACTS["regression"]
+CONFIG_JSON, PROVENANCE_JSON, REPORT_JSON = ARTIFACTS["report"]
+
+STAGING_DIR = ".staging"
+QUARANTINE_DIR = "quarantine"
+
+
+def artifact_names(config: RunConfig | None = None) -> list[str]:
+    """The file names a run with `config` writes; with no config, every
+    name any run can write (all surrogate kinds, regimes and regression)."""
+    groups, kinds = list(ARTIFACTS), SURROGATE_KINDS
+    if config is not None:
+        kinds = config.surrogate_kinds
+        if not config.regimes:
+            groups.remove("regimes")
+        if config.prices_csv is None:
+            groups.remove("regression")
+    return list(dict.fromkeys(
+        template.format(key=key, kind=kind)
+        for group in groups
+        for template in ARTIFACTS[group]
+        for key in SERIES_KEYS
+        for kind in (kinds if "{kind}" in template else ("",))
+    ))
+
+
 def _write_text(path, text) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
-    os.replace(tmp, path)
 
 
 def _json_text(payload) -> str:
@@ -243,57 +291,25 @@ class RunReport:
     artifacts: list[str]
 
     def to_json_dict(self) -> dict:
-        return {
-            "provenance": self.provenance,
-            "series": self.series,
-            "regimes": self.regimes,
-            "regression": self.regression,
-            "artifacts": sorted(self.artifacts),
-        }
+        return dict(asdict(self), artifacts=sorted(self.artifacts))
 
     def canonical_json(self) -> str:
         return _json_text(self.to_json_dict())
 
 
-# what a finished run writes besides the stage artifacts; a failed rerun
-# moves an older run's copies aside so they cannot pass for its own
-_RUN_FILES = ("config.json", "provenance.json", "report.json")
-
-
 class _Run:
-    """One pipeline execution; tracks written artifacts for quarantine."""
+    """One pipeline execution: its config, the staging directory its stages
+    write into, and the state they hand on."""
 
-    def __init__(self, config: RunConfig):
-        if not config.out_dir:
-            raise PipelineError("config", "no output directory configured")
+    def __init__(self, config: RunConfig, staging: str):
         self.config = config
-        self.out_dir = config.out_dir
+        self.staging = staging
         self.panel: FlowPanel | None = None
         self.rollers: dict = {}
-        self.written: list[str] = []
         self.stage_seeds: dict = {}
 
-    def path(self, name: str) -> str:
-        return os.path.join(self.out_dir, name)
-
-    def emit_text(self, name: str, text: str) -> None:
-        _write_text(self.path(name), text)
-        self.written.append(name)
-
-    def emit_file(self, name: str, writer) -> None:
-        target = self.path(name)
-        tmp = f"{target}.tmp"
-        writer(tmp)
-        os.replace(tmp, target)
-        self.written.append(name)
-
-    def quarantine(self) -> None:
-        qdir = os.path.join(self.out_dir, "quarantine")
-        os.makedirs(qdir, exist_ok=True)
-        for name in dict.fromkeys([*self.written, *_RUN_FILES]):
-            src = self.path(name)
-            if os.path.exists(src):
-                shutil.move(src, os.path.join(qdir, name))
+    def path(self, template: str, **names) -> str:
+        return os.path.join(self.staging, template.format(**names))
 
 
 def _series_items(panel: FlowPanel):
@@ -350,8 +366,8 @@ def _stage_tails(run: _Run) -> None:
         side = config.tail_net_side if flow_type.value == "NET" else "upper"
         ccdf, reference, summary = tail_report(values, side, config.tail_fraction)
         key = series_key(group, flow_type)
-        run.emit_text(f"fig2_ccdf_{key}.csv", _ccdf_with_reference_text(ccdf, reference))
-        run.emit_text(f"tails_{key}.json", _json_text(summary))
+        _write_text(run.path(CCDF_CSV, key=key), _ccdf_with_reference_text(ccdf, reference))
+        _write_text(run.path(TAILS_JSON, key=key), _json_text(summary))
 
 
 def static_dfa(values, config: DfaConfig, include_order1: bool = False):
@@ -387,9 +403,8 @@ def _stage_static_dfa(run: _Run) -> None:
     table = static_dfa_table(run.panel, run.config.dfa, run.config.dfa_include_order1)
     for (group, flow_type), entry in table.items():
         key = series_key(group, flow_type)
-        curve = entry.pop("curve")
-        run.emit_file(f"fig3_dfa_{key}.csv", curve.write_csv)
-        run.emit_text(f"dfa_fit_{key}.json", fits_json_text(entry))
+        entry.pop("curve").write_csv(run.path(CURVE_CSV, key=key))
+        _write_text(run.path(DFA_FIT_JSON, key=key), fits_json_text(entry))
 
 
 def _stage_surrogates(run: _Run) -> None:
@@ -400,7 +415,8 @@ def _stage_surrogates(run: _Run) -> None:
             seed = stage_seed(config.seed, f"surrogate/{kind}/{key}")
             spec = SurrogateSpec(kind=kind, seed=seed, count=config.surrogate_count)
             band = surrogate_band(values, spec, config.dfa)
-            run.emit_text(f"surrogate_{kind}_{key}.json", _json_text(band.to_json_dict()))
+            band_json = _json_text(band.to_json_dict())
+            _write_text(run.path(SURROGATE_JSON, kind=kind, key=key), band_json)
             run.stage_seeds[f"surrogate/{kind}/{key}"] = seed
 
 
@@ -416,20 +432,22 @@ def _stage_rolling(run: _Run) -> None:
             label=(group.value, flow_type.value),
         )
         key = series_key(group, flow_type)
-        run.emit_file(f"fig4_rolling_{key}.csv", roll.write_csv)
+        roll.write_csv(run.path(ROLLING_CSV, key=key))
         if config.regimes:
-            summaries = regime_summary(roll, config.regimes)
-            run.emit_text(f"regimes_{key}.json", _json_text([s.to_json_dict() for s in summaries]))
+            summaries = [s.to_json_dict() for s in regime_summary(roll, config.regimes)]
+            _write_text(run.path(REGIMES_JSON, key=key), _json_text(summaries))
         run.rollers[(group.value, flow_type.value)] = roll
 
 
 def _stage_regression(run: _Run) -> None:
     config = run.config
+    if config.prices_csv is None:
+        return
     rows = regression_table(
         run.rollers, config.resolve(config.prices_csv), config.fill_policy, config.lag_k,
         config.robust_se,
     )
-    run.emit_file("table1_regression.csv", lambda p: write_regression_table_csv(p, rows))
+    write_regression_table_csv(run.path(TABLE_CSV), rows)
 
 
 def _stage_report(run: _Run) -> RunReport:
@@ -441,10 +459,10 @@ def _stage_report(run: _Run) -> RunReport:
         "rng": RNG_NAME,
         "stage_seeds": run.stage_seeds,
     }
-    run.emit_text("config.json", config.canonical_json())
-    run.emit_text("provenance.json", _json_text(provenance))
-    report = assemble_report(run.out_dir)
-    run.emit_text("report.json", report.canonical_json())
+    _write_text(run.path(CONFIG_JSON), config.canonical_json())
+    _write_text(run.path(PROVENANCE_JSON), _json_text(provenance))
+    report = assemble_report(run.staging)
+    _write_text(run.path(REPORT_JSON), report.canonical_json())
     return report
 
 
@@ -454,43 +472,69 @@ _STAGES = [
     ("static_dfa", _stage_static_dfa),
     ("surrogates", _stage_surrogates),
     ("rolling", _stage_rolling),
+    ("regression", _stage_regression),
+    ("report", _stage_report),
 ]
 
 
 def run_pipeline(config: RunConfig) -> RunReport:
-    """Execute every stage, write artifacts, and return the run report.
+    """Execute every stage, publish the run's artifacts, return its report.
 
-    The report is assembled from the artifacts the stages wrote, exactly
-    as `assemble_report` rebuilds it later. On any exception in a stage
-    the artifacts written so far, and an older run's config, provenance
-    and report, move to `<out_dir>/quarantine/` and a PipelineError naming
-    the stage is raised; an error from outside the toolkit keeps its type
-    name in the message.
+    The stages write into `<out_dir>/.staging/`, cleared first of anything
+    a killed run left, and the report is assembled from the staged files
+    as `assemble_report` rebuilds it later. `_publish` then moves them to
+    the top level or, on any exception in a stage, to `quarantine/`, and a
+    PipelineError naming the stage is raised; an error from outside the
+    toolkit keeps its type name in the message.
     """
-    run = _Run(config)
-    os.makedirs(run.out_dir, exist_ok=True)
-
-    stages = list(_STAGES)
-    if config.prices_csv is not None:
-        stages.append(("regression", _stage_regression))
-    stages.append(("report", _stage_report))
-
-    for name, step in stages:
+    out_dir = config.out_dir
+    if not out_dir:
+        raise PipelineError("config", "no output directory configured")
+    staging = os.path.join(out_dir, STAGING_DIR)
+    shutil.rmtree(staging, ignore_errors=True)
+    os.makedirs(staging)
+    run = _Run(config, staging)
+    for name, step in _STAGES:
         try:
             report = step(run)
         except Exception as exc:
-            run.quarantine()
+            _publish(out_dir, os.listdir(staging), os.path.join(out_dir, QUARANTINE_DIR))
             if isinstance(exc, PipelineError):
                 raise
             known = isinstance(exc, (FlowmemError, OSError))
             raise PipelineError(name, str(exc) if known else f"{type(exc).__name__}: {exc}") from exc
+    _publish(out_dir, report.artifacts, out_dir)
     return report
 
 
-def _load_json_artifact(out_dir: str, name: str) -> dict:
-    path = os.path.join(out_dir, name)
+def _publish(out_dir: str, staged, target: str) -> None:
+    """Retire an older run's files from the top level of out_dir, report
+    first, then move the `staged` files into `target`, report.json last,
+    and remove .staging/.
+
+    When `target` is out_dir itself (success) the older files are deleted:
+    the top level then holds exactly what the new report lists, plus any
+    `quarantine/`. Otherwise (failure, `target` is `quarantine/`, merged
+    into if it exists) they move there ahead of the staged ones, so the
+    failed run's copy wins a name clash. Names no run writes stay put.
+    """
+    os.makedirs(target, exist_ok=True)
+    for name in [REPORT_JSON, *artifact_names()]:
+        older = os.path.join(out_dir, name)
+        if os.path.isfile(older) and target == out_dir:
+            os.remove(older)
+        elif os.path.isfile(older):
+            os.replace(older, os.path.join(target, name))
+    staging = os.path.join(out_dir, STAGING_DIR)
+    for name in sorted(staged, key=lambda n: n == REPORT_JSON):
+        os.replace(os.path.join(staging, name), os.path.join(target, name))
+    shutil.rmtree(staging)
+
+
+def _load_json_artifact(out_dir: str, template: str, **names) -> dict:
+    path = os.path.join(out_dir, template.format(**names))
     if not os.path.exists(path):
-        raise PipelineError("report", f"missing artifact: {name}")
+        raise PipelineError("report", f"missing artifact: {os.path.basename(path)}")
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
@@ -498,78 +542,65 @@ def _load_json_artifact(out_dir: str, name: str) -> dict:
         raise PipelineError("report", f"malformed artifact {path}: {exc}") from None
 
 
-def _require(out_dir: str, name: str) -> str:
-    if not os.path.exists(os.path.join(out_dir, name)):
-        raise PipelineError("report", f"missing artifact: {name}")
-    return name
-
-
 def assemble_report(out_dir: str) -> RunReport:
     """Build the run report from the stage artifacts in a directory.
 
     This is the only report builder: `run_pipeline` calls it on the
-    artifacts it just wrote, and `flowmem report` on any finished run
-    directory. Missing or malformed artifacts raise a stage-labeled error
-    naming the offending path.
+    artifacts it just staged, and `flowmem report` on any finished run
+    directory. The report lists every name `artifact_names` gives for the
+    run's config; a missing or malformed one raises a stage-labeled error
+    naming it.
     """
-    config_data = _load_json_artifact(out_dir, "config.json")
-    config = config_from_json_dict(config_data, base_dir=out_dir)
-    provenance = _load_json_artifact(out_dir, "provenance.json")
-
+    config = config_from_json_dict(_load_json_artifact(out_dir, CONFIG_JSON), base_dir=out_dir)
+    artifacts = artifact_names(config)
+    missing = [
+        name for name in artifacts
+        if name != REPORT_JSON and not os.path.exists(os.path.join(out_dir, name))
+    ]
+    if missing:
+        raise PipelineError("report", f"missing artifact: {', '.join(missing)}")
     report = RunReport(
-        provenance=provenance,
-        series={series_key(g, ft): {} for g in GROUPS for ft in FLOW_TYPES},
+        provenance=_load_json_artifact(out_dir, PROVENANCE_JSON),
+        series={},
         regimes={},
         regression=None,
-        artifacts=list(_RUN_FILES),
+        artifacts=artifacts,
     )
 
-    for group in GROUPS:
-        for flow_type in FLOW_TYPES:
-            key = series_key(group, flow_type)
-            ccdf_csv = _require(out_dir, f"fig2_ccdf_{key}.csv")
-            tails = _load_json_artifact(out_dir, f"tails_{key}.json")
-            report.series[key]["tails"] = dict(tails, ccdf_csv=ccdf_csv)
-            report.artifacts += [ccdf_csv, f"tails_{key}.json"]
+    for key in SERIES_KEYS:
+        ccdf_csv, curve_csv = CCDF_CSV.format(key=key), CURVE_CSV.format(key=key)
+        tails = _load_json_artifact(out_dir, TAILS_JSON, key=key)
+        static = _load_json_artifact(out_dir, DFA_FIT_JSON, key=key)
+        entry = report.series[key] = {
+            "tails": dict(tails, ccdf_csv=ccdf_csv),
+            "static_dfa": dict(static, curve_csv=curve_csv),
+        }
+        for kind in config.surrogate_kinds:
+            band = _load_json_artifact(out_dir, SURROGATE_JSON, kind=kind, key=key)
+            entry.setdefault("surrogates", {})[kind] = band
 
-            curve_csv = _require(out_dir, f"fig3_dfa_{key}.csv")
-            static = _load_json_artifact(out_dir, f"dfa_fit_{key}.json")
-            report.series[key]["static_dfa"] = dict(static, curve_csv=curve_csv)
-            report.artifacts += [curve_csv, f"dfa_fit_{key}.json"]
-
-            for kind in config.surrogate_kinds:
-                band = _load_json_artifact(out_dir, f"surrogate_{kind}_{key}.json")
-                report.series[key].setdefault("surrogates", {})[kind] = band
-                report.artifacts.append(f"surrogate_{kind}_{key}.json")
-
-            roll_csv = _require(out_dir, f"fig4_rolling_{key}.csv")
-            roll = RollingHurst.read_csv(
-                os.path.join(out_dir, roll_csv), config.rolling_step, config.rolling_window
-            )
-            report.series[key]["rolling"] = {
-                "csv": roll_csv,
-                "n_windows": len(roll.entries),
-                "n_gaps": sum(1 for e in roll.entries if not e.ok),
-                "window": roll.window,
-                "step": roll.step,
-            }
-            report.artifacts.append(roll_csv)
-
-            if config.regimes:
-                regimes = _load_json_artifact(out_dir, f"regimes_{key}.json")
-                report.regimes[key] = regimes
-                report.artifacts.append(f"regimes_{key}.json")
+        roll_csv = ROLLING_CSV.format(key=key)
+        roll = RollingHurst.read_csv(
+            os.path.join(out_dir, roll_csv), config.rolling_step, config.rolling_window
+        )
+        entry["rolling"] = {
+            "csv": roll_csv,
+            "n_windows": len(roll.entries),
+            "n_gaps": sum(1 for e in roll.entries if not e.ok),
+            "window": roll.window,
+            "step": roll.step,
+        }
+        if config.regimes:
+            report.regimes[key] = _load_json_artifact(out_dir, REGIMES_JSON, key=key)
 
     if config.prices_csv is not None:
-        table_csv = _require(out_dir, "table1_regression.csv")
-        rows = read_regression_table_csv(os.path.join(out_dir, table_csv))
+        rows = read_regression_table_csv(os.path.join(out_dir, TABLE_CSV))
         report.regression = {
             "rows": rows,
             "fill_policy": config.fill_policy,
             "lag_k": config.lag_k,
             "n_pairs": {row["group"] + "_" + row["flow"]: row["n"] for row in rows},
-            "csv": table_csv,
+            "csv": TABLE_CSV,
         }
-        report.artifacts.append(table_csv)
 
     return report

@@ -9,7 +9,7 @@ date alignment cannot silently shift.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -93,14 +93,7 @@ class RegimeSummary:
     max_hurst: float | None
 
     def to_json_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "n_obs": self.n_obs,
-            "mean_hurst": self.mean_hurst,
-            "std_hurst": self.std_hurst,
-            "min_hurst": self.min_hurst,
-            "max_hurst": self.max_hurst,
-        }
+        return asdict(self)
 
 
 def rolling_hurst(

@@ -16,7 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import stdtr
 
+from .dfa import line_fit
 from .errors import StatsError
+from .flows import _valid_date
 from .rolling import RollingHurst
 
 FILL_POLICIES = ("forward_fill", "step_dates_only")
@@ -75,17 +77,6 @@ class OlsResult:
     n: int
     residual_variance: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "t_alpha": self.t_alpha,
-            "t_beta": self.t_beta,
-            "r_squared": self.r_squared,
-            "n": self.n,
-            "residual_variance": self.residual_variance,
-        }
-
 
 def returns_from_prices(calendar, closes) -> ReturnSeries:
     """Log price ratios; the first date is consumed by the difference."""
@@ -104,7 +95,8 @@ def returns_from_prices(calendar, closes) -> ReturnSeries:
 
 def read_prices_csv(path, column: str = "close") -> tuple[tuple[str, ...], np.ndarray]:
     """Parse `date,<column>`; returns (calendar, values). Values must be
-    finite, and positive for `close` (prices); dates strictly increasing."""
+    finite, and positive for `close` (prices); dates real calendar dates,
+    strictly increasing. A bad row raises a StatsError naming its line."""
     positive = column == "close"
     dates: list[str] = []
     values: list[float] = []
@@ -122,7 +114,10 @@ def read_prices_csv(path, column: str = "close") -> tuple[tuple[str, ...], np.nd
             line = reader.line_num
             if len(row) != 2:
                 raise StatsError(f"line {line}: expected 2 fields")
-            dates.append(row[0].strip())
+            date = row[0].strip()
+            if not _valid_date(date):
+                raise StatsError(f"line {line}: bad date {date!r}, expected a YYYY-MM-DD date")
+            dates.append(date)
             try:
                 value = float(row[1])
             except ValueError:
@@ -215,17 +210,11 @@ def ols(y, x, robust: bool = False) -> OlsResult:
         raise StatsError(f"need at least 3 observations, got {n}")
     if not (np.all(np.isfinite(yv)) and np.all(np.isfinite(xv))):
         raise StatsError("non-finite values in regression input")
+    try:
+        beta, alpha, ssr, sst, sxx, dx, resid = line_fit(xv, yv)
+    except ZeroDivisionError:
+        raise StatsError("degenerate regressor: x is constant") from None
     xm = xv.mean()
-    dx = xv - xm
-    sxx = float(dx @ dx)
-    if sxx == 0.0:
-        raise StatsError("degenerate regressor: x is constant")
-    ym = yv.mean()
-    beta = float(dx @ (yv - ym)) / sxx
-    alpha = ym - beta * xm
-    resid = yv - alpha - beta * xv
-    ssr = float(resid @ resid)
-    sst = float((yv - ym) @ (yv - ym))
     dof = n - 2
     residual_variance = ssr / dof
     if sst > 0.0:

@@ -9,7 +9,7 @@ by side they separate distribution-driven from correlation-driven effects.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -93,14 +93,7 @@ class SurrogateBand:
     hurst_values: tuple[float, ...]
 
     def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "count": self.count,
-            "mean": self.mean,
-            "std": self.std,
-            "quantiles": self.quantiles,
-            "hurst_values": list(self.hurst_values),
-        }
+        return asdict(self)
 
     def write_values_csv(self, path) -> None:
         with open(path, "w", newline="", encoding="utf-8") as fh:

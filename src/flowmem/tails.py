@@ -8,9 +8,8 @@ retained point is plottable on log-log axes and the final point sits at
 
 from __future__ import annotations
 
-import csv
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.special import erfc
@@ -41,13 +40,6 @@ class CcdfPoints:
     def points(self) -> tuple[tuple[float, float], ...]:
         return tuple((float(x), float(p)) for x, p in zip(self.xs, self.ps))
 
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["x", "p"])
-            for x, p in zip(self.xs, self.ps):
-                writer.writerow([repr(float(x)), repr(float(p))])
-
 
 @dataclass(frozen=True)
 class TailFit:
@@ -58,13 +50,7 @@ class TailFit:
     stderr: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "exponent": self.exponent,
-            "fit_xmin": self.fit_xmin,
-            "n_tail": self.n_tail,
-            "method": self.method,
-            "stderr": self.stderr,
-        }
+        return asdict(self)
 
 
 def _clean(values) -> np.ndarray:

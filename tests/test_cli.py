@@ -102,6 +102,14 @@ class TestSynthAndDfa:
         assert result.exit_code == 1
         assert result.output.startswith("Error: ") and message in result.output
 
+    @pytest.mark.parametrize("bad", ["2020-13-45", "2020-02-30"])
+    def test_series_file_with_impossible_date_names_line(self, runner, tmp_path, bad):
+        series = tmp_path / "s.csv"
+        series.write_text(f"date,value\n2020-01-01,1.0\n{bad},2.0\n")
+        result = invoke(runner, "dfa", "--series", series)
+        assert result.exit_code == 1
+        assert f"Error: line 3: bad date '{bad}'" in result.output
+
     def test_flows_spec_validation(self, runner, tmp_path):
         result = invoke(
             runner, "synth", "flows", "--group", "retail=fgn",

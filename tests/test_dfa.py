@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.polynomial import legendre
 
 from flowmem.dfa import (
@@ -14,6 +16,7 @@ from flowmem.dfa import (
 )
 from flowmem.errors import DfaError
 from flowmem.rolling import rolling_hurst
+from flowmem.stats import ols
 from flowmem.surrogate import (
     SurrogateSpec,
     child_seed,
@@ -324,3 +327,71 @@ class TestBatchedKernelOracle:
         assert _basis(12, 2) is q
         assert not q.flags.writeable
         np.testing.assert_allclose(q.T @ q, np.eye(3), atol=1e-14)
+
+
+def reference_line_fit(x, y):
+    """The log-log fit `fit_hurst` made before it shared `line_fit` with
+    `stats.ols`: (slope, intercept, slope_stderr, r_squared)."""
+    n = x.size
+    xm = x.mean()
+    ym = y.mean()
+    dx = x - xm
+    dy = y - ym
+    sxx = float(dx @ dx)
+    slope = float(dx @ dy) / sxx
+    intercept = ym - slope * xm
+    resid = y - intercept - slope * x
+    ssr = float(resid @ resid)
+    sst = float(dy @ dy)
+    if sst > 0.0:
+        r_squared = max(0.0, min(1.0, 1.0 - ssr / sst))
+    else:
+        r_squared = 1.0
+    dof = n - 2
+    stderr = float(np.sqrt(max(ssr, 0.0) / dof / sxx)) if dof > 0 else 0.0
+    return slope, float(intercept), stderr, r_squared
+
+
+@st.composite
+def scaling_points(draw):
+    """Strictly increasing integer scales with positive F values, or
+    F values that lie exactly on a power law (sst > 0, ssr ~ 0)."""
+    scales = sorted(draw(st.lists(st.integers(2, 100_000), min_size=4, max_size=25, unique=True)))
+    if draw(st.booleans()):
+        h = draw(st.floats(0.05, 2.0))
+        values = [3.0 * n**h for n in scales]
+    else:
+        values = draw(st.lists(st.floats(1e-6, 1e6), min_size=len(scales), max_size=len(scales)))
+    return np.asarray(scales), np.asarray(values)
+
+
+class TestLineFitCore:
+    """fit_hurst and stats.ols share `line_fit`; both reproduce the fit they
+    made before it exactly (==, not allclose)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(scaling_points())
+    def test_fit_hurst_matches_previous_fit(self, points):
+        scales, values = points
+        fit = fit_hurst(FluctuationCurve(scales, values, 2, 400_000))
+        slope, intercept, stderr, r_squared = reference_line_fit(
+            np.log10(scales.astype(float)), np.log10(values)
+        )
+        assert (fit.hurst, fit.intercept, fit.slope_stderr, fit.r_squared) == (
+            slope, intercept, stderr, r_squared
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)), min_size=3, max_size=40))
+    def test_ols_matches_previous_fit(self, pairs):
+        x = np.asarray([p[0] for p in pairs])
+        y = np.asarray([p[1] for p in pairs])
+        dx = x - x.mean()
+        assume(float(dx @ dx) > 0.0)
+        slope, intercept, stderr, r_squared = reference_line_fit(x, y)
+        res = ols(y, x)
+        assert (res.beta, res.alpha) == (slope, intercept)
+        if float((y - y.mean()) @ (y - y.mean())) > 0.0:
+            assert res.r_squared == r_squared
+        if stderr > 0.0:
+            assert res.t_beta == slope / stderr

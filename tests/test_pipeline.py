@@ -110,11 +110,70 @@ class TestGolden:
         band["std"] = round(std)  # an int where the golden holds a float
         assert json_mismatches(got, want) == [f"{path}: 0 != {std!r}"]
 
-    def test_report_lists_exactly_its_artifacts(self, bundled_run):
-        _, report, out = bundled_run
+    @pytest.mark.parametrize(
+        "changes",
+        [{}, {"regimes": (), "prices_csv": None}, {"surrogate_kinds": ()}],
+        ids=["bundled", "no_regimes_or_prices", "no_surrogates"],
+    )
+    def test_report_lists_exactly_its_artifacts(self, bundled_run, tmp_path, changes):
+        config, report, out = bundled_run
+        if changes:
+            out = tmp_path / "out"
+            report = run_pipeline(replace(config, out_dir=str(out), **changes))
         listed = set(report.to_json_dict()["artifacts"])
         on_disk = {p.name for p in out.iterdir()}
         assert listed == on_disk
+        assert json.loads((out / "report.json").read_text())["artifacts"] == sorted(listed)
+
+
+class TestPublish:
+    """After any run the top level of out_dir holds exactly the listed
+    artifacts plus quarantine/ (success), or quarantine/ alone (failure)."""
+
+    def test_rerun_without_regimes_retires_older_regime_files(self, bundled_run, tmp_path):
+        config, _, previous = bundled_run
+        out = tmp_path / "out"
+        shutil.copytree(previous, out)
+        report = run_pipeline(replace(config, out_dir=str(out), regimes=()))
+        assert sorted(p.name for p in out.iterdir()) == report.to_json_dict()["artifacts"]
+        assert not list(out.glob("regimes_*"))
+
+    def test_failed_rerun_leaves_only_quarantine(self, bundled_run, tmp_path):
+        config, _, previous = bundled_run
+        out = tmp_path / "out"
+        shutil.copytree(previous, out)
+        (out / "tails_retail_BUY.json").write_text("{}\n")  # marks the older copy
+        with pytest.raises(PipelineError, match="rolling"):
+            run_pipeline(replace(config, out_dir=str(out), rolling_window=5000))
+        assert [p.name for p in out.iterdir()] == ["quarantine"]
+        quarantined = {p.name for p in (out / "quarantine").iterdir()}
+        assert quarantined == {p.name for p in previous.iterdir()}
+        # the failed run's own copy wins the name clash
+        name = "tails_retail_BUY.json"
+        assert (out / "quarantine" / name).read_bytes() == (previous / name).read_bytes()
+
+    def test_stale_staging_is_cleared_and_not_published(self, bundled_run, tmp_path):
+        config, _, _ = bundled_run
+        out = tmp_path / "out"
+        (out / ".staging").mkdir(parents=True)
+        (out / ".staging" / "stray.csv").write_text("left by a killed run\n")
+        (out / "notes.txt").write_text("not a flowmem file\n")
+        report = run_pipeline(replace(config, out_dir=str(out)))
+        names = sorted(p.name for p in out.iterdir())
+        assert names == sorted([*report.to_json_dict()["artifacts"], "notes.txt"])
+        assert (out / "notes.txt").read_text() == "not a flowmem file\n"
+
+    def test_failure_merges_into_existing_quarantine(self, bundled_run, tmp_path):
+        config, _, _ = bundled_run
+        out = tmp_path / "out"
+        (out / "quarantine").mkdir(parents=True)
+        (out / "quarantine" / "earlier.txt").write_text("kept\n")
+        with pytest.raises(PipelineError, match="rolling"):
+            run_pipeline(replace(config, out_dir=str(out), rolling_window=5000))
+        assert [p.name for p in out.iterdir()] == ["quarantine"]
+        quarantined = {p.name for p in (out / "quarantine").iterdir()}
+        assert "earlier.txt" in quarantined and "fig2_ccdf_retail_BUY.csv" in quarantined
+        assert ".staging" not in quarantined
 
 
 class TestStageErrors:

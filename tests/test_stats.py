@@ -303,3 +303,11 @@ class TestPricesCsv:
         path.write_text("date,close\n2020-01-03,100.0\n2020-01-02,101.0\n")
         with pytest.raises(StatsError, match="increasing"):
             read_prices_csv(path)
+
+    @pytest.mark.parametrize("column", ["close", "value"])
+    @pytest.mark.parametrize("bad", ["2020-13-45", "2020-02-30", "20200103", "2020-W01-5"])
+    def test_impossible_date_names_line(self, tmp_path, column, bad):
+        path = tmp_path / "prices.csv"
+        path.write_text(f"date,{column}\n2020-01-02,100.0\n{bad},101.0\n")
+        with pytest.raises(StatsError, match=f"line 3: bad date '{bad}'"):
+            read_prices_csv(path, column=column)

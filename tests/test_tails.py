@@ -152,14 +152,6 @@ class TestFitTailExponent:
 
 
 class TestCcdfSerialization:
-    def test_csv(self, tmp_path):
-        ccdf = CcdfPoints(
-            xs=np.array([1.0, 2.0]), ps=np.array([0.5, 0.25]), side="upper"
-        )
-        path = tmp_path / "ccdf.csv"
-        ccdf.write_csv(path)
-        assert path.read_text() == "x,p\n1.0,0.5\n2.0,0.25\n"
-
     def test_invalid_points_rejected(self):
         with pytest.raises(TailError):
             CcdfPoints(xs=np.array([2.0, 1.0]), ps=np.array([0.5, 0.2]), side="upper")

@@ -84,6 +84,17 @@ def input_digests(data_dir):
     return {os.path.basename(p): sha256_file(p) for p in paths if os.path.isfile(p)}
 
 
+def run_manifest(run_dir):
+    """sha256 of every artifact the run's report.json lists; anything else
+    in the run directory is an error naming it."""
+    with open(os.path.join(run_dir, "report.json"), encoding="utf-8") as fh:
+        listed = json.load(fh)["artifacts"]
+    extra = sorted(set(os.listdir(run_dir)) - set(listed))
+    if extra:
+        sys.exit(f"{run_dir} holds entries its report.json does not list: {', '.join(extra)}")
+    return {name: sha256_file(os.path.join(run_dir, name)) for name in sorted(listed)}
+
+
 def changed_keys(before, after):
     return sorted(k for k in before.keys() | after.keys() if before.get(k) != after.get(k))
 
@@ -131,9 +142,6 @@ def main():
     with open(os.path.join(data_dir, "run_config.json"), "w", encoding="utf-8") as fh:
         fh.write(config.canonical_json())
 
-    shutil.rmtree(golden_dir, ignore_errors=True)
-    os.makedirs(golden_dir)
-
     with tempfile.TemporaryDirectory() as tmp:
         subprocess.run(
             [
@@ -143,10 +151,9 @@ def main():
             ],
             check=True,
         )
-        manifest = {
-            name: sha256_file(os.path.join(tmp, name))
-            for name in sorted(os.listdir(tmp))
-        }
+        manifest = run_manifest(tmp)
+        shutil.rmtree(golden_dir, ignore_errors=True)
+        os.makedirs(golden_dir)
         shutil.copy(os.path.join(tmp, "report.json"), os.path.join(golden_dir, "report.json"))
     write_json(os.path.join(golden_dir, "manifest.json"), manifest)
     write_json(os.path.join(golden_dir, "environment.json"), numeric_environment())
