@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import functools
 from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial import legendre
@@ -25,6 +26,10 @@ from .errors import DfaError
 
 # F(n) below this relative level is detrending round-off, not signal
 _F_FLOOR_REL = 1e-12
+# profile values per row chunk of the batched kernel, sized by measurement
+# on a 2 MiB L2 cache: a 128 KiB chunk and its residuals stay in cache,
+# where a whole batch of 50 surrogates of 2,000 days does not
+_CHUNK_DOUBLES = 16_384
 
 
 @dataclass(frozen=True)
@@ -142,40 +147,45 @@ def _basis(n: int, order: int) -> np.ndarray:
     return q
 
 
-def _fluctuation_rows(profiles: np.ndarray, scales, order: int) -> list[FluctuationCurve]:
-    """F(n) of every row of a finite (k, L) profile array, one curve per row.
+def _fluctuation_rows(profiles: np.ndarray, scales, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """F(n) of every row of a finite (k, L) profile array: the (k, scales)
+    table of F and the mask of entries above their row's F floor.
 
-    Each scale costs one matmul pair over the blocks of all rows side by
-    side; every row keeps its own F-floor exclusion. The residuals of a row
-    are reduced as one C-contiguous (n, blocks) slab, the layout a lone
-    profile has, so a row's curve does not depend on the other rows.
+    Rows are taken in chunks of about `_CHUNK_DOUBLES` profile values, so a
+    chunk and its residuals stay in cache while every scale is applied to
+    it. At each scale a row's blocks are the columns of an (n, blocks)
+    matrix, and the matmul pair runs on each row's matrix in turn, with the
+    shapes and strides a lone profile has: a row's F does not depend on the
+    other rows or on the chunk it falls in, whatever way the BLAS kernel
+    sums. The residuals come out as one C-contiguous (n, blocks) slab per
+    row and are summed as such.
     """
     k, length = profiles.shape
     scales = np.asarray(scales, dtype=int)
-    values = np.empty((k, scales.size))
-    for j, n in enumerate(scales.tolist()):
+    bases = []
+    for n in scales.tolist():
         blocks = length // n
         if blocks < 1:
             raise DfaError(f"scale {n} exceeds series length {length}")
         if n < order + 2:
             raise DfaError(f"scale {n} too small for order-{order} detrending")
-        q = _basis(n, order)
-        # (n, k*blocks): one column per block, fixed layout for determinism
-        seg = profiles[:, : blocks * n].reshape(k * blocks, n).T
-        resid = q @ (q.T @ seg)
-        np.subtract(seg, resid, out=resid)
-        slab = np.ascontiguousarray(resid.reshape(n, k, blocks).transpose(1, 0, 2))
-        values[:, j] = np.sqrt(np.mean(np.multiply(slab, slab, out=slab), axis=(1, 2)))
+        bases.append((n, blocks, _basis(n, order)))
+    sums = np.empty((k, scales.size))
+    rows = max(1, _CHUNK_DOUBLES // length)
+    for lo in range(0, k, rows):
+        chunk = profiles[lo : lo + rows]
+        c = chunk.shape[0]
+        for j, (n, blocks, q) in enumerate(bases):
+            # (c, n, blocks): one column per block, fixed layout for determinism
+            seg = chunk[:, : blocks * n].reshape(c, blocks, n).transpose(0, 2, 1)
+            slab = q @ (q.T @ seg)
+            np.subtract(seg, slab, out=slab)
+            slab *= slab
+            np.add.reduce(slab, axis=(1, 2), out=sums[lo : lo + c, j])
+    # the mean square of each row's residuals, divided as np.mean divides
+    values = np.sqrt(sums / [n * blocks for n, blocks, _ in bases])
     floors = _F_FLOOR_REL * np.max(np.abs(profiles), axis=1, initial=0.0)
-    curves = []
-    for row, floor in zip(values, floors):
-        keep = row > floor
-        curves.append(
-            FluctuationCurve(
-                scales=scales[keep], values=row[keep], detrend_order=order, series_length=length
-            )
-        )
-    return curves
+    return values, values > floors[:, np.newaxis]
 
 
 def fluctuation(profile_values, scales, detrend_order: int = 2) -> FluctuationCurve:
@@ -191,23 +201,56 @@ def fluctuation(profile_values, scales, detrend_order: int = 2) -> FluctuationCu
     m = int(detrend_order)
     if m < 0:
         raise DfaError(f"detrend order must be >= 0, got {m}")
-    return _fluctuation_rows(y[np.newaxis, :], scales, m)[0]
+    values, keep = _fluctuation_rows(y[np.newaxis, :], scales, m)
+    return FluctuationCurve(
+        scales=np.asarray(scales, dtype=int)[keep[0]],
+        values=values[0][keep[0]],
+        detrend_order=m,
+        series_length=y.size,
+    )
 
 
-def line_fit(x: np.ndarray, y: np.ndarray):
+class LineX(NamedTuple):
+    """The x side of `line_fit`: x, its mean, its deviations and their sum of squares."""
+
+    x: np.ndarray
+    mean: float
+    dx: np.ndarray
+    sxx: float
+
+
+def line_x(x: np.ndarray) -> LineX:
+    xm = x.mean()
+    dx = x - xm
+    return LineX(x, xm, dx, float(dx @ dx))
+
+
+def line_fit(x, y: np.ndarray):
     """Closed-form simple OLS of y on x, the one core of `fit_hurst` and
     `stats.ols`: (slope, intercept, ssr, sst, sxx, dx, resid), with dx the
-    deviations of x from its mean. A constant x raises ZeroDivisionError.
+    deviations of x from its mean. `x` is an array, or its `line_x` when
+    many y are fitted on one x. A constant x raises ZeroDivisionError.
     """
-    xm = x.mean()
+    x, xm, dx, sxx = x if isinstance(x, LineX) else line_x(x)
     ym = y.mean()
-    dx = x - xm
     dy = y - ym
-    sxx = float(dx @ dx)
     slope = float(dx @ dy) / sxx
     intercept = ym - slope * xm
     resid = y - intercept - slope * x
     return slope, intercept, float(resid @ resid), float(dy @ dy), sxx, dx, resid
+
+
+def _loglog_fit(log_scales: LineX, log_values: np.ndarray, scales: np.ndarray, order: int) -> DfaFit:
+    slope, intercept, ssr, sst, sxx, _, _ = line_fit(log_scales, log_values)
+    return DfaFit(
+        hurst=slope,
+        intercept=float(intercept),
+        slope_stderr=float(np.sqrt(max(ssr, 0.0) / (scales.size - 2) / sxx)),
+        r_squared=max(0.0, min(1.0, 1.0 - ssr / sst)) if sst > 0.0 else 1.0,
+        scale_range=(int(scales[0]), int(scales[-1])),
+        n_points_used=int(scales.size),
+        detrend_order=order,
+    )
 
 
 def fit_hurst(curve: FluctuationCurve, fit_range: tuple[int, int] | None = None) -> DfaFit:
@@ -221,18 +264,8 @@ def fit_hurst(curve: FluctuationCurve, fit_range: tuple[int, int] | None = None)
         values = values[mask]
     if scales.size < 4:
         raise DfaError(f"insufficient scales for fit: {scales.size} < 4")
-    slope, intercept, ssr, sst, sxx, _, _ = line_fit(
-        np.log10(scales.astype(float)), np.log10(values)
-    )
-    return DfaFit(
-        hurst=slope,
-        intercept=float(intercept),
-        slope_stderr=float(np.sqrt(max(ssr, 0.0) / (scales.size - 2) / sxx)),
-        r_squared=max(0.0, min(1.0, 1.0 - ssr / sst)) if sst > 0.0 else 1.0,
-        scale_range=(int(scales[0]), int(scales[-1])),
-        n_points_used=int(scales.size),
-        detrend_order=curve.detrend_order,
-    )
+    log_scales = line_x(np.log10(scales.astype(float)))
+    return _loglog_fit(log_scales, np.log10(values), scales, curve.detrend_order)
 
 
 def dfa_hurst(series, config: DfaConfig = DfaConfig()) -> DfaFit:
@@ -249,19 +282,26 @@ def dfa_hurst_rows(rows, config: DfaConfig = DfaConfig()) -> list[DfaFit | DfaEr
     Entry i is row i's DfaFit, or the DfaError that `dfa_hurst` raises on
     row i alone. Errors that depend only on the length and the config (no
     admissible scale grid, a singular block basis) would fail every row
-    alike and are raised.
+    alike and are raised. Rows that keep every scale share the x side of
+    the log-log fit; a row that drops a scale goes through `fit_hurst`.
     """
     x = np.asarray(rows, dtype=float)
+    if x.ndim != 2:
+        raise DfaError(f"dfa_hurst_rows expects a (k, L) array of rows, got shape {x.shape}")
     length = x.shape[1]
     if length < 2:
         raise DfaError(f"profile needs at least 2 observations, got {length}")
+    order = config.detrend_order
     scales = make_scale_grid(length, config)
     with np.errstate(invalid="ignore"):  # a row with inf becomes an error entry, not a warning
         profiles = x - x.mean(axis=1, keepdims=True)
         np.cumsum(profiles, axis=1, out=profiles)
     finite = np.isfinite(profiles).all(axis=1)
-    kept = profiles if finite.all() else profiles[finite]
-    curves = iter(_fluctuation_rows(kept, scales, config.detrend_order))
+    values, keep = _fluctuation_rows(profiles if finite.all() else profiles[finite], scales, order)
+    whole = keep.all(axis=1) & (scales.size >= 4)  # under 4 scales, fit_hurst names the error
+    log_scales = line_x(np.log10(scales.astype(float)))
+    log_values = iter(np.log10(values[whole]))
+    curves = zip(values, keep, whole)
     fits = []
     for row, ok in zip(x, finite):
         if not ok:
@@ -272,8 +312,14 @@ def dfa_hurst_rows(rows, config: DfaConfig = DfaConfig()) -> list[DfaFit | DfaEr
             )
             fits.append(DfaError(message))
             continue
+        row_values, row_keep, row_whole = next(curves)
+        if row_whole:
+            fits.append(_loglog_fit(log_scales, next(log_values), scales, order))
+            continue
         try:
-            fits.append(fit_hurst(next(curves)))
+            fits.append(
+                fit_hurst(FluctuationCurve(scales[row_keep], row_values[row_keep], order, length))
+            )
         except DfaError as exc:
             fits.append(exc)
     return fits

@@ -277,8 +277,8 @@ def _json_text(payload) -> str:
 
 def _ccdf_with_reference_text(ccdf, reference) -> str:
     lines = ["x,p,gaussian_p"]
-    for x, emp, ref in zip(ccdf.xs, ccdf.ps, reference.ps):
-        lines.append(f"{float(x)!r},{float(emp)!r},{float(ref)!r}")
+    for x, emp, ref in zip(ccdf.xs.tolist(), ccdf.ps.tolist(), reference.ps.tolist()):
+        lines.append(f"{x!r},{emp!r},{ref!r}")
     return "\n".join(lines) + "\n"
 
 

@@ -59,6 +59,12 @@ def phase_randomize(series, seed) -> np.ndarray:
     Nyquist bin stay untouched, so the inverse transform is exactly real
     and the mean is preserved.
     """
+    return _phase_randomized(series, [seed])[0]
+
+
+def _phase_randomized(series, seeds) -> np.ndarray:
+    """`phase_randomize(series, seed)` for each seed, one row per seed: one
+    forward FFT shared by every copy and one inverse FFT over all of them."""
     x = np.asarray(series, dtype=float)
     if x.ndim != 1:
         raise SurrogateError("phase_randomize expects a 1-d series")
@@ -69,16 +75,10 @@ def phase_randomize(series, seed) -> np.ndarray:
     spec = np.fft.rfft(x - mean)
     # index of the first bin NOT to randomize from the top: Nyquist for even n
     stop = spec.size - 1 if n % 2 == 0 else spec.size
-    phases = _rng(seed).uniform(0.0, 2.0 * np.pi, stop - 1)
-    rotated = spec.copy()
-    rotated[1:stop] = np.abs(spec[1:stop]) * np.exp(1j * phases)
+    phases = np.stack([_rng(seed).uniform(0.0, 2.0 * np.pi, stop - 1) for seed in seeds])
+    rotated = np.repeat(spec[np.newaxis, :], len(seeds), axis=0)
+    rotated[:, 1:stop] = np.abs(spec[1:stop]) * np.exp(1j * phases)
     return np.fft.irfft(rotated, n=n) + mean
-
-
-def _make_surrogate(series, kind: str, seed) -> np.ndarray:
-    if kind == "shuffle":
-        return shuffle(series, seed)
-    return phase_randomize(series, seed)
 
 
 @dataclass(frozen=True)
@@ -109,9 +109,11 @@ def surrogate_band(series, spec: SurrogateSpec, config: DfaConfig = DfaConfig())
     Surrogate k is driven by a stream derived from (spec.seed, k), so any
     single surrogate is reproducible in isolation.
     """
-    copies = np.stack(
-        [_make_surrogate(series, spec.kind, child_seed(spec.seed, k)) for k in range(spec.count)]
-    )
+    seeds = [child_seed(spec.seed, k) for k in range(spec.count)]
+    if spec.kind == "shuffle":
+        copies = np.stack([shuffle(series, seed) for seed in seeds])
+    else:
+        copies = _phase_randomized(series, seeds)
     hurst_values = []
     for fit in dfa_hurst_rows(copies, config):
         if isinstance(fit, DfaError):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -5,10 +7,13 @@ from hypothesis import strategies as st
 from numpy.polynomial import legendre
 
 from flowmem.dfa import (
+    _CHUNK_DOUBLES,
     DfaConfig,
     FluctuationCurve,
     _basis,
+    _fluctuation_rows,
     dfa_hurst,
+    dfa_hurst_rows,
     fit_hurst,
     fluctuation,
     make_scale_grid,
@@ -223,6 +228,11 @@ class TestDfaHurst:
         with pytest.raises(DfaError, match="insufficient"):
             dfa_hurst(np.full(500, 3.3))
 
+    @pytest.mark.parametrize("shape", [(2000,), (2, 3, 250)])
+    def test_rows_must_be_two_dimensional(self, shape):
+        with pytest.raises(DfaError, match=re.escape(f"(k, L) array of rows, got shape {shape}")):
+            dfa_hurst_rows(np.ones(shape))
+
 
 class TestSerialization:
     def test_curve_csv(self, tmp_path):
@@ -315,12 +325,43 @@ class TestBatchedKernelOracle:
         assert {"non-finite values in input series"} < errors
         assert dropped and gaps and gaps < len(starts)
 
-    @pytest.mark.parametrize("kind, make", [("shuffle", shuffle), ("phase_randomize", phase_randomize)])
-    def test_surrogate_band_matches(self, kind, make):
-        x = fgn(0.8, 800, seed=44)
-        band = surrogate_band(x, SurrogateSpec(kind=kind, seed=17, count=20))
-        want = [per_scale_hurst(make(x, child_seed(17, k))).hurst for k in range(20)]
+    @pytest.mark.parametrize(
+        "kind, make, n, count",
+        [
+            pytest.param("shuffle", shuffle, 800, 20, id="shuffle-shuffle"),
+            pytest.param(
+                "phase_randomize", phase_randomize, 800, 20, id="phase_randomize-phase_randomize"
+            ),
+            # an odd length, with copies that span four kernel chunks
+            pytest.param("shuffle", shuffle, 1999, 3 * (_CHUNK_DOUBLES // 1999) + 1, id="shuffle-n1999"),
+            pytest.param(
+                "phase_randomize", phase_randomize, 1999, 3 * (_CHUNK_DOUBLES // 1999) + 1,
+                id="phase_randomize-n1999",
+            ),
+        ],
+    )
+    def test_surrogate_band_matches(self, kind, make, n, count):
+        x = fgn(0.8, n, seed=44)
+        band = surrogate_band(x, SurrogateSpec(kind=kind, seed=17, count=count))
+        want = [per_scale_hurst(make(x, child_seed(17, k))).hurst for k in range(count)]
         assert list(band.hurst_values) == want
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 3])
+    @pytest.mark.parametrize("length", [250, 1999, 2000, 20_000])
+    def test_rows_across_chunks_match_lone_rows(self, length, order):
+        rows_per_chunk = max(1, _CHUNK_DOUBLES // length)
+        k = 2 * rows_per_chunk + rows_per_chunk // 2 + 1
+        assert -(-k // rows_per_chunk) >= 3  # two whole chunks and a partial one
+        x = fgn(0.7, length + 3 * k, seed=length + order)
+        profiles = np.stack([profile(x[3 * i : 3 * i + length]) for i in range(k)])
+        profiles[1] = 0.0  # annihilated at every scale: F sits at the floor
+        scales = make_scale_grid(length, DfaConfig(detrend_order=order, n_min=order + 2))
+        values, keep = _fluctuation_rows(profiles, scales, order)
+        assert not keep[1].any() and keep[0].all()
+        for i in range(k):
+            alone = fluctuation(profiles[i], scales, order)
+            assert alone.scales.tolist() == scales[keep[i]].tolist()
+            assert alone.values.tolist() == values[i][keep[i]].tolist()
 
     def test_basis_is_cached_and_read_only(self):
         q = _basis(12, 2)

@@ -99,9 +99,10 @@ class TestSurrogateBand:
     def test_child_streams_independent_of_count(self):
         # surrogate k must not depend on how many surrogates are requested
         x = fgn(0.6, 600, seed=3)
-        small = surrogate_band(x, SurrogateSpec(kind="shuffle", seed=9, count=3))
-        large = surrogate_band(x, SurrogateSpec(kind="shuffle", seed=9, count=6))
-        assert small.hurst_values == large.hurst_values[:3]
+        for kind in ("shuffle", "phase_randomize"):
+            small = surrogate_band(x, SurrogateSpec(kind=kind, seed=9, count=3))
+            large = surrogate_band(x, SurrogateSpec(kind=kind, seed=9, count=6))
+            assert small.hurst_values == large.hurst_values[:3]
 
     def test_invalid_spec(self):
         with pytest.raises(SurrogateError):
