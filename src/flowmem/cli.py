@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import datetime
 import functools
+import itertools
 import os
 import re
 
 import click
 import numpy as np
+import numpy.random  # noqa: F401  numpy loads it lazily; load it at import, not mid-run
 
 from . import __version__
 from .dfa import DfaConfig
@@ -120,9 +122,10 @@ def main():
 @click.argument("flows_csv", type=click.Path(exists=True))
 def ingest_check(flows_csv):
     """Parse and aggregate a flows CSV, reporting what it contains."""
-    records = list(read_flows_csv(flows_csv))
-    panel = aggregate_daily(records)
-    click.echo(f"records: {len(records)}")
+    seen = itertools.count()
+    # zip stops on the exhausted reader before it draws from `seen`
+    panel = aggregate_daily(row for row, _ in zip(read_flows_csv(flows_csv), seen))
+    click.echo(f"records: {next(seen)}")
     click.echo(f"trading days: {len(panel.calendar)} ({panel.calendar[0]} .. {panel.calendar[-1]})")
     for (group, flow_type), values in sorted(
         panel.series.items(), key=lambda kv: (kv[0][0].value, kv[0][1].value)

@@ -24,6 +24,7 @@ import shutil
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass, replace
 
 import numpy as np
+import numpy.random  # noqa: F401  numpy loads these lazily; load them at import, not mid-run
 
 from . import __version__
 from .dfa import DfaConfig, fit_hurst, fluctuation, make_scale_grid, profile

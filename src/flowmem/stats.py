@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import stdtr
 
 from .dfa import line_fit
 from .errors import StatsError
@@ -248,18 +247,53 @@ def ols(y, x, robust: bool = False) -> OlsResult:
     )
 
 
+_STARS = ((0.01, "***"), (0.05, "**"), (0.1, "*"))
+# scipy.special.stdtr (Boost's students_t cdf) defines the stars. The series
+# below is within about 1e-12 of it up to df 10**5, so only a p this close to
+# a level, or a larger df, needs stdtr itself.
+_STAR_GUARD = 1e-9
+_SERIES_MAX_DF = 10**5
+_MACHEP = 1.11022302462515654042e-16
+
+
+def _t_two_sided_p(t_value: float, df: int) -> float:
+    """P(|T| > |t|) for Student's t with integer df >= 1.
+
+    One minus the Cephes stdtr series for the probability of |T| <= |t|;
+    the series runs to df/2 terms, so it is meant for moderate df.
+    """
+    x = abs(t_value)
+    z = 1.0 + (x * x) / df
+    f = tz = 1.0
+    j = 3 if df % 2 else 2
+    while j <= df - 2 and tz / f > _MACHEP:
+        tz *= (j - 1) / (z * j)
+        f += tz
+        j += 2
+    if df % 2 == 0:
+        return 1.0 - f * x / math.sqrt(z * df)
+    xsqk = x / math.sqrt(df)
+    inside = math.atan(xsqk)
+    if df > 1:
+        inside += f * xsqk / z
+    return 1.0 - inside * (2.0 / math.pi)
+
+
 def significance_stars(t_value: float, n: int) -> str:
-    """Two-sided stars at the 10/5/1% levels with n-2 degrees of freedom."""
+    """Two-sided stars at the 10/5/1% levels with n-2 degrees of freedom.
+
+    The decision is the one 2·scipy.special.stdtr(n-2, -|t|) gives; scipy
+    is imported only when the series cannot settle it.
+    """
     if not math.isfinite(t_value):
         return "***"
-    p = 2.0 * float(stdtr(n - 2, -abs(t_value)))
-    if p < 0.01:
-        return "***"
-    if p < 0.05:
-        return "**"
-    if p < 0.1:
-        return "*"
-    return ""
+    df = n - 2
+    p = _t_two_sided_p(t_value, df) if 0 < df <= _SERIES_MAX_DF else math.nan
+    if not all(abs(p - level) > _STAR_GUARD for level, _ in _STARS):
+        from scipy.special import stdtr
+
+        p = 2.0 * float(stdtr(df, -abs(t_value)))
+    return next((stars for level, stars in _STARS if p < level), "")
 
 
 def regression_table_rows(results: dict, robust_results: dict | None = None) -> list[dict]:

@@ -12,6 +12,8 @@ import csv
 from dataclasses import asdict, dataclass
 
 import numpy as np
+import numpy.fft  # noqa: F401  numpy loads these lazily; load them at import, not mid-run
+import numpy.random  # noqa: F401
 
 from .dfa import DfaConfig, dfa_hurst_rows
 from .errors import DfaError, SurrogateError

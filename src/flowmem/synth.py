@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.fft  # noqa: F401  numpy loads these lazily; load them at import, not mid-run
+import numpy.random  # noqa: F401
 
 from .errors import SynthError
 

@@ -62,14 +62,29 @@ class TestIngestCheck:
         assert "trading days" not in result.output
 
 
-def test_cli_import_leaves_out_scipy_stats():
-    """scipy.stats costs about a second to import; nothing at start-up needs it."""
+def test_cli_import_leaves_out_scipy_stats(data_dir, tmp_path):
+    """scipy.stats costs about a second to import and scipy.special a tenth;
+    neither start-up nor a run whose stars are clear-cut needs scipy."""
     src = Path(flowmem.__file__).resolve().parents[1]
-    code = "import sys, flowmem.cli; print('scipy.stats' in sys.modules)"
+    code = (
+        "import sys, flowmem.cli\n"
+        "from flowmem.pipeline import load_config, run_pipeline\n"
+        "def scipy_loaded(): return any(m.split('.')[0] == 'scipy' for m in sys.modules)\n"
+        "print('scipy.stats' in sys.modules)\n"
+        "print(scipy_loaded())\n"
+        "run_pipeline(load_config(sys.argv[1], out_dir=sys.argv[2]))\n"
+        "print(scipy_loaded())\n"
+    )
     env = {**os.environ, "PYTHONPATH": str(src)}
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, timeout=120, check=True)
-    assert done.stdout.strip() == "False"
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(data_dir / "run_config.json"), str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    after_import_stats, after_import, after_run = done.stdout.split()
+    assert after_import_stats == "False"
+    assert after_import == "False"
+    assert after_run == "False"
+    assert (tmp_path / "out" / "table1_regression.csv").exists()  # the run reached the stars
 
 
 class TestSynthAndDfa:

@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import flowmem
 from flowmem.errors import StatsError
 from flowmem.rolling import RollingEntry, RollingHurst
 from flowmem.stats import (
@@ -21,6 +26,7 @@ from flowmem.stats import (
     squared_return_vol,
     write_regression_table_csv,
 )
+from flowmem.stats import _t_two_sided_p
 
 
 def make_rolling(pairs, step=5):
@@ -282,6 +288,63 @@ class TestStarsAndTable:
         lines = path.read_text().splitlines()
         assert lines[0].startswith("group,flow,alpha,")
         assert "0.046" in lines[1] and "***" in lines[1]
+
+
+class TestStudentTTail:
+    """The pure-Python t tail decides the stars; scipy only backs up the
+    p values within 1e-9 of a level and df above 10**5."""
+
+    @staticmethod
+    def scipy_stars(t_value, n):
+        from scipy.special import stdtr
+
+        p = 2.0 * float(stdtr(n - 2, -abs(t_value)))
+        return "***" if p < 0.01 else "**" if p < 0.05 else "*" if p < 0.1 else ""
+
+    def test_series_matches_stdtr(self):
+        from scipy.special import stdtr
+
+        rng = np.random.default_rng(91)
+        dfs = np.concatenate([rng.integers(1, 60, 300), rng.integers(60, 5_000, 300),
+                              [10**4, 5 * 10**4, 10**5 - 1, 10**5]])
+        for df in dfs.tolist():
+            for t_value in rng.normal(0.0, 3.0, 3).tolist() + [0.0, 1.96]:
+                expected = 2.0 * float(stdtr(df, -abs(t_value)))
+                assert abs(_t_two_sided_p(t_value, df) - expected) <= 1e-11, (t_value, df)
+
+    def test_stars_equal_the_scipy_decision(self):
+        from scipy.stats import t as student_t
+
+        rng = np.random.default_rng(92)
+        ns = np.exp(rng.uniform(math.log(3), math.log(3_000), 10_000)).astype(int).tolist()
+        for i, n in enumerate(ns):
+            critical = float(student_t.isf((0.1, 0.05, 0.01)[i % 3] / 2, n - 2))
+            t_value = (
+                float(rng.normal(0.0, 3.0)),
+                critical * (1.0 + float(rng.uniform(-5e-9, 5e-9))),  # inside the guard
+                critical,  # the series alone flips about half of these
+                math.nextafter(critical, math.inf),
+            )[i % 4]
+            assert significance_stars(t_value, n) == self.scipy_stars(t_value, n), (t_value, n)
+        for n in (2, 1, 0, 10**5 + 3, 10**7):  # no series here: df < 1 or df > 10**5
+            for t_value in (0.5, 1.7, 2.0, 3.0):
+                assert significance_stars(t_value, n) == self.scipy_stars(t_value, n)
+
+    def test_clear_cut_stars_leave_scipy_unloaded(self):
+        src = Path(flowmem.__file__).resolve().parents[1]
+        code = (
+            "import sys\n"
+            "from flowmem.stats import significance_stars as s\n"
+            "ts = (0.0, 1.0, 1.8, -2.5, 4.0, 40.0)\n"
+            "got = [s(t, n) for n in (3, 30, 2000, 10**5 + 2) for t in ts]\n"
+            "print(sorted(set(got)), any(m.split('.')[0] == 'scipy' for m in sys.modules))\n"
+            "s(1.959963984540054, 10**7)\n"
+            "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=120, check=True)
+        assert done.stdout.splitlines() == ["['', '*', '**', '***'] False", "True"]
 
 
 class TestPricesCsv:

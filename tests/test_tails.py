@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import erfc as scipy_erfc
 from scipy.stats import norm
 
 from flowmem.errors import TailError
@@ -10,6 +11,7 @@ from flowmem.synth import iid_gaussian, pareto
 from flowmem.tails import (
     CcdfPoints,
     empirical_ccdf,
+    erfc,
     fit_tail_exponent,
     gaussian_ccdf_reference,
 )
@@ -98,6 +100,34 @@ class TestGaussianReference:
     def test_bad_std(self):
         with pytest.raises(TailError):
             gaussian_ccdf_reference(0.0, 0.0, [1.0])
+
+
+class TestErfcPort:
+    """The Cephes port must give scipy.special.erfc's bits, so the
+    gaussian_p column of the fig2 CCDFs does not move."""
+
+    def test_equals_scipy_bit_for_bit_in_every_branch(self):
+        rng = np.random.default_rng(2026)
+        root_maxlog = np.sqrt(7.09782712893383996843e2)  # erfc underflows past it
+        exact = [0.0, -0.0, 1.0, -1.0, 8.0, -8.0, root_maxlog, -root_maxlog, 30.0, -30.0,
+                 np.inf, -np.inf, 5e-324, -5e-324, 1e300, -1e300]
+        near = [np.nextafter(v, toward) for v in (1.0, 8.0, root_maxlog) for toward in (0.0, 99.0)]
+        x = np.concatenate([
+            rng.uniform(-1.0, 1.0, 20_000),     # erf series
+            rng.uniform(1.0, 8.0, 20_000),      # P/Q
+            rng.uniform(8.0, 27.0, 20_000),     # R/S, up to and past the cut
+            -rng.uniform(1.0, 27.0, 20_000),    # 2 - erfc(|x|)
+            rng.normal(0.0, 4.0, 20_000),
+            exact, near, np.negative(near),
+        ])
+        ours, theirs = erfc(x), scipy_erfc(x)
+        assert ours.dtype == theirs.dtype == np.float64
+        assert ours.tobytes() == theirs.tobytes()
+
+    def test_nan_and_shape(self):
+        assert np.isnan(erfc([np.nan])[0])
+        assert erfc(np.zeros((2, 3))).shape == (2, 3)
+        assert erfc([]).shape == (0,)
 
 
 class TestFitTailExponent:
