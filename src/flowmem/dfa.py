@@ -130,7 +130,10 @@ def make_scale_grid(length: int, config: DfaConfig = DfaConfig()) -> np.ndarray:
     targets = np.exp(
         np.linspace(np.log(config.n_min), np.log(n_max), config.n_scales)
     )
-    scales = np.unique(np.rint(targets).astype(int))
+    rounded = np.rint(targets).astype(int)
+    # the targets increase, so np.unique's sorted dedup is a drop of repeats
+    # (np.unique itself imports numpy.ma on first use)
+    scales = rounded[np.append(True, rounded[1:] != rounded[:-1])]
     scales = scales[(scales >= config.n_min) & (length // scales >= config.min_blocks)]
     if scales.size == 0:
         raise DfaError("series too short for DFA: no admissible scales")
@@ -253,6 +256,35 @@ def _loglog_fit(log_scales: LineX, log_values: np.ndarray, scales: np.ndarray, o
     )
 
 
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot product of each row of `a` with `b` (one vector, or the same row
+    of a 2-d `b`), each as one item of a stacked matmul: the bits a lone
+    row's `a_i @ b_i` has, where a matrix-vector product may sum otherwise."""
+    return (a[:, np.newaxis, :] @ b[..., np.newaxis])[:, 0, 0]
+
+
+def _loglog_fits(
+    log_scales: LineX, log_values: np.ndarray, scales: np.ndarray, order: int
+) -> list[DfaFit]:
+    """`_loglog_fit` of every row of a (k, scales) array at once, bit for bit:
+    the same operations in the same order, with each row's dot products
+    taken alone by `_row_dots`."""
+    x, xm, dx, sxx = log_scales
+    ym = log_values.mean(axis=1)
+    dy = log_values - ym[:, np.newaxis]
+    slope = _row_dots(dy, dx) / sxx
+    intercept = ym - slope * xm
+    resid = log_values - intercept[:, np.newaxis] - slope[:, np.newaxis] * x
+    ssr = _row_dots(resid, resid)
+    sst = _row_dots(dy, dy)
+    stderr = np.sqrt(np.maximum(ssr, 0.0) / (scales.size - 2) / sxx)
+    with np.errstate(divide="ignore", invalid="ignore"):  # sst == 0 reads 1.0 below
+        r_squared = np.where(sst > 0.0, np.clip(1.0 - ssr / sst, 0.0, 1.0), 1.0)
+    scale_range = (int(scales[0]), int(scales[-1]))
+    rows = zip(slope.tolist(), intercept.tolist(), stderr.tolist(), r_squared.tolist())
+    return [DfaFit(h, b, se, r2, scale_range, int(scales.size), order) for h, b, se, r2 in rows]
+
+
 def fit_hurst(curve: FluctuationCurve, fit_range: tuple[int, int] | None = None) -> DfaFit:
     """OLS of log10 F(n) on log10 n over the admissible scales."""
     scales = curve.scales
@@ -282,8 +314,8 @@ def dfa_hurst_rows(rows, config: DfaConfig = DfaConfig()) -> list[DfaFit | DfaEr
     Entry i is row i's DfaFit, or the DfaError that `dfa_hurst` raises on
     row i alone. Errors that depend only on the length and the config (no
     admissible scale grid, a singular block basis) would fail every row
-    alike and are raised. Rows that keep every scale share the x side of
-    the log-log fit; a row that drops a scale goes through `fit_hurst`.
+    alike and are raised. Rows that keep every scale are fitted together by
+    `_loglog_fits`; a row that drops a scale goes through `fit_hurst`.
     """
     x = np.asarray(rows, dtype=float)
     if x.ndim != 2:
@@ -300,7 +332,7 @@ def dfa_hurst_rows(rows, config: DfaConfig = DfaConfig()) -> list[DfaFit | DfaEr
     values, keep = _fluctuation_rows(profiles if finite.all() else profiles[finite], scales, order)
     whole = keep.all(axis=1) & (scales.size >= 4)  # under 4 scales, fit_hurst names the error
     log_scales = line_x(np.log10(scales.astype(float)))
-    log_values = iter(np.log10(values[whole]))
+    whole_fits = iter(_loglog_fits(log_scales, np.log10(values[whole]), scales, order))
     curves = zip(values, keep, whole)
     fits = []
     for row, ok in zip(x, finite):
@@ -314,7 +346,7 @@ def dfa_hurst_rows(rows, config: DfaConfig = DfaConfig()) -> list[DfaFit | DfaEr
             continue
         row_values, row_keep, row_whole = next(curves)
         if row_whole:
-            fits.append(_loglog_fit(log_scales, next(log_values), scales, order))
+            fits.append(next(whole_fits))
             continue
         try:
             fits.append(

@@ -35,3 +35,4 @@ class PipelineError(FlowmemError):
     def __init__(self, stage: str, message: str):
         super().__init__(f"stage '{stage}': {message}")
         self.stage = stage
+        self.message = message

@@ -20,6 +20,7 @@ import functools
 import hashlib
 import json
 import os
+import pickle
 import shutil
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass, replace
 
@@ -292,7 +293,10 @@ class RunReport:
     artifacts: list[str]
 
     def to_json_dict(self) -> dict:
-        return dict(asdict(self), artifacts=sorted(self.artifacts))
+        # shallow: the fields hold plain JSON values, which asdict would deep-copy
+        return {f.name: getattr(self, f.name) for f in fields(self)} | {
+            "artifacts": sorted(self.artifacts)
+        }
 
     def canonical_json(self) -> str:
         return _json_text(self.to_json_dict())
@@ -483,10 +487,14 @@ def run_pipeline(config: RunConfig) -> RunReport:
 
     The stages write into `<out_dir>/.staging/`, cleared first of anything
     a killed run left, and the report is assembled from the staged files
-    as `assemble_report` rebuilds it later. `_publish` then moves them to
-    the top level or, on any exception in a stage, to `quarantine/`, and a
-    PipelineError naming the stage is raised; an error from outside the
-    toolkit keeps its type name in the message.
+    as `assemble_report` rebuilds it later. Right after ingest the
+    surrogate stage starts in a forked worker (`_Beside`), and the other
+    stages run here meanwhile; the report waits for both. `_publish` then
+    moves the staged files to the top level or, on any exception in a
+    stage, to `quarantine/`, and a PipelineError names the earliest failed
+    stage in `_STAGES` order, as a serial run would; an error from outside
+    the toolkit keeps its type name in the message. The worker is joined
+    before anything moves, also when this process is interrupted.
     """
     out_dir = config.out_dir
     if not out_dir:
@@ -495,17 +503,150 @@ def run_pipeline(config: RunConfig) -> RunReport:
     shutil.rmtree(staging, ignore_errors=True)
     os.makedirs(staging)
     run = _Run(config, staging)
-    for name, step in _STAGES:
-        try:
-            report = step(run)
-        except Exception as exc:
-            _publish(out_dir, os.listdir(staging), os.path.join(out_dir, QUARANTINE_DIR))
-            if isinstance(exc, PipelineError):
-                raise
-            known = isinstance(exc, (FlowmemError, OSError))
-            raise PipelineError(name, str(exc) if known else f"{type(exc).__name__}: {exc}") from exc
+    position = {name: i for i, (name, _) in enumerate(_STAGES)}
+    worker = None
+    try:
+        failed = {}  # position in _STAGES -> the PipelineError that stage failed with
+        for name, step in _STAGES:
+            if worker is not None and (failed or name == "report"):
+                if (error := worker.join()) is not None:
+                    failed[position[worker.name]] = error
+            if failed:
+                raise failed[min(failed)]
+            if name == "surrogates":  # the worker's, started after ingest
+                continue
+            try:
+                report = step(run)
+            except Exception as exc:
+                failed[position[name]] = _stage_error(name, exc)
+            if name == "ingest" and not failed:
+                worker = _Beside(run, "surrogates", _stage_surrogates)
+        if failed:
+            raise failed[min(failed)]
+    except BaseException:
+        if worker is not None:
+            worker.join(kill=True)
+        _publish(out_dir, os.listdir(staging), os.path.join(out_dir, QUARANTINE_DIR))
+        raise
     _publish(out_dir, report.artifacts, out_dir)
     return report
+
+
+def _stage_error(name: str, exc: BaseException) -> PipelineError:
+    """The error a run raises when stage `name` fails with `exc`: exc itself
+    if it is a PipelineError, else one naming the stage, caused by exc."""
+    if isinstance(exc, PipelineError):
+        return exc
+    known = isinstance(exc, (FlowmemError, OSError))
+    error = PipelineError(name, str(exc) if known else f"{type(exc).__name__}: {exc}")
+    error.__cause__ = exc
+    return error
+
+
+class _Beside:
+    """One stage run beside the caller's stages: in a forked worker process,
+    or inline where os.fork does not exist. `join` waits for it, merges the
+    stage seeds it derived into the run and returns the PipelineError it
+    failed with, or None.
+
+    The worker writes into a fresh directory of its own inside `.staging/`,
+    whose files `join` moves up; a worker orphaned by a killed run then
+    cannot write into the next run's `.staging/`, only into a directory
+    that run has cleared. It sends its seeds, or its error's (stage,
+    message) and pickled cause, back over a pipe and ends with os._exit
+    whatever happens, so it never returns into the caller's frames; an
+    interrupt or exit inside the stage is its failure. A worker that ends
+    without a result, killed or out of memory, fails the stage naming its
+    exit status or signal.
+    """
+
+    def __init__(self, run: _Run, name: str, step):
+        self.run, self.name, self.pid, self.error = run, name, None, None
+        if not hasattr(os, "fork"):
+            try:
+                step(run)
+            except Exception as exc:
+                self.error = _stage_error(name, exc)
+            return
+        self.own = os.path.join(run.staging, f".{name}-{os.urandom(8).hex()}")
+        read_end, write_end = os.pipe()
+        try:
+            os.mkdir(self.own)
+            self.pid = os.fork()
+        except OSError as exc:  # no directory or process to spare fails the stage
+            os.close(read_end)
+            os.close(write_end)
+            shutil.rmtree(self.own, ignore_errors=True)
+            self.error = _stage_error(name, exc)
+            return
+        if self.pid == 0:
+            status = 1
+            try:
+                os.close(read_end)
+                run.staging = self.own  # this process's copy of the run
+                with os.fdopen(write_end, "wb") as pipe:
+                    pipe.write(self._result(step))
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(write_end)
+        self.pipe = read_end
+
+    def _result(self, step) -> bytes:
+        try:
+            step(self.run)
+        except BaseException as exc:
+            error = _stage_error(self.name, exc)
+            try:
+                cause = pickle.dumps(error.__cause__)
+            except Exception:
+                cause = None
+            return pickle.dumps(({}, (error.stage, error.message, cause)))
+        return pickle.dumps((self.run.stage_seeds, None))
+
+    def join(self, kill: bool = False) -> PipelineError | None:
+        """Wait for the stage (ending the worker first if `kill`) and reap it."""
+        pid, self.pid = self.pid, None
+        if pid is None:
+            return self.error
+        try:
+            with os.fdopen(self.pipe, "rb") as pipe:
+                if kill:
+                    _kill(pid)
+                result = pipe.read()
+        except BaseException:
+            _kill(pid)
+            raise
+        finally:
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            for file in os.listdir(self.own):
+                os.replace(os.path.join(self.own, file), os.path.join(self.run.staging, file))
+            os.rmdir(self.own)
+        if code != 0 or not result:
+            ended = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+            self.error = PipelineError(self.name, f"worker process ended without a result ({ended})")
+            return self.error
+        seeds, failure = pickle.loads(result)
+        self.run.stage_seeds.update(seeds)
+        if failure is not None:
+            stage, message, cause = failure
+            self.error = PipelineError(stage, message)
+            self.error.__cause__ = _unpickled(cause)
+        return self.error
+
+
+def _kill(pid: int) -> None:
+    import signal  # loaded only when a worker is stopped
+
+    os.kill(pid, signal.SIGKILL)
+
+
+def _unpickled(data: bytes | None):
+    """The exception a worker pickled, or None if it does not load here."""
+    try:
+        return pickle.loads(data) if data is not None else None
+    except Exception:
+        return None
 
 
 def _publish(out_dir: str, staged, target: str) -> None:

@@ -12,10 +12,13 @@ from flowmem.dfa import (
     FluctuationCurve,
     _basis,
     _fluctuation_rows,
+    _loglog_fit,
+    _loglog_fits,
     dfa_hurst,
     dfa_hurst_rows,
     fit_hurst,
     fluctuation,
+    line_x,
     make_scale_grid,
     profile,
 )
@@ -436,3 +439,39 @@ class TestLineFitCore:
             assert res.r_squared == r_squared
         if stderr > 0.0:
             assert res.t_beta == slope / stderr
+
+
+@st.composite
+def fit_rows(draw):
+    """A scale grid and a (k, scales) array of F rows on it: free positive
+    values, exact power laws, or constant F."""
+    scales = np.asarray(
+        sorted(draw(st.lists(st.integers(2, 100_000), min_size=4, max_size=25, unique=True)))
+    )
+    rows = []
+    for _ in range(draw(st.integers(1, 8))):
+        shape = draw(st.sampled_from(["free", "power", "constant"]))
+        if shape == "free":
+            row = draw(st.lists(st.floats(1e-6, 1e6), min_size=scales.size, max_size=scales.size))
+        elif shape == "power":
+            h = draw(st.floats(0.05, 2.0))
+            row = [3.0 * n**h for n in scales]
+        else:
+            row = [draw(st.floats(1e-6, 1e6))] * scales.size
+        rows.append(row)
+    return scales, np.asarray(rows)
+
+
+class TestBatchedLogLogFit:
+    """The batched fit of whole rows gives each row the bits `_loglog_fit`
+    gives it alone (repr-equal, so a sign of zero or a numpy scalar counts)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(fit_rows(), st.integers(0, 3))
+    def test_rows_match_lone_fits(self, grid_and_rows, order):
+        scales, values = grid_and_rows
+        log_scales = line_x(np.log10(scales.astype(float)))
+        log_values = np.log10(values)
+        got = _loglog_fits(log_scales, log_values, scales, order)
+        want = [_loglog_fit(log_scales, row, scales, order) for row in log_values]
+        assert [repr(fit) for fit in got] == [repr(fit) for fit in want]

@@ -2,13 +2,18 @@ import hashlib
 import importlib.util
 import json
 import math
+import os
 import re
 import shutil
+import signal
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from flowmem import pipeline
 from flowmem.errors import PipelineError
 from flowmem.flows import FlowPanel, FlowType, Group, aggregate_daily, read_flows_csv
 from flowmem.pipeline import (
@@ -230,6 +235,153 @@ class TestStageErrors:
         config = RunConfig(flows_csv=str(tmp_path / "nope.csv"), out_dir=str(tmp_path / "o"))
         with pytest.raises((PipelineError, OSError)):
             run_pipeline(config)
+
+
+def no_children_left():
+    """True when the test process has no child, running or unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+def out_files(out):
+    files = sorted(p for p in out.rglob("*") if p.is_file())
+    return {p.relative_to(out).as_posix(): p.read_bytes() for p in files}
+
+
+class TestSurrogateWorker:
+    """The surrogate stage runs in a forked worker beside the other stages;
+    outputs and errors are those of a serial run, and no child outlives it."""
+
+    def test_run_leaves_no_child(self, bundled_run):
+        assert no_children_left()
+
+    def test_output_equals_the_inline_run(self, bundled_run, tmp_path, monkeypatch):
+        config, report, out = bundled_run
+        monkeypatch.delattr(os, "fork")
+        inline = run_pipeline(replace(config, out_dir=str(tmp_path / "inline")))
+        assert inline.canonical_json() == report.canonical_json()
+        assert out_files(tmp_path / "inline") == out_files(out)
+
+    def test_worker_writes_into_a_directory_of_its_own(self, bundled_run, tmp_path, monkeypatch):
+        # a worker that outlives a killed run can then write only into what
+        # the next run cleared, never into that run's .staging/
+        config, _, previous = bundled_run
+        stage = pipeline._stage_surrogates
+
+        def noted(run):
+            (tmp_path / "worker_staging").write_text(run.staging)
+            stage(run)
+
+        monkeypatch.setattr(pipeline, "_stage_surrogates", noted)
+        out = tmp_path / "out"
+        run_pipeline(replace(config, out_dir=str(out)))
+        own = Path((tmp_path / "worker_staging").read_text())
+        assert own.parent == out / ".staging" and own.name.startswith(".surrogates-")
+        assert not (out / ".staging").exists()
+        assert out_files(out) == out_files(previous)
+
+    def test_failed_fork_fails_the_stage(self, data_dir, tmp_path, monkeypatch):
+        def no_fork():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        out = tmp_path / "out"
+        with pytest.raises(PipelineError, match="Resource temporarily unavailable") as info:
+            run_pipeline(load_config(data_dir / "run_config.json", out_dir=str(out)))
+        assert info.value.stage == "surrogates"
+        assert [p.name for p in out.iterdir()] == ["quarantine"]
+        assert not [p for p in (out / "quarantine").iterdir() if p.is_dir()]
+
+    @pytest.mark.parametrize("fork", [True, False], ids=["forked", "inline"])
+    @pytest.mark.parametrize(
+        "failing, stage",
+        [({"rolling"}, "surrogates"), ({"tails"}, "tails"), ({"regression"}, "surrogates")],
+    )
+    def test_earliest_failed_stage_is_named(
+        self, data_dir, tmp_path, monkeypatch, failing, stage, fork
+    ):
+        def broken(*args, **kwargs):
+            raise ValueError("broken on purpose")
+
+        names = {"tails": "tail_report", "rolling": "rolling_hurst", "regression": "regression_table"}
+        for name in failing:
+            monkeypatch.setattr(pipeline, names[name], broken)
+        if not fork:
+            monkeypatch.delattr(os, "fork")
+        out = tmp_path / "out"
+        config = load_config(data_dir / "run_config.json", out_dir=str(out))
+        with pytest.raises(PipelineError) as info:
+            run_pipeline(replace(config, seed=-1))  # the surrogate stage fails too
+        assert info.value.stage == stage
+        assert [p.name for p in out.iterdir()] == ["quarantine"]
+        assert no_children_left()
+
+    def test_killed_worker_fails_the_stage(self, data_dir, tmp_path, monkeypatch):
+        def killed(run):
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        monkeypatch.setattr(pipeline, "_stage_surrogates", killed)
+        out = tmp_path / "out"
+        with pytest.raises(PipelineError, match=f"signal {int(signal.SIGKILL)}") as info:
+            run_pipeline(load_config(data_dir / "run_config.json", out_dir=str(out)))
+        assert info.value.stage == "surrogates"
+        assert [p.name for p in out.iterdir()] == ["quarantine"]
+        assert no_children_left()
+
+    @pytest.mark.parametrize("exc", [SystemExit(3), KeyboardInterrupt()], ids=["exit", "interrupt"])
+    def test_exit_or_interrupt_in_worker_fails_the_stage(self, data_dir, tmp_path, monkeypatch, exc):
+        def interrupted(run):
+            raise exc
+
+        monkeypatch.setattr(pipeline, "_stage_surrogates", interrupted)
+        out = tmp_path / "out"
+        test_process = os.getpid()
+        try:
+            with pytest.raises(PipelineError, match=f"{type(exc).__name__}: ") as info:
+                run_pipeline(load_config(data_dir / "run_config.json", out_dir=str(out)))
+        finally:
+            if os.getpid() != test_process:  # a worker that came back here: note it and end it
+                (tmp_path / "worker_escaped").touch()
+                os._exit(0)
+        assert not (tmp_path / "worker_escaped").exists()
+        assert info.value.stage == "surrogates"
+        assert type(info.value.__cause__) is type(exc)
+        assert [p.name for p in out.iterdir()] == ["quarantine"]
+        assert no_children_left()
+
+    def test_interrupt_in_a_parent_stage_stops_the_worker_and_quarantines(self, data_dir, tmp_path, monkeypatch):
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(pipeline, "tail_report", interrupted)
+        out = tmp_path / "out"
+        with pytest.raises(KeyboardInterrupt):
+            run_pipeline(load_config(data_dir / "run_config.json", out_dir=str(out)))
+        assert [p.name for p in out.iterdir()] == ["quarantine"]
+        assert no_children_left()
+
+
+def test_run_loads_no_numpy_ma(data_dir, tmp_path):
+    """np.unique imports numpy.ma on first use; the stages a run keeps in
+    its own process do without it (np.quantile in the forked surrogate
+    worker still calls np.unique)."""
+    src = Path(pipeline.__file__).resolve().parents[1]
+    code = (
+        "import sys\n"
+        "from flowmem.pipeline import load_config, run_pipeline\n"
+        "run_pipeline(load_config(sys.argv[1], out_dir=sys.argv[2]))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(data_dir / "run_config.json"), str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    assert done.stdout.strip() == "[]"
+    assert (tmp_path / "out" / "report.json").exists()
 
 
 class TestConfig:
