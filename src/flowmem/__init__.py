@@ -53,61 +53,3 @@ from .stats import (
 from .surrogate import SurrogateBand, SurrogateSpec, phase_randomize, shuffle, surrogate_band
 from .synth import GeneratorSpec, cumsum, fgn, fgn_autocovariance, generate, iid_gaussian, pareto
 from .tails import CcdfPoints, TailFit, empirical_ccdf, fit_tail_exponent, gaussian_ccdf_reference
-
-__all__ = [
-    "AlignedPairs",
-    "CcdfPoints",
-    "DfaConfig",
-    "DfaError",
-    "DfaFit",
-    "FlowError",
-    "FlowPanel",
-    "FlowType",
-    "FlowmemError",
-    "FluctuationCurve",
-    "GeneratorSpec",
-    "Group",
-    "LabeledSeries",
-    "OlsResult",
-    "PipelineError",
-    "RegimeSummary",
-    "RegimeWindow",
-    "ReturnSeries",
-    "RollingEntry",
-    "RollingHurst",
-    "Side",
-    "StatsError",
-    "SurrogateBand",
-    "SurrogateError",
-    "SurrogateSpec",
-    "SynthError",
-    "TailError",
-    "TailFit",
-    "VolatilitySeries",
-    "aggregate_daily",
-    "align_h_rv",
-    "cumsum",
-    "dfa_hurst",
-    "empirical_ccdf",
-    "extract_series",
-    "fgn",
-    "fgn_autocovariance",
-    "fit_hurst",
-    "fit_tail_exponent",
-    "fluctuation",
-    "gaussian_ccdf_reference",
-    "generate",
-    "iid_gaussian",
-    "make_scale_grid",
-    "ols",
-    "pareto",
-    "phase_randomize",
-    "profile",
-    "read_flows_csv",
-    "regime_summary",
-    "returns_from_prices",
-    "rolling_hurst",
-    "shuffle",
-    "squared_return_vol",
-    "surrogate_band",
-]

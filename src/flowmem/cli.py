@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import datetime
 import functools
-import itertools
 import os
 import re
 
@@ -15,7 +14,7 @@ import numpy.random  # noqa: F401  numpy loads it lazily; load it at import, not
 from . import __version__
 from .dfa import DfaConfig
 from .errors import FlowmemError
-from .flows import FlowType, Group, aggregate_daily, extract_series, read_flows_csv, write_flows_csv
+from .flows import FlowType, Group, extract_series, write_flows_csv
 from .pipeline import (
     REPORT_JSON,
     ROLLING_CSV,
@@ -26,6 +25,7 @@ from .pipeline import (
     assemble_report,
     fits_json_text,
     load_config,
+    read_panel,
     run_pipeline,
     series_key,
     stage_seed,
@@ -100,7 +100,7 @@ def _load_series(flows, series, group, flow):
     if flows is not None:
         if group is None or flow is None:
             raise click.UsageError("--flows requires --group and --flow")
-        panel = aggregate_daily(read_flows_csv(flows))
+        panel, _ = read_panel(flows)
         labeled = extract_series(panel, group, flow)
         return labeled.calendar, labeled.values, f"{group}_{flow}"
     calendar, values = read_prices_csv(series, column="value")
@@ -122,10 +122,8 @@ def main():
 @click.argument("flows_csv", type=click.Path(exists=True))
 def ingest_check(flows_csv):
     """Parse and aggregate a flows CSV, reporting what it contains."""
-    seen = itertools.count()
-    # zip stops on the exhausted reader before it draws from `seen`
-    panel = aggregate_daily(row for row, _ in zip(read_flows_csv(flows_csv), seen))
-    click.echo(f"records: {next(seen)}")
+    panel, records = read_panel(flows_csv)
+    click.echo(f"records: {records}")
     click.echo(f"trading days: {len(panel.calendar)} ({panel.calendar[0]} .. {panel.calendar[-1]})")
     for (group, flow_type), values in sorted(
         panel.series.items(), key=lambda kv: (kv[0][0].value, kv[0][1].value)

@@ -118,6 +118,12 @@ def aggregate_daily(records) -> FlowPanel:
     cells: defaultdict[tuple[str, Group, Side], list[float]] = defaultdict(list)
     for date, group, side, amount in records:
         cells[date, group, side].append(amount)
+    return _panel(cells)
+
+
+def _panel(cells) -> FlowPanel:
+    """The panel of {(date, group, side): amounts}, each cell summed with
+    math.fsum."""
     if not cells:
         raise FlowError("no records")
     calendar = tuple(sorted({date for date, _, _ in cells}))
@@ -192,9 +198,20 @@ def _parse_amount(token: str, line_num: int) -> float:
     return value
 
 
-def _first_sight(cache: dict, parse, token: str, reader):
+def _header(path, fields) -> tuple[str, ...]:
+    """LONG_HEADER or WIDE_HEADER, whichever the header row `fields` spells."""
+    header = tuple(h.strip().lower() for h in fields)
+    if header not in (LONG_HEADER, WIDE_HEADER):
+        raise FlowError(
+            f"{path}: unrecognized header {header!r}; expected "
+            f"{','.join(LONG_HEADER)} or {','.join(WIDE_HEADER)}"
+        )
+    return header
+
+
+def _first_sight(cache: dict, parse, token: str, line_num: int):
     """Check a token not seen before in this file and remember the result."""
-    value = cache[token] = parse(token, reader.line_num)
+    value = cache[token] = parse(token, line_num)
     return value
 
 
@@ -215,14 +232,9 @@ def read_flows_csv(path) -> Iterator[tuple[str, Group, Side, float]]:
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
-            header = tuple(h.strip().lower() for h in next(reader))
+            header = _header(path, next(reader))
         except StopIteration:
             raise FlowError(f"{path}: empty file") from None
-        if header not in (LONG_HEADER, WIDE_HEADER):
-            raise FlowError(
-                f"{path}: unrecognized header {header!r}; expected "
-                f"{','.join(LONG_HEADER)} or {','.join(WIDE_HEADER)}"
-            )
         wide = header == WIDE_HEADER
         # raw token -> checked value; no checked value is empty, so
         # `cache.get(token) or ...` checks a token only on first sight
@@ -242,8 +254,8 @@ def read_flows_csv(path) -> Iterator[tuple[str, Group, Side, float]]:
             if wide:
                 d, g, buy, sell = row
                 line = reader.line_num
-                date = dates.get(d) or _first_sight(dates, _parse_date, d, reader)
-                group = groups.get(g) or _first_sight(groups, _parse_group, g, reader)
+                date = dates.get(d) or _first_sight(dates, _parse_date, d, reader.line_num)
+                group = groups.get(g) or _first_sight(groups, _parse_group, g, reader.line_num)
                 first = first_lines.setdefault((date, group), line)
                 if first != line:
                     raise FlowError(
@@ -254,13 +266,129 @@ def read_flows_csv(path) -> Iterator[tuple[str, Group, Side, float]]:
             else:
                 d, _, g, s, amount = row
                 yield (
-                    dates.get(d) or _first_sight(dates, _parse_date, d, reader),
-                    groups.get(g) or _first_sight(groups, _parse_group, g, reader),
-                    sides.get(s) or _first_sight(sides, _parse_side, s, reader),
+                    dates.get(d) or _first_sight(dates, _parse_date, d, reader.line_num),
+                    groups.get(g) or _first_sight(groups, _parse_group, g, reader.line_num),
+                    sides.get(s) or _first_sight(sides, _parse_side, s, reader.line_num),
                     _parse_amount(amount, reader.line_num),
                 )
     if not rows:
         raise FlowError(f"{path}: no data rows")
+
+
+# The two-process read (`pipeline.read_panel`): each half of a file keys its
+# cells by the raw tokens and checks every amount as its row arrives; the
+# join checks each distinct token once. Where only the serial read can
+# judge the file (a quote, a lone CR, a bad row, amount or token, a
+# repeated wide row) these return None, and the serial read raises the
+# error naming the line.
+
+_BLOCK_BYTES = 1 << 20
+
+
+def _text(data: bytes) -> str | None:
+    """`data` decoded, CRLF line ends made LF; None where csv.reader might
+    split it otherwise than on commas and LFs, or it is not UTF-8."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+    return None if '"' in text or "\r" in text else text
+
+
+def _halves(path):
+    """(header, [first, second]): the byte ranges of a flows CSV's two
+    halves, split at the first line boundary after its midpoint; None if
+    the header is not one csv.reader would read as a flows header."""
+    with open(path, "rb") as fh:
+        first = fh.readline()
+        end = fh.seek(0, 2)
+        fh.seek(max(len(first), end // 2))
+        fh.readline()
+        middle = fh.tell()
+    text = _text(first)
+    if text is None:
+        return None
+    try:
+        header = _header(path, text.rstrip("\n").split(","))
+    except FlowError:
+        return None
+    return header, [(len(first), middle), (middle, end)]
+
+
+def _read_cells(path, header, start: int, stop: int):
+    """(cells, records) for bytes [start, stop) of a flows CSV, read in
+    blocks of whole lines: cells are {(date, group, side): amounts} in the
+    long schema and {(date, group): (buy, sell)} in the wide, keyed by raw
+    tokens, and a wide row counts as 2 records."""
+    wide = header == WIDE_HEADER
+    cells = {} if wide else defaultdict(list)
+    records = 0
+    inf = math.inf
+    with open(path, "rb") as fh:
+        fh.seek(start)
+        while start < stop:
+            data = fh.read(min(_BLOCK_BYTES, stop - start))
+            if not data:
+                break
+            if start + len(data) < stop:
+                data += fh.readline()
+            start += len(data)
+            text = _text(data)
+            if text is None:
+                return None
+            lines = text.split("\n")
+            try:
+                for line in lines:
+                    if not line:
+                        continue
+                    if wide:
+                        d, g, buy, sell = line.split(",")
+                        b, s = float(buy), float(sell)
+                        if not (0.0 <= b < inf and 0.0 <= s < inf) or (d, g) in cells:
+                            return None
+                        cells[d, g] = b, s
+                    else:
+                        d, _, g, s, amount = line.split(",")
+                        value = float(amount)
+                        if not 0.0 <= value < inf:
+                            return None
+                        cells[d, g, s].append(value)
+            except ValueError:  # a field count or an amount that does not parse
+                return None
+            records += len(lines) - lines.count("")
+    return cells, records * (2 if wide else 1)
+
+
+def _joined_panel(header, halves) -> tuple[FlowPanel, int] | None:
+    """The panel and record count of the `_read_cells` results of a file's
+    halves, each distinct raw token checked once."""
+    wide = header == WIDE_HEADER
+    dates: dict[str, str] = {}
+    groups: dict[str, Group] = {}
+    sides: dict[str, Side] = {}
+    cells: dict = {}
+    try:
+        for raw_cells, _ in halves:
+            for raw, amounts in raw_cells.items():
+                d, g = raw[0], raw[1]
+                date = dates.get(d) or _first_sight(dates, _parse_date, d, 0)
+                group = groups.get(g) or _first_sight(groups, _parse_group, g, 0)
+                if wide:
+                    if (date, group, Side.BUY) in cells:
+                        return None
+                    cells[date, group, Side.BUY] = [amounts[0]]
+                    cells[date, group, Side.SELL] = [amounts[1]]
+                    continue
+                s = raw[2]
+                side = sides.get(s) or _first_sight(sides, _parse_side, s, 0)
+                cell = cells.setdefault((date, group, side), amounts)
+                if cell is not amounts:
+                    cell.extend(amounts)
+        return _panel(cells), sum(records for _, records in halves)
+    except FlowError:
+        return None
 
 
 def write_flows_csv(path, rows) -> None:

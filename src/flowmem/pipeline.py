@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import json
 import os
 import pickle
@@ -35,6 +36,9 @@ from .flows import (
     GROUPS,
     FlowPanel,
     FlowType,
+    _halves,
+    _joined_panel,
+    _read_cells,
     _valid_date,
     aggregate_daily,
     read_flows_csv,
@@ -325,9 +329,61 @@ def _series_items(panel: FlowPanel):
     ]
 
 
+# a flows file this large is parsed in two processes (see `read_panel`)
+SPLIT_MIN_BYTES = 3_000_000
+
+
+def read_panel(path) -> tuple[FlowPanel, int]:
+    """The panel of a flows CSV and its record count (a wide row counts 2),
+    as `aggregate_daily(read_flows_csv(path))` reads them.
+
+    A file of SPLIT_MIN_BYTES or more, where os.fork exists and this
+    process may use two CPUs, is parsed in two halves, the second in a
+    forked worker (`_Beside`). Anything in it that the halves cannot judge
+    alone (a quote, a bad row, amount or token, a repeated wide row) sends
+    the file to the serial read, which raises the error naming its line.
+    Each cell is summed with math.fsum, so the panel does not depend on
+    the split.
+    """
+    if os.path.getsize(path) >= SPLIT_MIN_BYTES and hasattr(os, "fork") and _cpus() >= 2:
+        read = _read_split(path)
+        if read is not None:
+            return read
+    seen = itertools.count()
+    # zip stops on the exhausted reader before it draws from `seen`
+    panel = aggregate_daily(record for record, _ in zip(read_flows_csv(path), seen))
+    return panel, next(seen)
+
+
+def _cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _read_split(path) -> tuple[FlowPanel, int] | None:
+    layout = _halves(path)
+    if layout is None:
+        return None
+    header, (first, second) = layout
+    worker = _Beside(functools.partial(_read_cells, path, header, *second))
+    try:
+        mine = _read_cells(path, header, *first)
+    except BaseException:
+        worker.join(kill=True)
+        raise
+    theirs, error = worker.join(kill=mine is None)
+    if mine is None:
+        return None
+    if error is not None:
+        raise error
+    return None if theirs is None else _joined_panel(header, [mine, theirs])
+
+
 def _stage_ingest(run: _Run) -> None:
     path = run.config.resolve(run.config.flows_csv)
-    run.panel = aggregate_daily(read_flows_csv(path))
+    run.panel, _ = read_panel(path)
     for group in GROUPS:
         if not any(run.panel.series[(group, side)].any() for side in (FlowType.BUY, FlowType.SELL)):
             raise PipelineError("ingest", f"{path}: no flows for investor group {group.value!r}")
@@ -504,13 +560,14 @@ def run_pipeline(config: RunConfig) -> RunReport:
     os.makedirs(staging)
     run = _Run(config, staging)
     position = {name: i for i, (name, _) in enumerate(_STAGES)}
-    worker = None
+    surrogates = None
     try:
         failed = {}  # position in _STAGES -> the PipelineError that stage failed with
         for name, step in _STAGES:
-            if worker is not None and (failed or name == "report"):
-                if (error := worker.join()) is not None:
-                    failed[position[worker.name]] = error
+            if surrogates is not None and (failed or name == "report"):
+                joining, surrogates = surrogates, None
+                if (error := _join_surrogates(run, *joining)) is not None:
+                    failed[position["surrogates"]] = error
             if failed:
                 raise failed[min(failed)]
             if name == "surrogates":  # the worker's, started after ingest
@@ -520,12 +577,12 @@ def run_pipeline(config: RunConfig) -> RunReport:
             except Exception as exc:
                 failed[position[name]] = _stage_error(name, exc)
             if name == "ingest" and not failed:
-                worker = _Beside(run, "surrogates", _stage_surrogates)
+                surrogates = _start_surrogates(run)
         if failed:
             raise failed[min(failed)]
     except BaseException:
-        if worker is not None:
-            worker.join(kill=True)
+        if surrogates is not None:
+            _join_surrogates(run, *surrogates, kill=True)
         _publish(out_dir, os.listdir(staging), os.path.join(out_dir, QUARANTINE_DIR))
         raise
     _publish(out_dir, report.artifacts, out_dir)
@@ -543,110 +600,123 @@ def _stage_error(name: str, exc: BaseException) -> PipelineError:
     return error
 
 
-class _Beside:
-    """One stage run beside the caller's stages: in a forked worker process,
-    or inline where os.fork does not exist. `join` waits for it, merges the
-    stage seeds it derived into the run and returns the PipelineError it
-    failed with, or None.
+def _start_surrogates(run: _Run) -> tuple[_Beside, str]:
+    """The surrogate stage, started beside this process's stages.
 
-    The worker writes into a fresh directory of its own inside `.staging/`,
-    whose files `join` moves up; a worker orphaned by a killed run then
-    cannot write into the next run's `.staging/`, only into a directory
-    that run has cleared. It sends its seeds, or its error's (stage,
-    message) and pickled cause, back over a pipe and ends with os._exit
-    whatever happens, so it never returns into the caller's frames; an
-    interrupt or exit inside the stage is its failure. A worker that ends
-    without a result, killed or out of memory, fails the stage naming its
-    exit status or signal.
+    It writes into a fresh directory of its own inside `.staging/`, whose
+    files the join moves up; a worker orphaned by a killed run then cannot
+    write into the next run's `.staging/`, only into a directory that run
+    has cleared.
+    """
+    own = os.path.join(run.staging, f".surrogates-{os.urandom(8).hex()}")
+
+    def stage():
+        os.mkdir(own)
+        mine = _Run(run.config, own)
+        mine.panel = run.panel
+        _stage_surrogates(mine)
+        return mine.stage_seeds
+
+    return _Beside(stage), own
+
+
+def _join_surrogates(run: _Run, worker: _Beside, own: str, kill: bool = False):
+    """Wait for the surrogate stage, move its files into `.staging/`, merge
+    its stage seeds and return the PipelineError it failed with, or None."""
+    try:
+        seeds, error = worker.join(kill)
+    finally:
+        if os.path.isdir(own):
+            for file in os.listdir(own):
+                os.replace(os.path.join(own, file), os.path.join(run.staging, file))
+            os.rmdir(own)
+    if error is not None:
+        return _stage_error("surrogates", error)
+    run.stage_seeds.update(seeds)
+    return None
+
+
+class _Beside:
+    """`fn()` run beside the caller's own work: in a forked worker process,
+    or inline where os.fork does not exist. `join` waits for it and returns
+    (value, None), or (None, error) with the exception it raised.
+
+    The worker sends its value or exception back pickled over a pipe and
+    ends with os._exit whatever happens, so it never returns into the
+    caller's frames; an interrupt or exit inside fn is its error. An
+    exception that does not come back whole from pickle comes back as a
+    FlowmemError naming its type and message. A worker that ends without
+    a result, killed or out of memory, is a ChildProcessError naming its
+    exit status or signal, and a failed fork is the OSError it raised.
     """
 
-    def __init__(self, run: _Run, name: str, step):
-        self.run, self.name, self.pid, self.error = run, name, None, None
+    def __init__(self, fn):
+        self.pid, self.result = None, (None, None)
         if not hasattr(os, "fork"):
             try:
-                step(run)
+                self.result = (fn(), None)
             except Exception as exc:
-                self.error = _stage_error(name, exc)
+                self.result = (None, exc)
             return
-        self.own = os.path.join(run.staging, f".{name}-{os.urandom(8).hex()}")
         read_end, write_end = os.pipe()
         try:
-            os.mkdir(self.own)
             self.pid = os.fork()
-        except OSError as exc:  # no directory or process to spare fails the stage
+        except OSError as exc:  # no process to spare
             os.close(read_end)
             os.close(write_end)
-            shutil.rmtree(self.own, ignore_errors=True)
-            self.error = _stage_error(name, exc)
+            self.result = (None, exc)
             return
         if self.pid == 0:
             status = 1
             try:
                 os.close(read_end)
-                run.staging = self.own  # this process's copy of the run
                 with os.fdopen(write_end, "wb") as pipe:
-                    pipe.write(self._result(step))
+                    pipe.write(_outcome(fn))
                 status = 0
             finally:
                 os._exit(status)
         os.close(write_end)
         self.pipe = read_end
 
-    def _result(self, step) -> bytes:
-        try:
-            step(self.run)
-        except BaseException as exc:
-            error = _stage_error(self.name, exc)
-            try:
-                cause = pickle.dumps(error.__cause__)
-            except Exception:
-                cause = None
-            return pickle.dumps(({}, (error.stage, error.message, cause)))
-        return pickle.dumps((self.run.stage_seeds, None))
-
-    def join(self, kill: bool = False) -> PipelineError | None:
-        """Wait for the stage (ending the worker first if `kill`) and reap it."""
+    def join(self, kill: bool = False) -> tuple:
+        """Wait for fn (ending the worker first if `kill`) and reap the worker."""
         pid, self.pid = self.pid, None
         if pid is None:
-            return self.error
+            return self.result
         try:
             with os.fdopen(self.pipe, "rb") as pipe:
                 if kill:
                     _kill(pid)
-                result = pipe.read()
+                data = pipe.read()
         except BaseException:
             _kill(pid)
             raise
         finally:
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            for file in os.listdir(self.own):
-                os.replace(os.path.join(self.own, file), os.path.join(self.run.staging, file))
-            os.rmdir(self.own)
-        if code != 0 or not result:
+        if code != 0 or not data:
             ended = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
-            self.error = PipelineError(self.name, f"worker process ended without a result ({ended})")
-            return self.error
-        seeds, failure = pickle.loads(result)
-        self.run.stage_seeds.update(seeds)
-        if failure is not None:
-            stage, message, cause = failure
-            self.error = PipelineError(stage, message)
-            self.error.__cause__ = _unpickled(cause)
-        return self.error
+            self.result = (None, ChildProcessError(f"worker process ended without a result ({ended})"))
+        else:
+            self.result = pickle.loads(data)
+        return self.result
+
+
+def _outcome(fn) -> bytes:
+    try:
+        return pickle.dumps((fn(), None))
+    except BaseException as exc:
+        try:
+            data = pickle.dumps((None, exc))
+            pickle.loads(data)
+        except Exception:
+            data = pickle.dumps((None, FlowmemError(f"{type(exc).__name__}: {exc}")))
+        return data
 
 
 def _kill(pid: int) -> None:
     import signal  # loaded only when a worker is stopped
 
     os.kill(pid, signal.SIGKILL)
-
-
-def _unpickled(data: bytes | None):
-    """The exception a worker pickled, or None if it does not load here."""
-    try:
-        return pickle.loads(data) if data is not None else None
-    except Exception:
-        return None
 
 
 def _publish(out_dir: str, staged, target: str) -> None:

@@ -9,6 +9,7 @@ by side they separate distribution-driven from correlation-driven effects.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -105,6 +106,22 @@ class SurrogateBand:
                 writer.writerow([i, repr(float(h))])
 
 
+def _linear_quantile(ordered: list, q: float) -> float:
+    """`np.quantile(values, q)` (method "linear") from the values sorted as
+    np.sort sorts them, by numpy's own interpolation formula (`_lerp`, with
+    its t >= 0.5 branch), without the np.unique call through which
+    np.quantile imports numpy.ma."""
+    last = len(ordered) - 1
+    virtual = last * q
+    if virtual >= last or ordered[-1] != ordered[-1]:  # NaN sorts last and makes every quantile NaN
+        return ordered[-1]
+    below = math.floor(virtual)
+    a, b = ordered[below], ordered[below + 1]
+    t = virtual - below
+    diff = b - a
+    return b - diff * (1 - t) if t >= 0.5 else a + diff * t
+
+
 def surrogate_band(series, spec: SurrogateSpec, config: DfaConfig = DfaConfig()) -> SurrogateBand:
     """DFA exponent distribution over `spec.count` independent surrogates.
 
@@ -122,9 +139,8 @@ def surrogate_band(series, spec: SurrogateSpec, config: DfaConfig = DfaConfig())
             raise fit
         hurst_values.append(fit.hurst)
     hs = np.asarray(hurst_values)
-    quantiles = {
-        f"q{int(q * 100):02d}": float(np.quantile(hs, q)) for q in _QUANTILES
-    }
+    ordered = np.sort(hs).tolist()
+    quantiles = {f"q{int(q * 100):02d}": _linear_quantile(ordered, q) for q in _QUANTILES}
     return SurrogateBand(
         kind=spec.kind,
         count=spec.count,

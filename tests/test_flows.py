@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import os
 import re
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flowmem import pipeline
 from flowmem.errors import FlowError
 from flowmem.flows import (
     FlowPanel,
@@ -415,3 +417,172 @@ class TestStreamingMatchesRecordPath:
         expected = reference_panel(directory / "given.csv")
         assert panels[0] == expected
         assert panels[1] == expected
+
+
+def long_file(path, days=60, firms=4, newline="\n"):
+    """A long-schema flows file with days x 3 groups x 2 sides x firms rows."""
+    rng = np.random.default_rng(days * firms)
+    lines = [LONG]
+    for day in range(days):
+        date = f"2020-{1 + day // 28:02d}-{1 + day % 28:02d}"
+        for group in ("retail", "institutional", "foreign"):
+            for side in ("BUY", "SELL"):
+                lines += [f"{date},F{k},{group},{side},{rng.random()!r}" for k in range(firms)]
+    path.write_text(newline.join(lines) + newline, encoding="utf-8", newline="")
+    return path
+
+
+def wide_file(path, days=200):
+    rng = np.random.default_rng(days)
+    lines = [WIDE] + [
+        f"2020-{1 + day // 28:02d}-{1 + day % 28:02d},{group},{rng.random()!r},{rng.random()!r}"
+        for day in range(days)
+        for group in ("retail", "institutional", "foreign")
+    ]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+def serial_read(path):
+    records = list(read_flows_csv(path))
+    return aggregate_daily(records), len(records)
+
+
+def line_of(path, text):
+    """The 1-based line number of the line that starts with `text`."""
+    lines = path.read_text(encoding="utf-8").split("\n")
+    return next(i for i, line in enumerate(lines, 1) if line.startswith(text))
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Every file is split, and each os.fork call is counted."""
+    monkeypatch.setattr(pipeline, "SPLIT_MIN_BYTES", 1)
+    monkeypatch.setattr(pipeline, "_cpus", lambda: 2)
+    calls = []
+    fork = os.fork
+
+    def counted():
+        calls.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return calls
+
+
+class TestTwoProcessRead:
+    """`pipeline.read_panel` parses a large file in two processes; its panel,
+    record count and errors are those of the serial read."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            long_file,
+            lambda path: long_file(path, newline="\r\n"),
+            lambda path: long_file(path, days=3, firms=1),
+            wide_file,
+        ],
+        ids=["long", "long-crlf", "long-tiny", "wide"],
+    )
+    def test_split_equals_serial(self, tmp_path, forks, make):
+        path = make(tmp_path / "flows.csv")
+        assert pipeline._read_split(path) is not None  # the split path itself, no fallback
+        panel, records = pipeline.read_panel(path)
+        assert (panel, records) == serial_read(path)
+        assert len(forks) == 2
+
+    def test_bundled_wide_file(self, data_dir, forks):
+        path = data_dir / "flows_synth.csv"
+        assert pipeline._read_split(path) == serial_read(path)
+
+    @pytest.mark.parametrize(
+        "amount, message",
+        [("abc", "bad amount"), ("-1", "negative amount"), ("inf", "non-finite amount")],
+    )
+    def test_bad_amount_in_second_half_raises_the_serial_error(self, tmp_path, forks, amount, message):
+        path = long_file(tmp_path / "flows.csv")
+        text = path.read_text()
+        row = "2020-03-01,F1,foreign,SELL,"
+        at = text.index(row) + len(row)
+        assert at > len(text) // 2
+        path.write_text(text[:at] + amount + text[text.index("\n", at):])
+        with pytest.raises(FlowError, match=f"^line {line_of(path, row)}: {message} '{amount}'$"):
+            pipeline.read_panel(path)
+        assert forks
+
+    def test_wide_row_repeated_across_halves_names_both_lines(self, tmp_path, forks):
+        path = wide_file(tmp_path / "flows.csv")
+        text = path.read_text()
+        row = "2020-01-05,institutional,"
+        repeat = text[text.index(row):text.index("\n", text.index(row)) + 1]
+        path.write_text(text + repeat)
+        last = len(path.read_text().split("\n")) - 1
+        first = line_of(path, row)
+        with pytest.raises(
+            FlowError, match=f"^line {last}: repeats the 2020-01-05 institutional row of line {first}$"
+        ):
+            pipeline.read_panel(path)
+        assert forks
+
+    def test_quoted_newline_at_the_split_point_reads_serially(self, tmp_path, forks):
+        rows = [f"2020-01-{day:02d},F1,retail,BUY,1.5" for day in range(1, 21)]
+        quoted = '2020-01-21,"' + "x" * 200 + '\ny",retail,SELL,2.5'
+        text = "\n".join([LONG, *rows, quoted, *rows]) + "\n"
+        path = tmp_path / "flows.csv"
+        path.write_text(text)
+        middle = text.index("\n", len(text) // 2)
+        assert text.index('"') < middle < text.rindex('"')  # the halves would meet inside the quotes
+        assert pipeline._read_split(path) is None
+        assert pipeline.read_panel(path) == serial_read(path)
+
+    def test_quoted_field_spanning_rows_reads_serially(self, tmp_path, forks):
+        # split on newlines, each line would be a valid row; csv.reader reads one row
+        path = tmp_path / "flows.csv"
+        path.write_text(
+            f"{LONG}\n"
+            '2020-01-04,"x,retail,BUY,1.0\n'
+            "2020-01-05,F,retail,SELL,2.0\n"
+            '2020-01-06,q",retail,BUY,3.0\n'
+        )
+        assert pipeline._read_split(path) is None
+        assert pipeline.read_panel(path) == serial_read(path)
+        assert serial_read(path)[1] == 1
+
+    def test_without_fork_the_read_is_serial(self, tmp_path, forks, monkeypatch):
+        path = long_file(tmp_path / "flows.csv")
+        monkeypatch.delattr(os, "fork")
+        monkeypatch.setattr(pipeline, "_read_split", None)  # a call would raise TypeError
+        assert pipeline.read_panel(path) == serial_read(path)
+
+    def test_one_cpu_reads_serially(self, tmp_path, forks, monkeypatch):
+        path = long_file(tmp_path / "flows.csv")
+        monkeypatch.setattr(pipeline, "_cpus", lambda: 1)
+        assert pipeline.read_panel(path) == serial_read(path)
+        assert not forks
+
+    def test_file_below_the_size_rule_never_forks(self, tmp_path, monkeypatch):
+        path = long_file(tmp_path / "flows.csv")
+        monkeypatch.setattr(pipeline, "SPLIT_MIN_BYTES", path.stat().st_size + 1)
+
+        def no_fork():
+            raise AssertionError("os.fork called for a file below the size rule")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert pipeline.read_panel(path) == serial_read(path)
+
+    @given(st.one_of(long_rows(), wide_rows()))
+    @settings(max_examples=40, deadline=None)
+    def test_any_file_reads_as_serially(self, tmp_path_factory, drawn):
+        header, rows = drawn
+        text = io.StringIO()
+        text.write(header + "\n")
+        csv.writer(text, lineterminator="\n").writerows(rows)
+        path = tmp_path_factory.mktemp("split") / "flows.csv"
+        path.write_text(text.getvalue(), encoding="utf-8")
+        try:
+            expected = serial_read(path)
+        except FlowError as exc:
+            with pytest.raises(FlowError, match=f"^{re.escape(str(exc))}$"):
+                pipeline._read_split(path) or serial_read(path)
+            return
+        assert pipeline._read_split(path) == expected

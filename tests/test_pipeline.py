@@ -8,6 +8,7 @@ import shutil
 import signal
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -364,24 +365,87 @@ class TestSurrogateWorker:
         assert no_children_left()
 
 
-def test_run_loads_no_numpy_ma(data_dir, tmp_path):
-    """np.unique imports numpy.ma on first use; the stages a run keeps in
-    its own process do without it (np.quantile in the forked surrogate
-    worker still calls np.unique)."""
+class TestIngestWorker:
+    """A large flows file is parsed in two processes; a failure of the
+    ingest worker fails the ingest stage, and no child outlives the run."""
+
+    @pytest.fixture
+    def config(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(pipeline, "SPLIT_MIN_BYTES", 1)
+        monkeypatch.setattr(pipeline, "_cpus", lambda: 2)
+        flows = tmp_path / "flows.csv"
+        lines = ["date,firm_id,group,side,amount"] + [
+            f"2020-01-{day:02d},F{k},{group},{side},{day + k}.5"
+            for day in range(1, 29)
+            for group in ("retail", "institutional", "foreign")
+            for side in ("BUY", "SELL")
+            for k in range(5)
+        ]
+        flows.write_text("\n".join(lines) + "\n")
+        return RunConfig(flows_csv=str(flows), out_dir=str(tmp_path / "out"))
+
+    def patch_halves(self, monkeypatch, in_parent, in_worker):
+        """Run `in_parent` or `in_worker` before each process reads its half."""
+        read_cells, parent = pipeline._read_cells, os.getpid()
+
+        def half(*args):
+            (in_parent if os.getpid() == parent else in_worker)()
+            return read_cells(*args)
+
+        monkeypatch.setattr(pipeline, "_read_cells", half)
+
+    def test_killed_ingest_worker_fails_the_stage(self, config, monkeypatch):
+        self.patch_halves(monkeypatch, lambda: None, lambda: os.kill(os.getpid(), signal.SIGKILL))
+        with pytest.raises(PipelineError, match=f"signal {int(signal.SIGKILL)}") as info:
+            run_pipeline(config)
+        assert info.value.stage == "ingest"
+        out = Path(config.out_dir)
+        assert [p.name for p in out.iterdir()] == ["quarantine"]
+        assert not list((out / "quarantine").iterdir())
+        assert no_children_left()
+
+    def test_interrupt_in_the_parent_stops_the_ingest_worker(self, config, monkeypatch):
+        def interrupt():
+            raise KeyboardInterrupt
+
+        self.patch_halves(monkeypatch, interrupt, lambda: time.sleep(60))
+        t0 = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            run_pipeline(config)
+        assert time.monotonic() - t0 < 30  # the sleeping worker was killed, not waited for
+        assert [p.name for p in Path(config.out_dir).iterdir()] == ["quarantine"]
+        assert no_children_left()
+
+
+def numpy_ma_after_run(data_dir, out, fork=True):
+    """The numpy.ma modules loaded by a fresh process after one bundled run."""
     src = Path(pipeline.__file__).resolve().parents[1]
     code = (
         "import sys\n"
-        "from flowmem.pipeline import load_config, run_pipeline\n"
+        + ("" if fork else "import os\ndel os.fork\n")
+        + "from flowmem.pipeline import load_config, run_pipeline\n"
         "run_pipeline(load_config(sys.argv[1], out_dir=sys.argv[2]))\n"
         "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(src)}
     done = subprocess.run(
-        [sys.executable, "-c", code, str(data_dir / "run_config.json"), str(tmp_path / "out")],
+        [sys.executable, "-c", code, str(data_dir / "run_config.json"), str(out)],
         capture_output=True, text=True, env=env, timeout=120, check=True,
     )
-    assert done.stdout.strip() == "[]"
-    assert (tmp_path / "out" / "report.json").exists()
+    assert (out / "report.json").exists()
+    return done.stdout.strip()
+
+
+def test_run_loads_no_numpy_ma(data_dir, tmp_path):
+    """np.unique and np.quantile import numpy.ma on first use; a run does
+    without both."""
+    assert numpy_ma_after_run(data_dir, tmp_path / "out") == "[]"
+
+
+def test_inline_run_loads_no_numpy_ma(data_dir, tmp_path):
+    """Without os.fork the surrogate stage runs in the same process, so its
+    code is checked here too."""
+    assert numpy_ma_after_run(data_dir, tmp_path / "out", fork=False) == "[]"
 
 
 class TestConfig:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,9 @@ from hypothesis import strategies as st
 from flowmem.dfa import dfa_hurst
 from flowmem.errors import SurrogateError
 from flowmem.surrogate import (
+    _QUANTILES,
     SurrogateSpec,
+    _linear_quantile,
     phase_randomize,
     shuffle,
     surrogate_band,
@@ -127,3 +131,29 @@ class TestSurrogateBand:
         lines = cpath.read_text().splitlines()
         assert lines[0] == "surrogate_index,hurst"
         assert len(lines) == 4
+
+
+class TestLinearQuantile:
+    """The band's quantiles are np.quantile's "linear" ones, bit for bit."""
+
+    @given(
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=60),
+        st.one_of(st.sampled_from(_QUANTILES), st.floats(0.0, 1.0)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_equals_np_quantile(self, values, q):
+        ordered = np.sort(np.asarray(values)).tolist()
+        assert _linear_quantile(ordered, q) == float(np.quantile(np.asarray(values), q))
+
+    @given(st.lists(st.floats(0.0, 1.5), min_size=1, max_size=200))
+    @settings(max_examples=200, deadline=None)
+    def test_band_quantiles_on_hurst_like_values(self, values):
+        ordered = np.sort(np.asarray(values)).tolist()
+        for q in _QUANTILES:
+            assert _linear_quantile(ordered, q) == float(np.quantile(np.asarray(values), q))
+
+    def test_nan_makes_every_quantile_nan(self):
+        values = np.array([0.4, float("nan"), 0.6])
+        for q in _QUANTILES:
+            assert math.isnan(np.quantile(values, q))
+            assert math.isnan(_linear_quantile(np.sort(values).tolist(), q))
