@@ -1,5 +1,7 @@
+import csv
 import hashlib
 import importlib.util
+import io
 import json
 import math
 import os
@@ -67,6 +69,35 @@ def json_mismatches(got, want, path="$"):
     return [] if same else [f"{path}: {got!r} != {want!r}"]
 
 
+def csv_mismatches(name, got, want):
+    """Every cell where two CSV texts differ, as 'name line N column: got != want'.
+
+    Numbers agree within 1e-12 relative. fig2's `gaussian_p` column also
+    agrees within 1e-300 absolute: far in the tail one erfc underflows to 0
+    where another returns a subnormal. Headers, row counts and every other
+    cell must be equal.
+    """
+    got_rows = list(csv.reader(io.StringIO(got)))
+    want_rows = list(csv.reader(io.StringIO(want)))
+    if got_rows[:1] != want_rows[:1] or len(got_rows) != len(want_rows):
+        return [f"{name}: header or row count differs"]
+    header = want_rows[0]
+    out = []
+    for line, (g_row, w_row) in enumerate(zip(got_rows[1:], want_rows[1:]), start=2):
+        if len(g_row) != len(w_row):
+            out.append(f"{name} line {line}: {g_row} != {w_row}")
+            continue
+        for column, g, w in zip(header, g_row, w_row):
+            try:
+                floor = 1e-300 if column == "gaussian_p" else 0.0
+                same = g == w or math.isclose(float(g), float(w), rel_tol=1e-12, abs_tol=floor)
+            except ValueError:
+                same = False
+            if not same:
+                out.append(f"{name} line {line} {column}: {g} != {w}")
+    return out
+
+
 class TestGolden:
     """The byte golden pins output in the environment recorded in
     golden/environment.json; the numeric check holds in any environment."""
@@ -103,6 +134,33 @@ class TestGolden:
         want = json.loads((data_dir / "golden" / "report.json").read_text())
         mismatches = json_mismatches(got, want)
         assert not mismatches, "\n".join(mismatches)
+
+    def test_figure_numbers_match_golden(self, bundled_run, data_dir):
+        _, _, out = bundled_run
+        golden = data_dir / "golden"
+        names = sorted(p.name for p in golden.glob("fig*.csv"))
+        manifest = json.loads((golden / "manifest.json").read_text())
+        assert names == sorted(n for n in manifest if n.startswith(("fig2_", "fig3_", "fig4_")))
+        mismatches = [
+            m
+            for name in names
+            for m in csv_mismatches(name, (out / name).read_text(), (golden / name).read_text())
+        ]
+        assert not mismatches, "\n".join(mismatches)
+
+    def test_figure_check_names_perturbed_cell(self, data_dir):
+        name = "fig4_rolling_retail_NET.csv"
+        want = (data_dir / "golden" / name).read_text()
+        lines = want.splitlines(keepends=True)
+        end_date, h, rest = lines[7].split(",", 2)
+
+        def perturbed(rel):
+            value = repr(float(h) * (1 + rel))
+            return value, "".join(lines[:7] + [f"{end_date},{value},{rest}"] + lines[8:])
+
+        assert csv_mismatches(name, perturbed(1e-15)[1], want) == []
+        value, got = perturbed(1e-10)
+        assert csv_mismatches(name, got, want) == [f"{name} line 8 H: {value} != {h}"]
 
     def test_numeric_check_names_perturbed_path(self, data_dir):
         want = json.loads((data_dir / "golden" / "report.json").read_text())

@@ -6,12 +6,13 @@ numerics or artifact formats:
 
     python tools/make_golden.py      # PYTHONPATH=src if flowmem is not installed
 
-The golden report and artifact manifest pin byte-level output in the numeric
-environment recorded next to them, `golden/environment.json` (Python, numpy,
-scipy, BLAS, platform); the test suite fails if a run there stops reproducing
-them. Another environment may differ in the last ulp (numpy's FFT, for one),
-so the suite also compares the report's numbers at 1e-12 relative, a check
-that holds across environments. The script prints which manifest entries
+The artifact manifest pins byte-level output in the numeric environment
+recorded next to it, `golden/environment.json` (Python, numpy, scipy, BLAS,
+platform); the test suite fails if a run there stops reproducing it. Another
+environment may differ in the last ulp (numpy's FFT, libm's erfc), so
+`golden/` also holds copies of the report and of the fig2, fig3 and fig4
+CSVs, whose numbers the suite compares at 1e-12 relative, a check that holds
+across environments. The script prints which manifest entries
 changed and whether any input under `tests/data/` changed: every
 regeneration is a CHANGES.md entry with that diff as evidence.
 """
@@ -26,6 +27,8 @@ import sys
 import tempfile
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "..", "tests", "data")
+# the figure CSVs whose numbers the suite compares across environments
+FIGURE_CSVS = ("fig2_", "fig3_", "fig4_")
 
 CONFIG = {
     "flows_csv": "flows_synth.csv",
@@ -154,7 +157,8 @@ def main():
         manifest = run_manifest(tmp)
         shutil.rmtree(golden_dir, ignore_errors=True)
         os.makedirs(golden_dir)
-        shutil.copy(os.path.join(tmp, "report.json"), os.path.join(golden_dir, "report.json"))
+        for name in ["report.json", *(n for n in manifest if n.startswith(FIGURE_CSVS))]:
+            shutil.copy(os.path.join(tmp, name), os.path.join(golden_dir, name))
     write_json(os.path.join(golden_dir, "manifest.json"), manifest)
     write_json(os.path.join(golden_dir, "environment.json"), numeric_environment())
     print(f"golden artifacts pinned: {len(manifest)} files")
