@@ -214,7 +214,7 @@ def fluctuation(profile_values, scales, detrend_order: int = 2) -> FluctuationCu
 
 
 class LineX(NamedTuple):
-    """The x side of `line_fit`: x, its mean, its deviations and their sum of squares."""
+    """The x side of a line fit: x, its mean, its deviations and their sum of squares."""
 
     x: np.ndarray
     mean: float
@@ -228,32 +228,19 @@ def line_x(x: np.ndarray) -> LineX:
     return LineX(x, xm, dx, float(dx @ dx))
 
 
-def line_fit(x, y: np.ndarray):
-    """Closed-form simple OLS of y on x, the one core of `fit_hurst` and
-    `stats.ols`: (slope, intercept, ssr, sst, sxx, dx, resid), with dx the
-    deviations of x from its mean. `x` is an array, or its `line_x` when
-    many y are fitted on one x. A constant x raises ZeroDivisionError.
+def line_fit(x: np.ndarray, y: np.ndarray):
+    """Closed-form simple OLS of y on x, the one core of `stats.ols` and the
+    `ccdf_ols` tail fit: (slope, intercept, ssr, sst, sxx, dx, resid), with
+    dx the deviations of x from its mean. A constant x raises
+    ZeroDivisionError.
     """
-    x, xm, dx, sxx = x if isinstance(x, LineX) else line_x(x)
+    x, xm, dx, sxx = line_x(x)
     ym = y.mean()
     dy = y - ym
     slope = float(dx @ dy) / sxx
     intercept = ym - slope * xm
     resid = y - intercept - slope * x
     return slope, intercept, float(resid @ resid), float(dy @ dy), sxx, dx, resid
-
-
-def _loglog_fit(log_scales: LineX, log_values: np.ndarray, scales: np.ndarray, order: int) -> DfaFit:
-    slope, intercept, ssr, sst, sxx, _, _ = line_fit(log_scales, log_values)
-    return DfaFit(
-        hurst=slope,
-        intercept=float(intercept),
-        slope_stderr=float(np.sqrt(max(ssr, 0.0) / (scales.size - 2) / sxx)),
-        r_squared=max(0.0, min(1.0, 1.0 - ssr / sst)) if sst > 0.0 else 1.0,
-        scale_range=(int(scales[0]), int(scales[-1])),
-        n_points_used=int(scales.size),
-        detrend_order=order,
-    )
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -266,9 +253,10 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _loglog_fits(
     log_scales: LineX, log_values: np.ndarray, scales: np.ndarray, order: int
 ) -> list[DfaFit]:
-    """`_loglog_fit` of every row of a (k, scales) array at once, bit for bit:
-    the same operations in the same order, with each row's dot products
-    taken alone by `_row_dots`."""
+    """The OLS fit of log F on log n of every row of a (k, scales) array, the
+    one log-log fit of the static, rolling and surrogate stages. Each row's
+    dot products are taken alone by `_row_dots`, so a row's fit has the bits
+    it has in a batch of one."""
     x, xm, dx, sxx = log_scales
     ym = log_values.mean(axis=1)
     dy = log_values - ym[:, np.newaxis]
@@ -297,7 +285,7 @@ def fit_hurst(curve: FluctuationCurve, fit_range: tuple[int, int] | None = None)
     if scales.size < 4:
         raise DfaError(f"insufficient scales for fit: {scales.size} < 4")
     log_scales = line_x(np.log10(scales.astype(float)))
-    return _loglog_fit(log_scales, np.log10(values), scales, curve.detrend_order)
+    return _loglog_fits(log_scales, np.log10(values)[np.newaxis], scales, curve.detrend_order)[0]
 
 
 def dfa_hurst(series, config: DfaConfig = DfaConfig()) -> DfaFit:

@@ -468,17 +468,20 @@ def _stage_static_dfa(run: _Run) -> None:
         _write_text(run.path(DFA_FIT_JSON, key=key), fits_json_text(entry))
 
 
-def _stage_surrogates(run: _Run) -> None:
+def _stage_surrogates(run: _Run) -> tuple[dict, dict]:
+    """The surrogate bands as ({file name: JSON text}, {seed label: seed});
+    the stage writes no file, `_join_surrogates` does."""
     config = run.config
+    files, seeds = {}, {}
     for group, flow_type, values in _series_items(run.panel):
         key = series_key(group, flow_type)
         for kind in config.surrogate_kinds:
-            seed = stage_seed(config.seed, f"surrogate/{kind}/{key}")
-            spec = SurrogateSpec(kind=kind, seed=seed, count=config.surrogate_count)
+            label = f"surrogate/{kind}/{key}"
+            seeds[label] = stage_seed(config.seed, label)
+            spec = SurrogateSpec(kind=kind, seed=seeds[label], count=config.surrogate_count)
             band = surrogate_band(values, spec, config.dfa)
-            band_json = _json_text(band.to_json_dict())
-            _write_text(run.path(SURROGATE_JSON, kind=kind, key=key), band_json)
-            run.stage_seeds[f"surrogate/{kind}/{key}"] = seed
+            files[SURROGATE_JSON.format(kind=kind, key=key)] = _json_text(band.to_json_dict())
+    return files, seeds
 
 
 def _stage_rolling(run: _Run) -> None:
@@ -490,7 +493,6 @@ def _stage_rolling(run: _Run) -> None:
             window=config.rolling_window,
             step=config.rolling_step,
             config=config.dfa,
-            label=(group.value, flow_type.value),
         )
         key = series_key(group, flow_type)
         roll.write_csv(run.path(ROLLING_CSV, key=key))
@@ -544,8 +546,9 @@ def run_pipeline(config: RunConfig) -> RunReport:
     The stages write into `<out_dir>/.staging/`, cleared first of anything
     a killed run left, and the report is assembled from the staged files
     as `assemble_report` rebuilds it later. Right after ingest the
-    surrogate stage starts in a forked worker (`_Beside`), and the other
-    stages run here meanwhile; the report waits for both. `_publish` then
+    surrogate stage starts in a forked worker (`_Beside`), whose files the
+    join writes, and the other stages run here meanwhile; the report waits
+    for both. `_publish` then
     moves the staged files to the top level or, on any exception in a
     stage, to `quarantine/`, and a PipelineError names the earliest failed
     stage in `_STAGES` order, as a serial run would; an error from outside
@@ -566,7 +569,7 @@ def run_pipeline(config: RunConfig) -> RunReport:
         for name, step in _STAGES:
             if surrogates is not None and (failed or name == "report"):
                 joining, surrogates = surrogates, None
-                if (error := _join_surrogates(run, *joining)) is not None:
+                if (error := _join_surrogates(run, joining)) is not None:
                     failed[position["surrogates"]] = error
             if failed:
                 raise failed[min(failed)]
@@ -582,7 +585,7 @@ def run_pipeline(config: RunConfig) -> RunReport:
             raise failed[min(failed)]
     except BaseException:
         if surrogates is not None:
-            _join_surrogates(run, *surrogates, kill=True)
+            _join_surrogates(run, surrogates, kill=True)
         _publish(out_dir, os.listdir(staging), os.path.join(out_dir, QUARANTINE_DIR))
         raise
     _publish(out_dir, report.artifacts, out_dir)
@@ -600,38 +603,25 @@ def _stage_error(name: str, exc: BaseException) -> PipelineError:
     return error
 
 
-def _start_surrogates(run: _Run) -> tuple[_Beside, str]:
-    """The surrogate stage, started beside this process's stages.
-
-    It writes into a fresh directory of its own inside `.staging/`, whose
-    files the join moves up; a worker orphaned by a killed run then cannot
-    write into the next run's `.staging/`, only into a directory that run
-    has cleared.
-    """
-    own = os.path.join(run.staging, f".surrogates-{os.urandom(8).hex()}")
-
-    def stage():
-        os.mkdir(own)
-        mine = _Run(run.config, own)
-        mine.panel = run.panel
-        _stage_surrogates(mine)
-        return mine.stage_seeds
-
-    return _Beside(stage), own
+def _start_surrogates(run: _Run) -> _Beside:
+    """The surrogate stage, started beside this process's stages. Its files
+    come back as text and are written here, so a worker orphaned by a killed
+    run cannot write anything at all."""
+    return _Beside(lambda: _stage_surrogates(run))
 
 
-def _join_surrogates(run: _Run, worker: _Beside, own: str, kill: bool = False):
-    """Wait for the surrogate stage, move its files into `.staging/`, merge
+def _join_surrogates(run: _Run, worker: _Beside, kill: bool = False):
+    """Wait for the surrogate stage, write its files into `.staging/`, merge
     its stage seeds and return the PipelineError it failed with, or None."""
-    try:
-        seeds, error = worker.join(kill)
-    finally:
-        if os.path.isdir(own):
-            for file in os.listdir(own):
-                os.replace(os.path.join(own, file), os.path.join(run.staging, file))
-            os.rmdir(own)
+    value, error = worker.join(kill)
     if error is not None:
         return _stage_error("surrogates", error)
+    files, seeds = value
+    try:
+        for name, text in files.items():
+            _write_text(run.path(name), text)
+    except OSError as exc:
+        return _stage_error("surrogates", exc)
     run.stage_seeds.update(seeds)
     return None
 

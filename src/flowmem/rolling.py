@@ -33,7 +33,6 @@ class RollingHurst:
     entries: tuple[RollingEntry, ...]
     window: int | None
     step: int
-    label: tuple[str, str] | None = None
 
     def hurst_values(self) -> np.ndarray:
         return np.asarray([e.hurst for e in self.entries if e.ok])
@@ -102,7 +101,6 @@ def rolling_hurst(
     window: int = 250,
     step: int = 5,
     config: DfaConfig = DfaConfig(),
-    label: tuple[str, str] | None = None,
 ) -> RollingHurst:
     """DFA exponent over overlapping windows, stamped at each window's end.
 
@@ -135,7 +133,7 @@ def rolling_hurst(
                     ok=True,
                 )
             )
-    return RollingHurst(entries=tuple(entries), window=window, step=step, label=label)
+    return RollingHurst(entries=tuple(entries), window=window, step=step)
 
 
 def regime_summary(rolling: RollingHurst, windows) -> list[RegimeSummary]:

@@ -12,7 +12,6 @@ from flowmem.dfa import (
     FluctuationCurve,
     _basis,
     _fluctuation_rows,
-    _loglog_fit,
     _loglog_fits,
     dfa_hurst,
     dfa_hurst_rows,
@@ -463,8 +462,9 @@ def fit_rows(draw):
 
 
 class TestBatchedLogLogFit:
-    """The batched fit of whole rows gives each row the bits `_loglog_fit`
-    gives it alone (repr-equal, so a sign of zero or a numpy scalar counts)."""
+    """The batched fit of whole rows gives each row the bits a lone
+    `fit_hurst` call gives it (repr-equal, so a sign of zero or a numpy
+    scalar counts)."""
 
     @settings(max_examples=300, deadline=None)
     @given(fit_rows(), st.integers(0, 3))
@@ -473,5 +473,5 @@ class TestBatchedLogLogFit:
         log_scales = line_x(np.log10(scales.astype(float)))
         log_values = np.log10(values)
         got = _loglog_fits(log_scales, log_values, scales, order)
-        want = [_loglog_fit(log_scales, row, scales, order) for row in log_values]
+        want = [fit_hurst(FluctuationCurve(scales, row, order, 400_000)) for row in values]
         assert [repr(fit) for fit in got] == [repr(fit) for fit in want]

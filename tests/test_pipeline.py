@@ -1,3 +1,4 @@
+import builtins
 import csv
 import hashlib
 import importlib.util
@@ -324,22 +325,24 @@ class TestSurrogateWorker:
         assert inline.canonical_json() == report.canonical_json()
         assert out_files(tmp_path / "inline") == out_files(out)
 
-    def test_worker_writes_into_a_directory_of_its_own(self, bundled_run, tmp_path, monkeypatch):
-        # a worker that outlives a killed run can then write only into what
-        # the next run cleared, never into that run's .staging/
+    def test_only_the_run_process_writes_artifacts(self, bundled_run, tmp_path, monkeypatch):
+        # a worker that outlives a killed run then cannot write into the
+        # next run's .staging/
         config, _, previous = bundled_run
-        stage = pipeline._stage_surrogates
+        out, log = tmp_path / "out", tmp_path / "writers"
+        real_open = builtins.open
 
-        def noted(run):
-            (tmp_path / "worker_staging").write_text(run.staging)
-            stage(run)
+        def noting_open(file, mode="r", *args, **kwargs):
+            if "w" in mode and str(file).startswith(str(out)):
+                with real_open(log, "a", encoding="utf-8") as fh:
+                    fh.write(f"{os.getpid()} {os.path.basename(file)}\n")
+            return real_open(file, mode, *args, **kwargs)
 
-        monkeypatch.setattr(pipeline, "_stage_surrogates", noted)
-        out = tmp_path / "out"
+        monkeypatch.setattr(builtins, "open", noting_open)
         run_pipeline(replace(config, out_dir=str(out)))
-        own = Path((tmp_path / "worker_staging").read_text())
-        assert own.parent == out / ".staging" and own.name.startswith(".surrogates-")
-        assert not (out / ".staging").exists()
+        writers = [line.split() for line in log.read_text().splitlines()]
+        assert {pid for pid, _ in writers} == {str(os.getpid())}
+        assert {name for _, name in writers} == {p.name for p in out.iterdir()}
         assert out_files(out) == out_files(previous)
 
     def test_failed_fork_fails_the_stage(self, data_dir, tmp_path, monkeypatch):
