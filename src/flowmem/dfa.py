@@ -17,7 +17,6 @@ from __future__ import annotations
 import csv
 import functools
 from dataclasses import asdict, dataclass
-from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial import legendre
@@ -213,28 +212,15 @@ def fluctuation(profile_values, scales, detrend_order: int = 2) -> FluctuationCu
     )
 
 
-class LineX(NamedTuple):
-    """The x side of a line fit: x, its mean, its deviations and their sum of squares."""
-
-    x: np.ndarray
-    mean: float
-    dx: np.ndarray
-    sxx: float
-
-
-def line_x(x: np.ndarray) -> LineX:
-    xm = x.mean()
-    dx = x - xm
-    return LineX(x, xm, dx, float(dx @ dx))
-
-
 def line_fit(x: np.ndarray, y: np.ndarray):
     """Closed-form simple OLS of y on x, the one core of `stats.ols` and the
     `ccdf_ols` tail fit: (slope, intercept, ssr, sst, sxx, dx, resid), with
     dx the deviations of x from its mean. A constant x raises
     ZeroDivisionError.
     """
-    x, xm, dx, sxx = line_x(x)
+    xm = x.mean()
+    dx = x - xm
+    sxx = float(dx @ dx)
     ym = y.mean()
     dy = y - ym
     slope = float(dx @ dy) / sxx
@@ -250,14 +236,15 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, np.newaxis, :] @ b[..., np.newaxis])[:, 0, 0]
 
 
-def _loglog_fits(
-    log_scales: LineX, log_values: np.ndarray, scales: np.ndarray, order: int
-) -> list[DfaFit]:
+def _loglog_fits(log_values: np.ndarray, scales: np.ndarray, order: int) -> list[DfaFit]:
     """The OLS fit of log F on log n of every row of a (k, scales) array, the
     one log-log fit of the static, rolling and surrogate stages. Each row's
     dot products are taken alone by `_row_dots`, so a row's fit has the bits
     it has in a batch of one."""
-    x, xm, dx, sxx = log_scales
+    x = np.log10(scales.astype(float))
+    xm = x.mean()
+    dx = x - xm
+    sxx = float(dx @ dx)
     ym = log_values.mean(axis=1)
     dy = log_values - ym[:, np.newaxis]
     slope = _row_dots(dy, dx) / sxx
@@ -284,8 +271,7 @@ def fit_hurst(curve: FluctuationCurve, fit_range: tuple[int, int] | None = None)
         values = values[mask]
     if scales.size < 4:
         raise DfaError(f"insufficient scales for fit: {scales.size} < 4")
-    log_scales = line_x(np.log10(scales.astype(float)))
-    return _loglog_fits(log_scales, np.log10(values)[np.newaxis], scales, curve.detrend_order)[0]
+    return _loglog_fits(np.log10(values)[np.newaxis], scales, curve.detrend_order)[0]
 
 
 def dfa_hurst(series, config: DfaConfig = DfaConfig()) -> DfaFit:
@@ -319,8 +305,7 @@ def dfa_hurst_rows(rows, config: DfaConfig = DfaConfig()) -> list[DfaFit | DfaEr
     finite = np.isfinite(profiles).all(axis=1)
     values, keep = _fluctuation_rows(profiles if finite.all() else profiles[finite], scales, order)
     whole = keep.all(axis=1) & (scales.size >= 4)  # under 4 scales, fit_hurst names the error
-    log_scales = line_x(np.log10(scales.astype(float)))
-    whole_fits = iter(_loglog_fits(log_scales, np.log10(values[whole]), scales, order))
+    whole_fits = iter(_loglog_fits(np.log10(values[whole]), scales, order))
     curves = zip(values, keep, whole)
     fits = []
     for row, ok in zip(x, finite):

@@ -275,12 +275,12 @@ def read_flows_csv(path) -> Iterator[tuple[str, Group, Side, float]]:
         raise FlowError(f"{path}: no data rows")
 
 
-# The two-process read (`pipeline.read_panel`): each half of a file keys its
-# cells by the raw tokens and checks every amount as its row arrives; the
-# join checks each distinct token once. Where only the serial read can
-# judge the file (a quote, a lone CR, a bad row, amount or token, a
-# repeated wide row) these return None, and the serial read raises the
-# error naming the line.
+# The raw-token read (`pipeline.read_panel`): each byte range of a file
+# (the whole file, or each of its two halves) keys its cells by the raw
+# tokens and checks every amount as its row arrives; the join checks each
+# distinct token once. Where only the serial read can judge the file (a
+# quote, a lone CR, a bad row, amount or token, a repeated wide row) these
+# return None, and the serial read raises the error naming the line.
 
 _BLOCK_BYTES = 1 << 20
 
@@ -361,17 +361,19 @@ def _read_cells(path, header, start: int, stop: int):
     return cells, records * (2 if wide else 1)
 
 
-def _joined_panel(header, halves) -> tuple[FlowPanel, int] | None:
+def _joined_panel(header, reads) -> tuple[FlowPanel, int] | None:
     """The panel and record count of the `_read_cells` results of a file's
-    halves, each distinct raw token checked once."""
+    byte ranges, each distinct raw token checked once. The raw cells are
+    emptied as they are joined, so raw and joined never coexist in memory."""
     wide = header == WIDE_HEADER
     dates: dict[str, str] = {}
     groups: dict[str, Group] = {}
     sides: dict[str, Side] = {}
     cells: dict = {}
     try:
-        for raw_cells, _ in halves:
-            for raw, amounts in raw_cells.items():
+        for raw_cells, _ in reads:
+            while raw_cells:
+                raw, amounts = raw_cells.popitem()
                 d, g = raw[0], raw[1]
                 date = dates.get(d) or _first_sight(dates, _parse_date, d, 0)
                 group = groups.get(g) or _first_sight(groups, _parse_group, g, 0)
@@ -386,7 +388,7 @@ def _joined_panel(header, halves) -> tuple[FlowPanel, int] | None:
                 cell = cells.setdefault((date, group, side), amounts)
                 if cell is not amounts:
                     cell.extend(amounts)
-        return _panel(cells), sum(records for _, records in halves)
+        return _panel(cells), sum(records for _, records in reads)
     except FlowError:
         return None
 

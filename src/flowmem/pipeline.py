@@ -329,7 +329,7 @@ def _series_items(panel: FlowPanel):
     ]
 
 
-# a flows file this large is parsed in two processes (see `read_panel`)
+# from this size on a flows file is read in two halves (see `read_panel`)
 SPLIT_MIN_BYTES = 3_000_000
 
 
@@ -337,36 +337,32 @@ def read_panel(path) -> tuple[FlowPanel, int]:
     """The panel of a flows CSV and its record count (a wide row counts 2),
     as `aggregate_daily(read_flows_csv(path))` reads them.
 
-    A file of SPLIT_MIN_BYTES or more, where os.fork exists and this
-    process may use two CPUs, is parsed in two halves, the second in a
-    forked worker (`_Beside`). Anything in it that the halves cannot judge
-    alone (a quote, a bad row, amount or token, a repeated wide row) sends
-    the file to the serial read, which raises the error naming its line.
-    Each cell is summed with math.fsum, so the panel does not depend on
-    the split.
+    The file is read by raw tokens (`_read_raw`): below SPLIT_MIN_BYTES in
+    this process, and from that size on in two halves, the second beside
+    this process (`_Beside`, a forked worker where os.fork exists).
+    Anything the raw read cannot judge alone (a quote, a lone CR, a bad
+    row, amount or token, a repeated wide row) sends the file to
+    `read_flows_csv`, which raises the error naming its line. Each cell is
+    summed with math.fsum, so the panel does not depend on the split.
     """
-    if os.path.getsize(path) >= SPLIT_MIN_BYTES and hasattr(os, "fork") and _cpus() >= 2:
-        read = _read_split(path)
-        if read is not None:
-            return read
+    read = _read_raw(path)
+    if read is not None:
+        return read
     seen = itertools.count()
     # zip stops on the exhausted reader before it draws from `seen`
     panel = aggregate_daily(record for record, _ in zip(read_flows_csv(path), seen))
     return panel, next(seen)
 
 
-def _cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _read_split(path) -> tuple[FlowPanel, int] | None:
+def _read_raw(path) -> tuple[FlowPanel, int] | None:
     layout = _halves(path)
     if layout is None:
         return None
     header, (first, second) = layout
+    start, size = first[0], second[1]
+    if size < SPLIT_MIN_BYTES:
+        whole = _read_cells(path, header, start, size)
+        return None if whole is None else _joined_panel(header, [whole])
     worker = _Beside(functools.partial(_read_cells, path, header, *second))
     try:
         mine = _read_cells(path, header, *first)

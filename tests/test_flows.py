@@ -458,7 +458,6 @@ def line_of(path, text):
 def forks(monkeypatch):
     """Every file is split, and each os.fork call is counted."""
     monkeypatch.setattr(pipeline, "SPLIT_MIN_BYTES", 1)
-    monkeypatch.setattr(pipeline, "_cpus", lambda: 2)
     calls = []
     fork = os.fork
 
@@ -471,8 +470,9 @@ def forks(monkeypatch):
 
 
 class TestTwoProcessRead:
-    """`pipeline.read_panel` parses a large file in two processes; its panel,
-    record count and errors are those of the serial read."""
+    """`pipeline.read_panel` reads a file by raw tokens, a large one in two
+    processes; its panel, record count and errors are those of the serial
+    read."""
 
     @pytest.mark.parametrize(
         "make",
@@ -486,14 +486,14 @@ class TestTwoProcessRead:
     )
     def test_split_equals_serial(self, tmp_path, forks, make):
         path = make(tmp_path / "flows.csv")
-        assert pipeline._read_split(path) is not None  # the split path itself, no fallback
+        assert pipeline._read_raw(path) is not None  # the raw read itself, no fallback
         panel, records = pipeline.read_panel(path)
         assert (panel, records) == serial_read(path)
         assert len(forks) == 2
 
     def test_bundled_wide_file(self, data_dir, forks):
         path = data_dir / "flows_synth.csv"
-        assert pipeline._read_split(path) == serial_read(path)
+        assert pipeline._read_raw(path) == serial_read(path)
 
     @pytest.mark.parametrize(
         "amount, message",
@@ -532,7 +532,7 @@ class TestTwoProcessRead:
         path.write_text(text)
         middle = text.index("\n", len(text) // 2)
         assert text.index('"') < middle < text.rindex('"')  # the halves would meet inside the quotes
-        assert pipeline._read_split(path) is None
+        assert pipeline._read_raw(path) is None
         assert pipeline.read_panel(path) == serial_read(path)
 
     def test_quoted_field_spanning_rows_reads_serially(self, tmp_path, forks):
@@ -544,21 +544,22 @@ class TestTwoProcessRead:
             "2020-01-05,F,retail,SELL,2.0\n"
             '2020-01-06,q",retail,BUY,3.0\n'
         )
-        assert pipeline._read_split(path) is None
+        assert pipeline._read_raw(path) is None
         assert pipeline.read_panel(path) == serial_read(path)
         assert serial_read(path)[1] == 1
 
-    def test_without_fork_the_read_is_serial(self, tmp_path, forks, monkeypatch):
+    def test_without_fork_the_halves_are_read_in_process(self, tmp_path, forks, monkeypatch):
         path = long_file(tmp_path / "flows.csv")
+        expected = serial_read(path)
         monkeypatch.delattr(os, "fork")
-        monkeypatch.setattr(pipeline, "_read_split", None)  # a call would raise TypeError
-        assert pipeline.read_panel(path) == serial_read(path)
+        monkeypatch.setattr(pipeline, "read_flows_csv", None)  # a call would raise TypeError
+        assert pipeline.read_panel(path) == expected
 
-    def test_one_cpu_reads_serially(self, tmp_path, forks, monkeypatch):
+    def test_one_cpu_still_reads_in_two_halves(self, tmp_path, forks, monkeypatch):
         path = long_file(tmp_path / "flows.csv")
-        monkeypatch.setattr(pipeline, "_cpus", lambda: 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         assert pipeline.read_panel(path) == serial_read(path)
-        assert not forks
+        assert len(forks) == 1
 
     def test_file_below_the_size_rule_never_forks(self, tmp_path, monkeypatch):
         path = long_file(tmp_path / "flows.csv")
@@ -567,8 +568,10 @@ class TestTwoProcessRead:
         def no_fork():
             raise AssertionError("os.fork called for a file below the size rule")
 
+        expected = serial_read(path)
         monkeypatch.setattr(os, "fork", no_fork)
-        assert pipeline.read_panel(path) == serial_read(path)
+        monkeypatch.setattr(pipeline, "read_flows_csv", None)  # read by raw tokens, in this process
+        assert pipeline.read_panel(path) == expected
 
     @given(st.one_of(long_rows(), wide_rows()))
     @settings(max_examples=40, deadline=None)
@@ -580,9 +583,15 @@ class TestTwoProcessRead:
         path = tmp_path_factory.mktemp("split") / "flows.csv"
         path.write_text(text.getvalue(), encoding="utf-8")
         try:
-            expected = serial_read(path)
+            expected, error = serial_read(path), None
         except FlowError as exc:
-            with pytest.raises(FlowError, match=f"^{re.escape(str(exc))}$"):
-                pipeline._read_split(path) or serial_read(path)
-            return
-        assert pipeline._read_split(path) == expected
+            expected, error = None, exc
+        size = path.stat().st_size
+        for split_min in (size - 1, size + 1):  # two halves, then one range in this process
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(pipeline, "SPLIT_MIN_BYTES", split_min)
+                if error is None:
+                    assert pipeline.read_panel(path) == expected
+                else:
+                    with pytest.raises(FlowError, match=f"^{re.escape(str(error))}$"):
+                        pipeline.read_panel(path)

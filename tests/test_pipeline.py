@@ -433,7 +433,6 @@ class TestIngestWorker:
     @pytest.fixture
     def config(self, tmp_path, monkeypatch):
         monkeypatch.setattr(pipeline, "SPLIT_MIN_BYTES", 1)
-        monkeypatch.setattr(pipeline, "_cpus", lambda: 2)
         flows = tmp_path / "flows.csv"
         lines = ["date,firm_id,group,side,amount"] + [
             f"2020-01-{day:02d},F{k},{group},{side},{day + k}.5"
