@@ -591,6 +591,7 @@ class TestTwoProcessRead:
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(pipeline, "SPLIT_MIN_BYTES", split_min)
                 if error is None:
+                    patch.setattr(pipeline, "read_flows_csv", None)  # the raw read alone
                     assert pipeline.read_panel(path) == expected
                 else:
                     with pytest.raises(FlowError, match=f"^{re.escape(str(error))}$"):
