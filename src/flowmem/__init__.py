@@ -26,10 +26,8 @@ from .flows import (
     FlowPanel,
     FlowType,
     Group,
-    LabeledSeries,
     Side,
     aggregate_daily,
-    extract_series,
     read_flows_csv,
 )
 from .rolling import (

@@ -14,26 +14,31 @@ import numpy.random  # noqa: F401  numpy loads it lazily; load it at import, not
 from . import __version__
 from .dfa import DfaConfig
 from .errors import FlowmemError
-from .flows import FlowType, Group, extract_series, write_flows_csv
+from .flows import FlowType, Group
 from .pipeline import (
     REPORT_JSON,
     ROLLING_CSV,
     RunConfig,
-    _ccdf_with_reference_text,
+    _csv_text,
     _json_text,
     _write_text,
     assemble_report,
+    ccdf_csv,
+    curve_csv,
     fits_json_text,
     load_config,
     read_panel,
+    read_rolling_csv,
+    rolling_csv,
     run_pipeline,
     series_key,
     stage_seed,
     static_dfa,
+    table_csv,
     tail_report,
 )
-from .rolling import RollingHurst, rolling_hurst
-from .stats import FILL_POLICIES, read_prices_csv, regression_table, write_regression_table_csv
+from .rolling import rolling_hurst
+from .stats import FILL_POLICIES, read_prices_csv, regression_table
 from .surrogate import SURROGATE_KINDS, SurrogateSpec, surrogate_band
 from .synth import GeneratorSpec, generate
 from .tails import TAIL_SIDES
@@ -101,8 +106,7 @@ def _load_series(flows, series, group, flow):
         if group is None or flow is None:
             raise click.UsageError("--flows requires --group and --flow")
         panel, _ = read_panel(flows)
-        labeled = extract_series(panel, group, flow)
-        return labeled.calendar, labeled.values, f"{group}_{flow}"
+        return panel.calendar, panel.series[Group(group), FlowType(flow)], f"{group}_{flow}"
     calendar, values = read_prices_csv(series, column="value")
     return calendar, values, os.path.basename(series)
 
@@ -149,8 +153,8 @@ def synth_series(kind, hurst, alpha, length, seed, start_date, out):
     spec = GeneratorSpec(kind=kind, n=length, seed=seed, hurst=hurst, alpha=alpha)
     values = generate(spec)
     dates = _date_range(start_date, length)
-    lines = ["date,value"] + [f"{d},{float(v)!r}" for d, v in zip(dates, values)]
-    _write_text(out, "\n".join(lines) + "\n")
+    lines = (f"{d},{v!r}" for d, v in zip(dates, values.tolist()))
+    _write_text(out, _csv_text("date,value", lines))
     _write_text(f"{out}.meta.json", _json_text(spec.metadata()))
     click.echo(f"wrote {out} ({length} rows)")
 
@@ -194,15 +198,15 @@ def synth_flows(group_specs, length, seed, start_date, out):
             side_seed = stage_seed(seed, f"synth-flows/{group}/{side}")
             spec = GeneratorSpec(kind=kind, n=length, seed=side_seed, hurst=hurst, alpha=alpha)
             raw = generate(spec)
-            columns[(group, side)] = raw - raw.min()
+            columns[(group, side)] = (raw - raw.min()).tolist()
             meta["groups"].setdefault(group, {})[side] = spec.metadata()
-    rows = []
-    for i, date in enumerate(dates):
-        for group in sorted({g for g, _ in columns}):
-            rows.append(
-                (date, group, columns[(group, "BUY")][i], columns[(group, "SELL")][i])
-            )
-    write_flows_csv(out, rows)
+    groups = sorted({g for g, _ in columns})
+    rows = [
+        f"{date},{group},{columns[group, 'BUY'][i]!r},{columns[group, 'SELL'][i]!r}"
+        for i, date in enumerate(dates)
+        for group in groups
+    ]
+    _write_text(out, _csv_text("date,group,buy,sell", rows))
     _write_text(f"{out}.meta.json", _json_text(meta))
     click.echo(f"wrote {out} ({len(rows)} rows)")
 
@@ -218,8 +222,8 @@ def synth_prices(length, seed, daily_vol, start_date, out):
     rng = np.random.Generator(np.random.PCG64(seed))
     closes = 100.0 * np.exp(np.cumsum(daily_vol * rng.standard_normal(length)))
     dates = _date_range(start_date, length)
-    lines = ["date,close"] + [f"{d},{float(c)!r}" for d, c in zip(dates, closes)]
-    _write_text(out, "\n".join(lines) + "\n")
+    lines = (f"{d},{c!r}" for d, c in zip(dates, closes.tolist()))
+    _write_text(out, _csv_text("date,close", lines))
     click.echo(f"wrote {out} ({length} rows)")
 
 
@@ -234,7 +238,7 @@ def dfa(loaded, dfa_config, include_order1, out_curve, out_fit):
     _, values, label = loaded
     curve, fits = static_dfa(values, dfa_config, include_order1)
     if out_curve:
-        curve.write_csv(out_curve)
+        _write_text(out_curve, curve_csv(curve))
     if out_fit:
         _write_text(out_fit, fits_json_text(fits))
     fit = fits["fit"]
@@ -254,7 +258,7 @@ def roll(loaded, window, step, dfa_config, out):
     """Rolling-window DFA exponent, written as end_date,H,stderr,r2."""
     calendar, values, label = loaded
     rolled = rolling_hurst(values, calendar, window=window, step=step, config=dfa_config)
-    rolled.write_csv(out)
+    _write_text(out, rolling_csv(rolled))
     ok = rolled.hurst_values()
     gaps = len(rolled.entries) - ok.size
     click.echo(f"{label}: {len(rolled.entries)} windows ({gaps} gaps) -> {out}")
@@ -275,7 +279,8 @@ def surrogate(loaded, kind, count, seed, dfa_config, out, out_values):
     band = surrogate_band(values, SurrogateSpec(kind=kind, seed=seed, count=count), dfa_config)
     _write_text(out, _json_text(band.to_json_dict()))
     if out_values:
-        band.write_values_csv(out_values)
+        lines = (f"{i},{h!r}" for i, h in enumerate(band.hurst_values))
+        _write_text(out_values, _csv_text("surrogate_index,hurst", lines))
     std = "n/a" if band.std is None else f"{band.std:.4f}"
     click.echo(f"{label}: {kind} band mean={band.mean:.4f} std={std} count={count}")
 
@@ -291,7 +296,7 @@ def tails(loaded, side, tail_fraction, out_ccdf, out_fit):
     _, values, label = loaded
     ccdf, reference, summary = tail_report(values, side, tail_fraction)
     if out_ccdf:
-        _write_text(out_ccdf, _ccdf_with_reference_text(ccdf, reference))
+        _write_text(out_ccdf, ccdf_csv(ccdf, reference))
     if out_fit:
         _write_text(out_fit, _json_text(summary))
     for method, fit in summary["fits"].items():
@@ -323,9 +328,9 @@ def regress(roll_dir, prices, step, fill, lag, robust, out):
     present = {key: path for key, path in paths.items() if os.path.isfile(path)}
     if not present:
         raise click.ClickException(f"no {ROLLING_CSV.format(key='*')} files in {roll_dir}")
-    rolling = {key: RollingHurst.read_csv(path, step) for key, path in present.items()}
+    rolling = {key: read_rolling_csv(path, step) for key, path in present.items()}
     rows = regression_table(rolling, prices, fill, lag, robust)
-    write_regression_table_csv(out, rows)
+    _write_text(out, table_csv(rows))
     for row in rows:
         click.echo(
             f"{row['group']:14s} {row['flow']:4s} beta={row['beta']:+.6f} "

@@ -14,7 +14,6 @@ large scales.
 
 from __future__ import annotations
 
-import csv
 import functools
 from dataclasses import asdict, dataclass
 
@@ -73,13 +72,6 @@ class FluctuationCurve:
     @property
     def points(self) -> tuple[tuple[int, float], ...]:
         return tuple((int(n), float(f)) for n, f in zip(self.scales, self.values))
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["n", "F"])
-            for n, f in zip(self.scales, self.values):
-                writer.writerow([int(n), repr(float(f))])
 
 
 @dataclass(frozen=True)

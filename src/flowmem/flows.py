@@ -1,4 +1,4 @@
-"""Investor-flow data model: CSV streaming, daily aggregation, panel extraction.
+"""Investor-flow data model: CSV streaming and daily aggregation.
 
 A FlowPanel carries the nine market-wide series (three investor groups x
 BUY/SELL/NET) on a shared trading calendar. Dates are real calendar dates
@@ -94,16 +94,6 @@ class FlowPanel:
         )
 
 
-@dataclass(frozen=True)
-class LabeledSeries:
-    """One panel column with its calendar and (group, flow type) label."""
-
-    calendar: tuple[str, ...]
-    values: np.ndarray
-    group: Group
-    flow_type: FlowType
-
-
 def aggregate_daily(records) -> FlowPanel:
     """Pivot (date, group, side, amount) tuples into the nine per-day
     series; NET = BUY - SELL.
@@ -142,19 +132,6 @@ def _panel(cells) -> FlowPanel:
         series[(group, FlowType.SELL)] = sell
         series[(group, FlowType.NET)] = buy - sell
     return FlowPanel(calendar=calendar, series=series)
-
-
-def extract_series(panel: FlowPanel, group, flow_type) -> LabeledSeries:
-    """Pull one labeled series out of a panel."""
-    key = (Group(group), FlowType(flow_type))
-    if key not in panel.series:
-        raise FlowError(f"series ({key[0].value}, {key[1].value}) not in panel")
-    return LabeledSeries(
-        calendar=panel.calendar,
-        values=panel.series[key],
-        group=key[0],
-        flow_type=key[1],
-    )
 
 
 def _valid_date(token: str) -> bool:
@@ -224,53 +201,57 @@ def read_flows_csv(path) -> Iterator[tuple[str, Group, Side, float]]:
     one BUY and one SELL tuple per row; a repeated (date, group) row is an
     error. Dates must be real calendar dates and amounts finite and
     non-negative. The file is read as the tuples are consumed, and a bad
-    row raises a FlowError naming its line then.
+    row raises a FlowError naming its line then; a file that is not UTF-8
+    raises one naming the file.
 
     Each distinct raw date, group and side token is checked once per file
     and its value cached; every amount is checked.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = _header(path, next(reader))
-        except StopIteration:
-            raise FlowError(f"{path}: empty file") from None
-        wide = header == WIDE_HEADER
-        # raw token -> checked value; no checked value is empty, so
-        # `cache.get(token) or ...` checks a token only on first sight
-        dates: dict[str, str] = {}
-        groups: dict[str, Group] = {}
-        sides: dict[str, Side] = {}
-        first_lines: dict = {}  # wide schema: (date, group) -> line
-        rows = 0
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise FlowError(
-                    f"line {reader.line_num}: expected {len(header)} fields, got {len(row)}"
-                )
-            rows += 1
-            if wide:
-                d, g, buy, sell = row
-                line = reader.line_num
-                date = dates.get(d) or _first_sight(dates, _parse_date, d, reader.line_num)
-                group = groups.get(g) or _first_sight(groups, _parse_group, g, reader.line_num)
-                first = first_lines.setdefault((date, group), line)
-                if first != line:
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = _header(path, next(reader))
+            except StopIteration:
+                raise FlowError(f"{path}: empty file") from None
+            wide = header == WIDE_HEADER
+            # raw token -> checked value; no checked value is empty, so
+            # `cache.get(token) or ...` checks a token only on first sight
+            dates: dict[str, str] = {}
+            groups: dict[str, Group] = {}
+            sides: dict[str, Side] = {}
+            first_lines: dict = {}  # wide schema: (date, group) -> line
+            rows = 0
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != len(header):
                     raise FlowError(
-                        f"line {line}: repeats the {date} {group.value} row of line {first}"
+                        f"line {reader.line_num}: expected {len(header)} fields, got {len(row)}"
                     )
-                yield date, group, Side.BUY, _parse_amount(buy, line)
-                yield date, group, Side.SELL, _parse_amount(sell, line)
-            else:
-                d, _, g, s, amount = row
-                yield (
-                    dates.get(d) or _first_sight(dates, _parse_date, d, reader.line_num),
-                    groups.get(g) or _first_sight(groups, _parse_group, g, reader.line_num),
-                    sides.get(s) or _first_sight(sides, _parse_side, s, reader.line_num),
-                    _parse_amount(amount, reader.line_num),
-                )
+                rows += 1
+                if wide:
+                    d, g, buy, sell = row
+                    line = reader.line_num
+                    date = dates.get(d) or _first_sight(dates, _parse_date, d, reader.line_num)
+                    group = groups.get(g) or _first_sight(groups, _parse_group, g, reader.line_num)
+                    first = first_lines.setdefault((date, group), line)
+                    if first != line:
+                        raise FlowError(
+                            f"line {line}: repeats the {date} {group.value} row of line {first}"
+                        )
+                    yield date, group, Side.BUY, _parse_amount(buy, line)
+                    yield date, group, Side.SELL, _parse_amount(sell, line)
+                else:
+                    d, _, g, s, amount = row
+                    yield (
+                        dates.get(d) or _first_sight(dates, _parse_date, d, reader.line_num),
+                        groups.get(g) or _first_sight(groups, _parse_group, g, reader.line_num),
+                        sides.get(s) or _first_sight(sides, _parse_side, s, reader.line_num),
+                        _parse_amount(amount, reader.line_num),
+                    )
+    except UnicodeDecodeError:
+        raise FlowError(f"{path}: not UTF-8 text") from None
     if not rows:
         raise FlowError(f"{path}: no data rows")
 
@@ -391,12 +372,3 @@ def _joined_panel(header, reads) -> tuple[FlowPanel, int] | None:
         return _panel(cells), sum(records for _, records in reads)
     except FlowError:
         return None
-
-
-def write_flows_csv(path, rows) -> None:
-    """Write wide-format rows (date, group, buy, sell) atomically enough."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(WIDE_HEADER)
-        for date, group, buy, sell in rows:
-            writer.writerow([date, Group(group).value, repr(float(buy)), repr(float(sell))])

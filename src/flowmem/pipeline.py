@@ -2,20 +2,23 @@
 surrogate bands, rolling DFA with regime summaries, and the volatility
 regressions.
 
-Every stage writes file artifacts (CSV for plot data, JSON for fits and
-summaries), named from the one `ARTIFACTS` table, into a staging
-directory; the run report ties them together with provenance (config
-hash, seed, derived stage seeds), and the run is then published whole
-into the output directory, or quarantined if a stage failed. Given
-the same inputs, config and seed, a rerun is bit-identical: per-series
-random streams are pre-derived from stable labels and results are emitted
-in a fixed series order. Paths in the config are kept as written
+Every stage yields its file artifacts (CSV for plot data, JSON for fits
+and summaries) as (name, text) pairs, named from the one `ARTIFACTS`
+table, and the run alone writes them into a staging directory; this
+module also owns the CSV formats and their readers. The run report ties
+the files together with provenance (config hash, seed, derived stage
+seeds), and the run is then published whole into the output directory,
+or quarantined if a stage failed. Given the same inputs, config and
+seed, a rerun is bit-identical: per-series random streams are
+pre-derived from stable labels and results are emitted in a fixed
+series order. Paths in the config are kept as written
 (resolved against the config file's directory only when opened), so the
 config hash does not depend on where the tree is checked out.
 """
 
 from __future__ import annotations
 
+import csv
 import functools
 import hashlib
 import itertools
@@ -43,13 +46,8 @@ from .flows import (
     aggregate_daily,
     read_flows_csv,
 )
-from .rolling import RegimeWindow, RollingHurst, regime_summary, rolling_hurst
-from .stats import (
-    FILL_POLICIES,
-    read_regression_table_csv,
-    regression_table,
-    write_regression_table_csv,
-)
+from .rolling import RegimeWindow, RollingEntry, RollingHurst, regime_summary, rolling_hurst
+from .stats import FILL_POLICIES, regression_table
 from .surrogate import SURROGATE_KINDS, SurrogateSpec, surrogate_band
 from .synth import RNG_NAME
 from .tails import TAIL_SIDES, empirical_ccdf, fit_tail_exponent, gaussian_ccdf_reference
@@ -273,7 +271,7 @@ def artifact_names(config: RunConfig | None = None) -> list[str]:
 
 
 def _write_text(path, text) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(text)
 
 
@@ -281,11 +279,68 @@ def _json_text(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _ccdf_with_reference_text(ccdf, reference) -> str:
-    lines = ["x,p,gaussian_p"]
-    for x, emp, ref in zip(ccdf.xs.tolist(), ccdf.ps.tolist(), reference.ps.tolist()):
-        lines.append(f"{x!r},{emp!r},{ref!r}")
-    return "\n".join(lines) + "\n"
+# The CSV formats. No field the toolkit writes needs quoting (repr'd
+# floats, ints, checked dates, enum values, stars, empty gap fields), so
+# each caller formats its lines with f-strings, and they read back
+# through csv.reader.
+def _csv_text(header: str, lines) -> str:
+    return "\n".join([header, *lines]) + "\n"
+
+
+def ccdf_csv(ccdf, reference) -> str:
+    """fig2: `x,p,gaussian_p`, the CCDF beside its Gaussian reference."""
+    rows = zip(ccdf.xs.tolist(), ccdf.ps.tolist(), reference.ps.tolist())
+    return _csv_text("x,p,gaussian_p", (f"{x!r},{p!r},{g!r}" for x, p, g in rows))
+
+
+def curve_csv(curve) -> str:
+    """fig3: `n,F`, the fluctuation curve."""
+    rows = zip(curve.scales.tolist(), curve.values.tolist())
+    return _csv_text("n,F", (f"{n},{f!r}" for n, f in rows))
+
+
+def rolling_csv(roll: RollingHurst) -> str:
+    """fig4: `end_date,H,stderr,r2`; a gap row keeps its date, fields empty."""
+    return _csv_text("end_date,H,stderr,r2", (
+        f"{e.end_date},{e.hurst!r},{e.stderr!r},{e.r_squared!r}" if e.ok else f"{e.end_date},,,"
+        for e in roll.entries
+    ))
+
+
+def read_rolling_csv(path, step: int, window: int | None = None) -> RollingHurst:
+    """The RollingHurst a `rolling_csv` file holds. The file does not hold
+    the window length, n_points_used or a gap's reason, so those come back
+    as `window`, 0 and "gap"."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = csv.reader(fh)
+        next(rows)  # end_date,H,stderr,r2
+        entries = tuple(
+            RollingEntry(end_date, float(h), float(stderr), float(r2), 0, True) if h
+            else RollingEntry(end_date, None, None, None, 0, False, "gap")
+            for end_date, h, stderr, r2 in rows
+        )
+    return RollingHurst(entries=entries, window=window, step=step)
+
+
+def table_csv(rows) -> str:
+    """table 1: one line per `regression_table` row, in its key order (the
+    str of its floats is their repr)."""
+    return _csv_text(",".join(rows[0]), (",".join(map(str, row.values())) for row in rows))
+
+
+_TEXT_COLUMNS = ("group", "flow", "alpha_stars", "beta_stars")
+
+
+def read_table_csv(path) -> list[dict]:
+    """The rows a `table_csv` file holds, with their types restored."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        return [
+            {
+                k: v if k in _TEXT_COLUMNS else int(v) if k == "n" else float(v)
+                for k, v in raw.items()
+            }
+            for raw in csv.DictReader(fh)
+        ]
 
 
 @dataclass
@@ -307,8 +362,8 @@ class RunReport:
 
 
 class _Run:
-    """One pipeline execution: its config, the staging directory its stages
-    write into, and the state they hand on."""
+    """One pipeline execution: its config, the staging directory its files
+    are written into, and the state the stages hand on."""
 
     def __init__(self, config: RunConfig, staging: str):
         self.config = config
@@ -316,9 +371,7 @@ class _Run:
         self.panel: FlowPanel | None = None
         self.rollers: dict = {}
         self.stage_seeds: dict = {}
-
-    def path(self, template: str, **names) -> str:
-        return os.path.join(self.staging, template.format(**names))
+        self.report: RunReport | None = None
 
 
 def _series_items(panel: FlowPanel):
@@ -377,12 +430,13 @@ def _read_raw(path) -> tuple[FlowPanel, int] | None:
     return None if theirs is None else _joined_panel(header, [mine, theirs])
 
 
-def _stage_ingest(run: _Run) -> None:
+def _stage_ingest(run: _Run):
     path = run.config.resolve(run.config.flows_csv)
     run.panel, _ = read_panel(path)
     for group in GROUPS:
         if not any(run.panel.series[(group, side)].any() for side in (FlowType.BUY, FlowType.SELL)):
             raise PipelineError("ingest", f"{path}: no flows for investor group {group.value!r}")
+    return ()  # no file
 
 
 def tail_report(values, side: str, tail_fraction: float):
@@ -417,14 +471,14 @@ def tail_report(values, side: str, tail_fraction: float):
     return ccdf, reference, {"side": side, "fits": fits, "methods_disagree": disagree}
 
 
-def _stage_tails(run: _Run) -> None:
+def _stage_tails(run: _Run):
     config = run.config
     for group, flow_type, values in _series_items(run.panel):
         side = config.tail_net_side if flow_type.value == "NET" else "upper"
         ccdf, reference, summary = tail_report(values, side, config.tail_fraction)
         key = series_key(group, flow_type)
-        _write_text(run.path(CCDF_CSV, key=key), _ccdf_with_reference_text(ccdf, reference))
-        _write_text(run.path(TAILS_JSON, key=key), _json_text(summary))
+        yield CCDF_CSV.format(key=key), ccdf_csv(ccdf, reference)
+        yield TAILS_JSON.format(key=key), _json_text(summary)
 
 
 def static_dfa(values, config: DfaConfig, include_order1: bool = False):
@@ -456,31 +510,28 @@ def static_dfa_table(panel: FlowPanel, config: DfaConfig, include_order1: bool =
     return out
 
 
-def _stage_static_dfa(run: _Run) -> None:
+def _stage_static_dfa(run: _Run):
     table = static_dfa_table(run.panel, run.config.dfa, run.config.dfa_include_order1)
     for (group, flow_type), entry in table.items():
         key = series_key(group, flow_type)
-        entry.pop("curve").write_csv(run.path(CURVE_CSV, key=key))
-        _write_text(run.path(DFA_FIT_JSON, key=key), fits_json_text(entry))
+        yield CURVE_CSV.format(key=key), curve_csv(entry.pop("curve"))
+        yield DFA_FIT_JSON.format(key=key), fits_json_text(entry)
 
 
-def _stage_surrogates(run: _Run) -> tuple[dict, dict]:
-    """The surrogate bands as ({file name: JSON text}, {seed label: seed});
-    the stage writes no file, `_join_surrogates` does."""
+def _stage_surrogates(run: _Run):
+    """The surrogate bands; each band's seed goes into run.stage_seeds."""
     config = run.config
-    files, seeds = {}, {}
     for group, flow_type, values in _series_items(run.panel):
         key = series_key(group, flow_type)
         for kind in config.surrogate_kinds:
             label = f"surrogate/{kind}/{key}"
-            seeds[label] = stage_seed(config.seed, label)
-            spec = SurrogateSpec(kind=kind, seed=seeds[label], count=config.surrogate_count)
+            seed = run.stage_seeds[label] = stage_seed(config.seed, label)
+            spec = SurrogateSpec(kind=kind, seed=seed, count=config.surrogate_count)
             band = surrogate_band(values, spec, config.dfa)
-            files[SURROGATE_JSON.format(kind=kind, key=key)] = _json_text(band.to_json_dict())
-    return files, seeds
+            yield SURROGATE_JSON.format(kind=kind, key=key), _json_text(band.to_json_dict())
 
 
-def _stage_rolling(run: _Run) -> None:
+def _stage_rolling(run: _Run):
     config = run.config
     for group, flow_type, values in _series_items(run.panel):
         roll = rolling_hurst(
@@ -491,25 +542,24 @@ def _stage_rolling(run: _Run) -> None:
             config=config.dfa,
         )
         key = series_key(group, flow_type)
-        roll.write_csv(run.path(ROLLING_CSV, key=key))
+        yield ROLLING_CSV.format(key=key), rolling_csv(roll)
         if config.regimes:
             summaries = [s.to_json_dict() for s in regime_summary(roll, config.regimes)]
-            _write_text(run.path(REGIMES_JSON, key=key), _json_text(summaries))
+            yield REGIMES_JSON.format(key=key), _json_text(summaries)
         run.rollers[(group.value, flow_type.value)] = roll
 
 
-def _stage_regression(run: _Run) -> None:
+def _stage_regression(run: _Run):
     config = run.config
-    if config.prices_csv is None:
-        return
-    rows = regression_table(
-        run.rollers, config.resolve(config.prices_csv), config.fill_policy, config.lag_k,
-        config.robust_se,
-    )
-    write_regression_table_csv(run.path(TABLE_CSV), rows)
+    if config.prices_csv is not None:
+        rows = regression_table(
+            run.rollers, config.resolve(config.prices_csv), config.fill_policy, config.lag_k,
+            config.robust_se,
+        )
+        yield TABLE_CSV, table_csv(rows)
 
 
-def _stage_report(run: _Run) -> RunReport:
+def _stage_report(run: _Run):
     config = run.config
     provenance = {
         "config_sha256": config.sha256(),
@@ -518,11 +568,11 @@ def _stage_report(run: _Run) -> RunReport:
         "rng": RNG_NAME,
         "stage_seeds": run.stage_seeds,
     }
-    _write_text(run.path(CONFIG_JSON), config.canonical_json())
-    _write_text(run.path(PROVENANCE_JSON), _json_text(provenance))
-    report = assemble_report(run.staging)
-    _write_text(run.path(REPORT_JSON), report.canonical_json())
-    return report
+    yield CONFIG_JSON, config.canonical_json()
+    yield PROVENANCE_JSON, _json_text(provenance)
+    # `_write` wrote each file before asking for the next one
+    run.report = assemble_report(run.staging)
+    yield REPORT_JSON, run.report.canonical_json()
 
 
 _STAGES = [
@@ -539,17 +589,19 @@ _STAGES = [
 def run_pipeline(config: RunConfig) -> RunReport:
     """Execute every stage, publish the run's artifacts, return its report.
 
-    The stages write into `<out_dir>/.staging/`, cleared first of anything
-    a killed run left, and the report is assembled from the staged files
-    as `assemble_report` rebuilds it later. Right after ingest the
-    surrogate stage starts in a forked worker (`_Beside`), whose files the
-    join writes, and the other stages run here meanwhile; the report waits
-    for both. `_publish` then
-    moves the staged files to the top level or, on any exception in a
-    stage, to `quarantine/`, and a PipelineError names the earliest failed
-    stage in `_STAGES` order, as a serial run would; an error from outside
-    the toolkit keeps its type name in the message. The worker is joined
-    before anything moves, also when this process is interrupted.
+    Each file a stage yields is written into `<out_dir>/.staging/`,
+    cleared first of anything a killed run left, by `_write` alone, and the
+    report is assembled from the staged files as `assemble_report` rebuilds
+    it later. Right after ingest the surrogate stage starts in a forked
+    worker (`_Beside`) and the other stages run here meanwhile; the worker
+    hands back its files' text, which the join writes the same way, so a
+    worker orphaned by a killed run cannot write anything at all. The
+    report waits for both. `_publish` then moves the staged files to the
+    top level or, on any exception in a stage, to `quarantine/`, and a
+    PipelineError names the earliest failed stage in `_STAGES` order, as a
+    serial run would; an error from outside the toolkit keeps its type
+    name in the message. The worker is joined before anything moves, also
+    when this process is interrupted.
     """
     out_dir = config.out_dir
     if not out_dir:
@@ -572,11 +624,11 @@ def run_pipeline(config: RunConfig) -> RunReport:
             if name == "surrogates":  # the worker's, started after ingest
                 continue
             try:
-                report = step(run)
+                _write(run, step(run))
             except Exception as exc:
                 failed[position[name]] = _stage_error(name, exc)
             if name == "ingest" and not failed:
-                surrogates = _start_surrogates(run)
+                surrogates = _Beside(lambda: (dict(_stage_surrogates(run)), run.stage_seeds))
         if failed:
             raise failed[min(failed)]
     except BaseException:
@@ -584,8 +636,14 @@ def run_pipeline(config: RunConfig) -> RunReport:
             _join_surrogates(run, surrogates, kill=True)
         _publish(out_dir, os.listdir(staging), os.path.join(out_dir, QUARANTINE_DIR))
         raise
-    _publish(out_dir, report.artifacts, out_dir)
-    return report
+    _publish(out_dir, run.report.artifacts, out_dir)
+    return run.report
+
+
+def _write(run: _Run, files) -> None:
+    """Write each (file name, text) pair into the run's staging directory."""
+    for name, text in files:
+        _write_text(os.path.join(run.staging, name), text)
 
 
 def _stage_error(name: str, exc: BaseException) -> PipelineError:
@@ -599,13 +657,6 @@ def _stage_error(name: str, exc: BaseException) -> PipelineError:
     return error
 
 
-def _start_surrogates(run: _Run) -> _Beside:
-    """The surrogate stage, started beside this process's stages. Its files
-    come back as text and are written here, so a worker orphaned by a killed
-    run cannot write anything at all."""
-    return _Beside(lambda: _stage_surrogates(run))
-
-
 def _join_surrogates(run: _Run, worker: _Beside, kill: bool = False):
     """Wait for the surrogate stage, write its files into `.staging/`, merge
     its stage seeds and return the PipelineError it failed with, or None."""
@@ -614,8 +665,7 @@ def _join_surrogates(run: _Run, worker: _Beside, kill: bool = False):
         return _stage_error("surrogates", error)
     files, seeds = value
     try:
-        for name, text in files.items():
-            _write_text(run.path(name), text)
+        _write(run, files.items())
     except OSError as exc:
         return _stage_error("surrogates", exc)
     run.stage_seeds.update(seeds)
@@ -778,7 +828,7 @@ def assemble_report(out_dir: str) -> RunReport:
             entry.setdefault("surrogates", {})[kind] = band
 
         roll_csv = ROLLING_CSV.format(key=key)
-        roll = RollingHurst.read_csv(
+        roll = read_rolling_csv(
             os.path.join(out_dir, roll_csv), config.rolling_step, config.rolling_window
         )
         entry["rolling"] = {
@@ -792,7 +842,7 @@ def assemble_report(out_dir: str) -> RunReport:
             report.regimes[key] = _load_json_artifact(out_dir, REGIMES_JSON, key=key)
 
     if config.prices_csv is not None:
-        rows = read_regression_table_csv(os.path.join(out_dir, TABLE_CSV))
+        rows = read_table_csv(os.path.join(out_dir, TABLE_CSV))
         report.regression = {
             "rows": rows,
             "fill_policy": config.fill_policy,

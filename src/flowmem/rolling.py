@@ -8,7 +8,6 @@ date alignment cannot silently shift.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -36,35 +35,6 @@ class RollingHurst:
 
     def hurst_values(self) -> np.ndarray:
         return np.asarray([e.hurst for e in self.entries if e.ok])
-
-    def write_csv(self, path) -> None:
-        """CSV `end_date,H,stderr,r2`; gap rows keep the date, fields empty."""
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["end_date", "H", "stderr", "r2"])
-            for e in self.entries:
-                if e.ok:
-                    writer.writerow(
-                        [e.end_date, repr(e.hurst), repr(e.stderr), repr(e.r_squared)]
-                    )
-                else:
-                    writer.writerow([e.end_date, "", "", ""])
-
-    @classmethod
-    def read_csv(cls, path, step: int, window: int | None = None) -> "RollingHurst":
-        """Read what write_csv wrote. The file does not hold the window
-        length, n_points_used or a gap's reason, so those come back as
-        `window`, 0 and "gap"."""
-        entries = []
-        with open(path, newline="", encoding="utf-8") as fh:
-            rows = csv.reader(fh)
-            next(rows)  # end_date,H,stderr,r2
-            for end_date, h, stderr, r2 in rows:
-                if h == "":
-                    entries.append(RollingEntry(end_date, None, None, None, 0, False, "gap"))
-                else:
-                    entries.append(RollingEntry(end_date, float(h), float(stderr), float(r2), 0, True))
-        return cls(entries=tuple(entries), window=window, step=step)
 
 
 @dataclass(frozen=True)

@@ -95,36 +95,40 @@ def returns_from_prices(calendar, closes) -> ReturnSeries:
 def read_prices_csv(path, column: str = "close") -> tuple[tuple[str, ...], np.ndarray]:
     """Parse `date,<column>`; returns (calendar, values). Values must be
     finite, and positive for `close` (prices); dates real calendar dates,
-    strictly increasing. A bad row raises a StatsError naming its line."""
+    strictly increasing. A bad row raises a StatsError naming its line; a
+    file that is not UTF-8 raises one naming the file."""
     positive = column == "close"
     dates: list[str] = []
     values: list[float] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = tuple(h.strip().lower() for h in next(reader))
-        except StopIteration:
-            raise StatsError(f"{path}: empty file") from None
-        if header != ("date", column):
-            raise StatsError(f"{path}: expected header date,{column}, got {header!r}")
-        for row in reader:
-            if not row:
-                continue
-            line = reader.line_num
-            if len(row) != 2:
-                raise StatsError(f"line {line}: expected 2 fields")
-            date = row[0].strip()
-            if not _valid_date(date):
-                raise StatsError(f"line {line}: bad date {date!r}, expected a YYYY-MM-DD date")
-            dates.append(date)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
             try:
-                value = float(row[1])
-            except ValueError:
-                raise StatsError(f"line {line}: bad {column} {row[1]!r}") from None
-            if not math.isfinite(value) or (positive and value <= 0):
-                rule = "positive and finite" if positive else "finite"
-                raise StatsError(f"line {line}: {column} must be {rule}")
-            values.append(value)
+                header = tuple(h.strip().lower() for h in next(reader))
+            except StopIteration:
+                raise StatsError(f"{path}: empty file") from None
+            if header != ("date", column):
+                raise StatsError(f"{path}: expected header date,{column}, got {header!r}")
+            for row in reader:
+                if not row:
+                    continue
+                line = reader.line_num
+                if len(row) != 2:
+                    raise StatsError(f"line {line}: expected 2 fields")
+                date = row[0].strip()
+                if not _valid_date(date):
+                    raise StatsError(f"line {line}: bad date {date!r}, expected a YYYY-MM-DD date")
+                dates.append(date)
+                try:
+                    value = float(row[1])
+                except ValueError:
+                    raise StatsError(f"line {line}: bad {column} {row[1]!r}") from None
+                if not math.isfinite(value) or (positive and value <= 0):
+                    rule = "positive and finite" if positive else "finite"
+                    raise StatsError(f"line {line}: {column} must be {rule}")
+                values.append(value)
+    except UnicodeDecodeError:
+        raise StatsError(f"{path}: not UTF-8 text") from None
     if not dates:
         raise StatsError(f"{path}: no data rows")
     if any(b <= a for a, b in zip(dates, dates[1:])):
@@ -342,33 +346,3 @@ def regression_table(rolling: dict, prices_csv, fill_policy: str, lag: int, robu
             robust_results[key] = ols(pairs.volatility, pairs.hurst, robust=True)
     return regression_table_rows(classic, robust_results)
 
-
-_TEXT_COLUMNS = ("group", "flow", "alpha_stars", "beta_stars")
-
-
-def write_regression_table_csv(path, rows) -> None:
-    if not rows:
-        raise StatsError("no regression rows to write")
-    fields = list(rows[0].keys())
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(fields)
-        for row in rows:
-            writer.writerow(
-                [
-                    repr(float(v)) if isinstance(v, float) else str(v)
-                    for v in (row[f] for f in fields)
-                ]
-            )
-
-
-def read_regression_table_csv(path) -> list[dict]:
-    """The rows write_regression_table_csv wrote, with their types restored."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        return [
-            {
-                k: v if k in _TEXT_COLUMNS else int(v) if k == "n" else float(v)
-                for k, v in raw.items()
-            }
-            for raw in csv.DictReader(fh)
-        ]

@@ -8,7 +8,6 @@ by side they separate distribution-driven from correlation-driven effects.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import asdict, dataclass
 
@@ -97,13 +96,6 @@ class SurrogateBand:
 
     def to_json_dict(self) -> dict:
         return asdict(self)
-
-    def write_values_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["surrogate_index", "hurst"])
-            for i, h in enumerate(self.hurst_values):
-                writer.writerow([i, repr(float(h))])
 
 
 def _linear_quantile(ordered: list, q: float) -> float:

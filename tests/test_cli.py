@@ -10,6 +10,8 @@ from click.testing import CliRunner
 
 import flowmem
 from flowmem.cli import main
+from flowmem.pipeline import read_panel
+from flowmem.stats import read_prices_csv
 
 
 @pytest.fixture()
@@ -61,6 +63,19 @@ class TestIngestCheck:
         assert "line 3: bad date '2020-13-45'" in result.output
         assert "trading days" not in result.output
 
+    def test_non_utf8_file_fails_naming_the_file(self, runner, data_dir, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"date,group,buy,sell\n2020-01-02,retail,1,2\n2020-01-03,retail,\xe9,4\n")
+        result = invoke(runner, "ingest-check", bad)
+        assert result.exit_code == 1
+        assert result.output == f"Error: {bad}: not UTF-8 text\n"
+        config = json.loads((data_dir / "run_config.json").read_text())
+        config["flows_csv"], config["prices_csv"] = str(bad), None
+        (tmp_path / "run.json").write_text(json.dumps(config))
+        result = invoke(runner, "run", "--config", tmp_path / "run.json", "--out", tmp_path / "out")
+        assert result.exit_code == 1
+        assert result.output == f"Error: stage 'ingest': {bad}: not UTF-8 text\n"
+
 
 def test_cli_import_leaves_out_scipy_stats(data_dir, tmp_path):
     """scipy.stats costs about a second to import and scipy.special a tenth;
@@ -108,14 +123,16 @@ class TestSynthAndDfa:
             ("2020-01-01,1.0\n2020-01-02,abc\n", "line 3: bad value 'abc'"),
             ("2020-01-01,1.0\n2020-01-02,inf\n", "line 3: value must be finite"),
             ("2020-01-02,1.0\n2020-01-01,2.0\n", "dates must be strictly increasing"),
+            ("2020-01-01,1.0\n2020-01-02,\xe9\n", "not UTF-8 text"),
         ],
     )
     def test_bad_series_file_fails_cleanly(self, runner, tmp_path, rows, message):
         series = tmp_path / "s.csv"
-        series.write_text("date,value\n" + rows)
+        series.write_bytes(("date,value\n" + rows).encode("latin-1"))  # "\xe9": the byte 0xE9
         result = invoke(runner, "dfa", "--series", series)
         assert result.exit_code == 1
         assert result.output.startswith("Error: ") and message in result.output
+        assert result.output.count("\n") == 1
 
     @pytest.mark.parametrize("bad", ["2020-13-45", "2020-02-30"])
     def test_series_file_with_impossible_date_names_line(self, runner, tmp_path, bad):
@@ -124,6 +141,31 @@ class TestSynthAndDfa:
         result = invoke(runner, "dfa", "--series", series)
         assert result.exit_code == 1
         assert f"Error: line 3: bad date '{bad}'" in result.output
+
+    def test_synth_and_surrogate_files_read_back(self, runner, tmp_path):
+        n, count = 100, 3
+        flows, prices, values = (tmp_path / name for name in ("flows.csv", "prices.csv", "values.csv"))
+
+        def write():
+            commands = [
+                ("synth", "flows", "--group", "retail=fgn:0.8", "--group", "institutional=iid_gaussian",
+                 "--group", "foreign=pareto:2.5", "-n", n, "--seed", 4, "--out", flows),
+                ("synth", "prices", "-n", n, "--seed", 5, "--out", prices),
+                ("surrogate", "--flows", flows, "--group", "retail", "--flow", "NET", "--kind", "shuffle",
+                 "--count", count, "--seed", 2, "--out", tmp_path / "band.json", "--out-values", values),
+            ]
+            for args in commands:
+                assert invoke(runner, *args).exit_code == 0
+            return [path.read_bytes() for path in (flows, prices, values)]
+
+        first = write()
+        panel, records = read_panel(flows)
+        assert (len(panel.calendar), records) == (n, 6 * n)
+        assert all(panel.series[key].any() for key in panel.series)  # all 3 groups
+        calendar, closes = read_prices_csv(prices)
+        assert calendar == panel.calendar and closes.size == n
+        assert len(values.read_text().splitlines()) == count + 1
+        assert write() == first
 
     def test_flows_spec_validation(self, runner, tmp_path):
         result = invoke(

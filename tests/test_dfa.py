@@ -21,6 +21,7 @@ from flowmem.dfa import (
     profile,
 )
 from flowmem.errors import DfaError
+from flowmem.pipeline import curve_csv
 from flowmem.rolling import rolling_hurst
 from flowmem.stats import ols
 from flowmem.surrogate import (
@@ -244,7 +245,7 @@ class TestSerialization:
             series_length=100,
         )
         path = tmp_path / "curve.csv"
-        curve.write_csv(path)
+        path.write_text(curve_csv(curve))
         assert path.read_text() == "n,F\n8,1.5\n16,2.25\n"
 
     def test_fit_json_round_trip(self, tmp_path):

@@ -1,5 +1,6 @@
 import csv
 import io
+import itertools
 import math
 import os
 import re
@@ -9,18 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowmem import pipeline
+from flowmem import flows, pipeline
 from flowmem.errors import FlowError
-from flowmem.flows import (
-    FlowPanel,
-    FlowType,
-    Group,
-    Side,
-    aggregate_daily,
-    extract_series,
-    read_flows_csv,
-    write_flows_csv,
-)
+from flowmem.flows import FlowPanel, FlowType, Group, Side, aggregate_daily, read_flows_csv
 
 LONG = "date,firm_id,group,side,amount"
 WIDE = "date,group,buy,sell"
@@ -127,23 +119,7 @@ class TestAggregateDaily:
 
 
 class TestExtractSeries:
-    def test_label_and_values(self):
-        panel = aggregate_daily(
-            [rec("2020-01-02", "retail", "BUY", 5), rec("2020-01-03", "retail", "SELL", 4)]
-        )
-        labeled = extract_series(panel, "retail", "NET")
-        np.testing.assert_array_equal(labeled.values, [5.0, -4.0])
-        assert labeled.group is Group.RETAIL
-        assert labeled.flow_type is FlowType.NET
-        assert labeled.calendar == panel.calendar
-
-    def test_missing_key_errors(self):
-        panel = FlowPanel(
-            calendar=("2020-01-02",),
-            series={(Group.RETAIL, FlowType.BUY): [1.0]},
-        )
-        with pytest.raises(FlowError, match="foreign"):
-            extract_series(panel, "foreign", "BUY")
+    """A panel's series, taken out one by one, build the same panel."""
 
     def test_round_trip_reassembly(self):
         records = [
@@ -154,11 +130,7 @@ class TestExtractSeries:
         panel = aggregate_daily(records)
         rebuilt = FlowPanel(
             calendar=panel.calendar,
-            series={
-                (g, ft): extract_series(panel, g, ft).values
-                for g in Group
-                for ft in FlowType
-            },
+            series={(g, ft): panel.series[g, ft] for g in Group for ft in FlowType},
         )
         assert rebuilt == panel
 
@@ -305,19 +277,29 @@ class TestCsv:
         with pytest.raises(FlowError, match="header"):
             read(path)
 
-    @pytest.mark.parametrize("text, message", [("", "empty file"), (f"{LONG}\n\n", "no data rows")])
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "empty file"),
+            (f"{LONG}\n\n", "no data rows"),
+            (f"{LONG}\n2020-01-02,f\xe9,retail,BUY,5\n", "not UTF-8 text"),
+        ],
+    )
     def test_empty_files(self, tmp_path, text, message):
         path = tmp_path / "flows.csv"
-        path.write_text(text)
-        with pytest.raises(FlowError, match=message):
+        path.write_bytes(text.encode("latin-1"))  # "\xe9" is the byte 0xE9, not UTF-8
+        with pytest.raises(FlowError, match=f"^{re.escape(str(path))}: {message}$"):
             read(path)
+        with pytest.raises(FlowError, match=f"^{re.escape(str(path))}: {message}$"):
+            pipeline.read_panel(path)
 
     def test_write_round_trip(self, tmp_path):
+        # the repr of a float, as every writer formats it, reads back exactly
         path = tmp_path / "flows.csv"
-        write_flows_csv(path, [("2020-01-02", "retail", 5.5, 2.0)])
+        path.write_text(pipeline._csv_text(WIDE, [f"2020-01-02,retail,{5.5!r},{0.1 + 0.2!r}"]))
         panel = aggregate_daily(read_flows_csv(path))
         assert panel.series[(Group.RETAIL, FlowType.BUY)][0] == 5.5
-        assert panel.series[(Group.RETAIL, FlowType.SELL)][0] == 2.0
+        assert panel.series[(Group.RETAIL, FlowType.SELL)][0] == 0.1 + 0.2
 
 
 def reference_panel(path) -> FlowPanel:
@@ -484,8 +466,9 @@ class TestTwoProcessRead:
         ],
         ids=["long", "long-crlf", "long-tiny", "wide"],
     )
-    def test_split_equals_serial(self, tmp_path, forks, make):
+    def test_split_equals_serial(self, tmp_path, forks, make, monkeypatch):
         path = make(tmp_path / "flows.csv")
+        monkeypatch.setattr(flows, "_BLOCK_BYTES", 7)  # each half in many blocks
         assert pipeline._read_raw(path) is not None  # the raw read itself, no fallback
         panel, records = pipeline.read_panel(path)
         assert (panel, records) == serial_read(path)
@@ -499,7 +482,9 @@ class TestTwoProcessRead:
         "amount, message",
         [("abc", "bad amount"), ("-1", "negative amount"), ("inf", "non-finite amount")],
     )
-    def test_bad_amount_in_second_half_raises_the_serial_error(self, tmp_path, forks, amount, message):
+    def test_bad_amount_in_second_half_raises_the_serial_error(
+        self, tmp_path, forks, amount, message, monkeypatch
+    ):
         path = long_file(tmp_path / "flows.csv")
         text = path.read_text()
         row = "2020-03-01,F1,foreign,SELL,"
@@ -509,6 +494,10 @@ class TestTwoProcessRead:
         with pytest.raises(FlowError, match=f"^line {line_of(path, row)}: {message} '{amount}'$"):
             pipeline.read_panel(path)
         assert forks
+        monkeypatch.setattr(pipeline, "SPLIT_MIN_BYTES", path.stat().st_size + 1)  # one range, here
+        with pytest.raises(FlowError, match=f"^line {line_of(path, row)}: {message} '{amount}'$"):
+            pipeline.read_panel(path)
+        assert len(forks) == 1
 
     def test_wide_row_repeated_across_halves_names_both_lines(self, tmp_path, forks):
         path = wide_file(tmp_path / "flows.csv")
@@ -518,11 +507,15 @@ class TestTwoProcessRead:
         path.write_text(text + repeat)
         last = len(path.read_text().split("\n")) - 1
         first = line_of(path, row)
-        with pytest.raises(
-            FlowError, match=f"^line {last}: repeats the 2020-01-05 institutional row of line {first}$"
-        ):
-            pipeline.read_panel(path)
-        assert forks
+        for split_min in (1, path.stat().st_size + 1):  # two halves, then one range here
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(pipeline, "SPLIT_MIN_BYTES", split_min)
+                with pytest.raises(
+                    FlowError,
+                    match=f"^line {last}: repeats the 2020-01-05 institutional row of line {first}$",
+                ):
+                    pipeline.read_panel(path)
+        assert len(forks) == 1
 
     def test_quoted_newline_at_the_split_point_reads_serially(self, tmp_path, forks):
         rows = [f"2020-01-{day:02d},F1,retail,BUY,1.5" for day in range(1, 21)]
@@ -587,9 +580,11 @@ class TestTwoProcessRead:
         except FlowError as exc:
             expected, error = None, exc
         size = path.stat().st_size
-        for split_min in (size - 1, size + 1):  # two halves, then one range in this process
+        # two halves, then one range in this process; in one block, then in blocks of 7 bytes
+        for split_min, block in itertools.product((size - 1, size + 1), (flows._BLOCK_BYTES, 7)):
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(pipeline, "SPLIT_MIN_BYTES", split_min)
+                patch.setattr(flows, "_BLOCK_BYTES", block)
                 if error is None:
                     patch.setattr(pipeline, "read_flows_csv", None)  # the raw read alone
                     assert pipeline.read_panel(path) == expected

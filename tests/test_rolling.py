@@ -3,6 +3,7 @@ import pytest
 
 from flowmem.dfa import DfaConfig, dfa_hurst
 from flowmem.errors import DfaError
+from flowmem.pipeline import read_rolling_csv, rolling_csv
 from flowmem.rolling import (
     RegimeWindow,
     RollingEntry,
@@ -102,11 +103,17 @@ class TestRollingHurst:
         )
         roll = RollingHurst(entries=entries, window=250, step=5)
         path = tmp_path / "roll.csv"
-        roll.write_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "end_date,H,stderr,r2"
-        assert lines[1] == "d1,0.5,0.01,0.99"
-        assert lines[2] == "d2,,,"
+        path.write_text(rolling_csv(roll))
+        assert path.read_text() == "end_date,H,stderr,r2\nd1,0.5,0.01,0.99\nd2,,,\n"
+        # the file holds neither n_points_used nor a gap's reason
+        assert read_rolling_csv(path, step=5, window=250) == RollingHurst(
+            entries=(
+                RollingEntry("d1", 0.5, 0.01, 0.99, 0, True),
+                RollingEntry("d2", None, None, None, 0, False, "gap"),
+            ),
+            window=250,
+            step=5,
+        )
 
 
 class TestRegimeSummary:

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 import flowmem
 from flowmem.errors import StatsError
+from flowmem.pipeline import read_table_csv, table_csv
 from flowmem.rolling import RollingEntry, RollingHurst
 from flowmem.stats import (
     AlignedPairs,
@@ -24,7 +26,6 @@ from flowmem.stats import (
     returns_from_prices,
     significance_stars,
     squared_return_vol,
-    write_regression_table_csv,
 )
 from flowmem.stats import _t_two_sided_p
 
@@ -284,10 +285,11 @@ class TestStarsAndTable:
         assert rows[0]["alpha_stars"] == ""
         assert rows[0]["t_beta_robust"] == 3.9
         path = tmp_path / "table.csv"
-        write_regression_table_csv(path, rows)
+        path.write_text(table_csv(rows))
         lines = path.read_text().splitlines()
         assert lines[0].startswith("group,flow,alpha,")
         assert "0.046" in lines[1] and "***" in lines[1]
+        assert read_table_csv(path) == rows
 
 
 class TestStudentTTail:
@@ -366,6 +368,13 @@ class TestPricesCsv:
         path.write_text("date,close\n2020-01-03,100.0\n2020-01-02,101.0\n")
         with pytest.raises(StatsError, match="increasing"):
             read_prices_csv(path)
+
+    @pytest.mark.parametrize("column", ["close", "value"])
+    def test_not_utf8_names_the_file(self, tmp_path, column):
+        path = tmp_path / "prices.csv"
+        path.write_bytes(f"date,{column}\n2020-01-02,100.0\n2020-01-03,1\xe9\n".encode("latin-1"))
+        with pytest.raises(StatsError, match=f"^{re.escape(str(path))}: not UTF-8 text$"):
+            read_prices_csv(path, column=column)
 
     @pytest.mark.parametrize("column", ["close", "value"])
     @pytest.mark.parametrize("bad", ["2020-13-45", "2020-02-30", "20200103", "2020-W01-5"])

@@ -115,22 +115,28 @@ class TestSurrogateBand:
             SurrogateSpec(kind="shuffle", seed=1, count=0)
 
     def test_json_and_csv_outputs(self, tmp_path):
-        import json
+        # the files `flowmem surrogate` writes for a series hold its band
+        import datetime
+
+        from click.testing import CliRunner
+
+        from flowmem.cli import main
+        from flowmem.pipeline import _csv_text, _json_text
 
         x = pareto(2.0, 600, seed=5)
         band = surrogate_band(x, SurrogateSpec(kind="shuffle", seed=2, count=3))
-        from flowmem.pipeline import _json_text
-
-        jpath = tmp_path / "band.json"
-        jpath.write_text(_json_text(band.to_json_dict()))
-        loaded = json.loads(jpath.read_text())
-        assert loaded["count"] == 3
-        assert len(loaded["hurst_values"]) == 3
-        cpath = tmp_path / "values.csv"
-        band.write_values_csv(cpath)
-        lines = cpath.read_text().splitlines()
-        assert lines[0] == "surrogate_index,hurst"
-        assert len(lines) == 4
+        start = datetime.date(2015, 1, 1)
+        dates = [(start + datetime.timedelta(days=i)).isoformat() for i in range(x.size)]
+        series, jpath, cpath = tmp_path / "series.csv", tmp_path / "band.json", tmp_path / "values.csv"
+        series.write_text(_csv_text("date,value", (f"{d},{v!r}" for d, v in zip(dates, x.tolist()))))
+        args = ["surrogate", "--series", series, "--kind", "shuffle", "--count", 3, "--seed", 2,
+                "--out", jpath, "--out-values", cpath]
+        result = CliRunner().invoke(main, [str(a) for a in args])
+        assert result.exit_code == 0, result.output
+        assert jpath.read_text() == _json_text(band.to_json_dict())
+        assert cpath.read_text().splitlines() == ["surrogate_index,hurst"] + [
+            f"{i},{h!r}" for i, h in enumerate(band.hurst_values)
+        ]
 
 
 class TestLinearQuantile:
