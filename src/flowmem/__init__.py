@@ -41,12 +41,8 @@ from .rolling import (
 from .stats import (
     AlignedPairs,
     OlsResult,
-    ReturnSeries,
-    VolatilitySeries,
     align_h_rv,
     ols,
-    returns_from_prices,
-    squared_return_vol,
 )
 from .surrogate import SurrogateBand, SurrogateSpec, phase_randomize, shuffle, surrogate_band
 from .synth import GeneratorSpec, cumsum, fgn, fgn_autocovariance, generate, iid_gaussian, pareto

@@ -310,7 +310,8 @@ def tails(loaded, side, tail_fraction, out_ccdf, out_fit):
 @click.option("--roll-dir", type=click.Path(exists=True, file_okay=False), required=True,
               help=f"Directory holding {ROLLING_CSV.format(key='<group>_<flow>')} files.")
 @click.option("--prices", type=click.Path(exists=True), required=True)
-@click.option("--step", default=RunConfig.rolling_step, show_default=True,
+@click.option("--step", type=click.IntRange(min=1), default=RunConfig.rolling_step,
+              show_default=True,
               help="Rolling step in trading days; caps how long forward_fill holds an exponent.")
 @click.option("--fill", type=click.Choice(FILL_POLICIES),
               default=RunConfig.fill_policy, show_default=True)

@@ -252,18 +252,11 @@ def _loglog_fits(log_values: np.ndarray, scales: np.ndarray, order: int) -> list
     return [DfaFit(h, b, se, r2, scale_range, int(scales.size), order) for h, b, se, r2 in rows]
 
 
-def fit_hurst(curve: FluctuationCurve, fit_range: tuple[int, int] | None = None) -> DfaFit:
+def fit_hurst(curve: FluctuationCurve) -> DfaFit:
     """OLS of log10 F(n) on log10 n over the admissible scales."""
-    scales = curve.scales
-    values = curve.values
-    if fit_range is not None:
-        lo, hi = fit_range
-        mask = (scales >= lo) & (scales <= hi)
-        scales = scales[mask]
-        values = values[mask]
-    if scales.size < 4:
-        raise DfaError(f"insufficient scales for fit: {scales.size} < 4")
-    return _loglog_fits(np.log10(values)[np.newaxis], scales, curve.detrend_order)[0]
+    if curve.scales.size < 4:
+        raise DfaError(f"insufficient scales for fit: {curve.scales.size} < 4")
+    return _loglog_fits(np.log10(curve.values)[np.newaxis], curve.scales, curve.detrend_order)[0]
 
 
 def dfa_hurst(series, config: DfaConfig = DfaConfig()) -> DfaFit:

@@ -203,6 +203,8 @@ def load_config(path, out_dir=None, seed=None) -> RunConfig:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise PipelineError("config", f"{path}: {exc}") from None
+        except UnicodeDecodeError:
+            raise PipelineError("config", f"{path}: not UTF-8 text") from None
     if seed is not None and isinstance(data, dict):
         data["seed"] = seed
     config = config_from_json_dict(data, base_dir=os.path.dirname(os.path.abspath(path)))
@@ -307,19 +309,43 @@ def rolling_csv(roll: RollingHurst) -> str:
     ))
 
 
+def _read_csv_artifact(path, headers, convert) -> list:
+    """`convert(header, row)` for every data row of a CSV artifact whose
+    header is one of `headers`. Any other header, a row with another field
+    count or a field `convert` rejects raises a FlowmemError naming the file
+    and the line."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = csv.reader(fh)
+            header = next(rows, [])
+            if ",".join(header) not in headers:
+                raise FlowmemError(f"{path}: line 1: expected header {' or '.join(headers)}")
+            out = []
+            for row in rows:
+                try:
+                    if len(row) != len(header):
+                        raise ValueError(f"expected {len(header)} fields, got {len(row)}")
+                    out.append(convert(header, row))
+                except ValueError as exc:
+                    raise FlowmemError(f"{path}: line {rows.line_num}: {exc}") from None
+    except UnicodeDecodeError:
+        raise FlowmemError(f"{path}: not UTF-8 text") from None
+    return out
+
+
+def _rolling_entry(_, row) -> RollingEntry:
+    end_date, h, stderr, r2 = row
+    if not h:
+        return RollingEntry(end_date, None, None, None, 0, False, "gap")
+    return RollingEntry(end_date, float(h), float(stderr), float(r2), 0, True)
+
+
 def read_rolling_csv(path, step: int, window: int | None = None) -> RollingHurst:
     """The RollingHurst a `rolling_csv` file holds. The file does not hold
     the window length, n_points_used or a gap's reason, so those come back
     as `window`, 0 and "gap"."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = csv.reader(fh)
-        next(rows)  # end_date,H,stderr,r2
-        entries = tuple(
-            RollingEntry(end_date, float(h), float(stderr), float(r2), 0, True) if h
-            else RollingEntry(end_date, None, None, None, 0, False, "gap")
-            for end_date, h, stderr, r2 in rows
-        )
-    return RollingHurst(entries=entries, window=window, step=step)
+    entries = _read_csv_artifact(path, ("end_date,H,stderr,r2",), _rolling_entry)
+    return RollingHurst(entries=tuple(entries), window=window, step=step)
 
 
 def table_csv(rows) -> str:
@@ -329,18 +355,21 @@ def table_csv(rows) -> str:
 
 
 _TEXT_COLUMNS = ("group", "flow", "alpha_stars", "beta_stars")
+# a `regression_table` row's columns; robust t-values add two more
+_TABLE_HEADER = "group,flow,alpha,t_alpha,alpha_stars,beta,t_beta,beta_stars,r_squared,n"
+
+
+def _table_row(header, row) -> dict:
+    return {
+        k: v if k in _TEXT_COLUMNS else int(v) if k == "n" else float(v)
+        for k, v in zip(header, row)
+    }
 
 
 def read_table_csv(path) -> list[dict]:
     """The rows a `table_csv` file holds, with their types restored."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        return [
-            {
-                k: v if k in _TEXT_COLUMNS else int(v) if k == "n" else float(v)
-                for k, v in raw.items()
-            }
-            for raw in csv.DictReader(fh)
-        ]
+    headers = (_TABLE_HEADER, _TABLE_HEADER + ",t_alpha_robust,t_beta_robust")
+    return _read_csv_artifact(path, headers, _table_row)
 
 
 @dataclass
@@ -788,6 +817,8 @@ def _load_json_artifact(out_dir: str, template: str, **names) -> dict:
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise PipelineError("report", f"malformed artifact {path}: {exc}") from None
+    except UnicodeDecodeError:
+        raise PipelineError("report", f"malformed artifact {path}: not UTF-8 text") from None
 
 
 def assemble_report(out_dir: str) -> RunReport:

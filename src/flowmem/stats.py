@@ -24,46 +24,12 @@ FILL_POLICIES = ("forward_fill", "step_dates_only")
 
 
 @dataclass(frozen=True)
-class ReturnSeries:
-    calendar: tuple[str, ...]
-    returns: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.returns, dtype=float)
-        if arr.ndim != 1 or arr.size != len(self.calendar):
-            raise StatsError("returns and calendar lengths differ")
-        if not np.all(np.isfinite(arr)):
-            raise StatsError("non-finite returns")
-        object.__setattr__(self, "returns", arr)
-
-
-@dataclass(frozen=True)
-class VolatilitySeries:
-    calendar: tuple[str, ...]
-    values: np.ndarray
-
-
-@dataclass(frozen=True)
 class AlignedPairs:
     """Date-matched (hurst, volatility) samples ready for regression."""
 
     dates: tuple[str, ...]
     hurst: np.ndarray
     volatility: np.ndarray
-
-    def lagged(self, lag: int) -> "AlignedPairs":
-        """Pair volatility at t with the exponent lag days earlier."""
-        if lag < 0:
-            raise StatsError(f"lag must be >= 0, got {lag}")
-        if lag == 0:
-            return self
-        if lag >= len(self.dates):
-            raise StatsError(f"lag {lag} leaves no pairs")
-        return AlignedPairs(
-            dates=self.dates[lag:],
-            hurst=self.hurst[:-lag],
-            volatility=self.volatility[lag:],
-        )
 
 
 @dataclass(frozen=True)
@@ -75,21 +41,6 @@ class OlsResult:
     r_squared: float
     n: int
     residual_variance: float
-
-
-def returns_from_prices(calendar, closes) -> ReturnSeries:
-    """Log price ratios; the first date is consumed by the difference."""
-    prices = np.asarray(closes, dtype=float)
-    if prices.size != len(calendar):
-        raise StatsError("prices and calendar lengths differ")
-    if prices.size < 2:
-        raise StatsError("need at least 2 prices")
-    if not np.all(np.isfinite(prices)) or np.any(prices <= 0):
-        raise StatsError("prices must be positive and finite")
-    return ReturnSeries(
-        calendar=tuple(calendar[1:]),
-        returns=np.diff(np.log(prices)),
-    )
 
 
 def read_prices_csv(path, column: str = "close") -> tuple[tuple[str, ...], np.ndarray]:
@@ -136,17 +87,11 @@ def read_prices_csv(path, column: str = "close") -> tuple[tuple[str, ...], np.nd
     return tuple(dates), np.asarray(values)
 
 
-def squared_return_vol(returns: ReturnSeries) -> VolatilitySeries:
-    """Baseline daily volatility: the squared return."""
-    return VolatilitySeries(
-        calendar=returns.calendar, values=returns.returns**2
-    )
-
-
 def align_h_rv(
-    rolling: RollingHurst, rv: VolatilitySeries, fill_policy: str = "forward_fill"
+    rolling: RollingHurst, calendar, volatility, fill_policy: str = "forward_fill"
 ) -> AlignedPairs:
-    """Match rolling exponents to daily volatility by date.
+    """Match rolling exponents to daily volatility (`volatility[i]` on
+    `calendar[i]`) by date.
 
     forward_fill holds each valid exponent for up to `rolling.step`
     volatility trading days, counted from the first volatility date at or
@@ -165,16 +110,16 @@ def align_h_rv(
     vols: list[float] = []
     if fill_policy == "step_dates_only":
         by_date = {e.end_date: e for e in entries}
-        for i, d in enumerate(rv.calendar):
+        for i, d in enumerate(calendar):
             e = by_date.get(d)
             if e is not None and e.ok:
                 dates.append(d)
                 hs.append(e.hurst)
-                vols.append(float(rv.values[i]))
+                vols.append(float(volatility[i]))
     else:
         ptr = -1
-        active_i = -1  # rv index at which the current entry became active
-        for i, d in enumerate(rv.calendar):
+        active_i = -1  # volatility index at which the current entry became active
+        for i, d in enumerate(calendar):
             while ptr + 1 < len(entries) and entries[ptr + 1].end_date <= d:
                 ptr += 1
                 active_i = i
@@ -187,7 +132,7 @@ def align_h_rv(
                 continue  # staleness cap: held for at most `step` days
             dates.append(d)
             hs.append(e.hurst)
-            vols.append(float(rv.values[i]))
+            vols.append(float(volatility[i]))
     if not dates:
         raise StatsError("no overlapping dates between rolling exponent and volatility")
     return AlignedPairs(
@@ -300,14 +245,29 @@ def significance_stars(t_value: float, n: int) -> str:
     return next((stars for level, stars in _STARS if p < level), "")
 
 
-def regression_table_rows(results: dict, robust_results: dict | None = None) -> list[dict]:
-    """Flatten per-(group, flow) regressions into table rows with stars.
+def regression_table(rolling: dict, prices_csv, fill_policy: str, lag: int, robust: bool) -> list[dict]:
+    """Volatility-on-persistence table from a prices file.
 
-    `results` maps (group, flow) -> OlsResult. Rows come out in the
+    `rolling` maps (group, flow) -> RollingHurst. Each series is aligned
+    with the squared-return volatility under `fill_policy`; volatility at
+    t is paired with the exponent `lag` pairs earlier and regressed with
+    classical (and, if `robust`, HC1) t-values. Rows come out in the
     mapping's iteration order.
     """
+    calendar, closes = read_prices_csv(prices_csv)
+    if closes.size < 2:
+        raise StatsError("need at least 2 prices")
+    if lag < 0:
+        raise StatsError(f"lag must be >= 0, got {lag}")
+    volatility = np.diff(np.log(closes)) ** 2  # the first date is consumed by the difference
     rows = []
-    for (group, flow), res in results.items():
+    for (group, flow), roll in rolling.items():
+        pairs = align_h_rv(roll, calendar[1:], volatility, fill_policy)
+        n = len(pairs.dates) - lag
+        if n <= 0:
+            raise StatsError(f"lag {lag} leaves no pairs")
+        vol, hurst = pairs.volatility[lag:], pairs.hurst[:n]
+        res = ols(vol, hurst)
         row = {
             "group": str(group),
             "flow": str(flow),
@@ -320,29 +280,8 @@ def regression_table_rows(results: dict, robust_results: dict | None = None) -> 
             "r_squared": res.r_squared,
             "n": res.n,
         }
-        if robust_results is not None:
-            rob = robust_results[(group, flow)]
-            row["t_alpha_robust"] = rob.t_alpha
-            row["t_beta_robust"] = rob.t_beta
+        if robust:
+            rob = ols(vol, hurst, robust=True)
+            row.update(t_alpha_robust=rob.t_alpha, t_beta_robust=rob.t_beta)
         rows.append(row)
     return rows
-
-
-def regression_table(rolling: dict, prices_csv, fill_policy: str, lag: int, robust: bool) -> list[dict]:
-    """Volatility-on-persistence table from a prices file.
-
-    `rolling` maps (group, flow) -> RollingHurst; each series is aligned
-    with the squared-return volatility under `fill_policy`, lagged by
-    `lag` days and regressed with classical (and, if `robust`, HC1)
-    t-values. Rows come out in the mapping's iteration order.
-    """
-    calendar, closes = read_prices_csv(prices_csv)
-    rv = squared_return_vol(returns_from_prices(calendar, closes))
-    classic, robust_results = {}, ({} if robust else None)
-    for key, roll in rolling.items():
-        pairs = align_h_rv(roll, rv, fill_policy).lagged(lag)
-        classic[key] = ols(pairs.volatility, pairs.hurst)
-        if robust_results is not None:
-            robust_results[key] = ols(pairs.volatility, pairs.hurst, robust=True)
-    return regression_table_rows(classic, robust_results)
-

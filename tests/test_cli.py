@@ -258,6 +258,40 @@ class TestReportCommand:
         assert result.exit_code != 0
         assert "fig4_rolling_retail_NET.csv" in result.output
 
+    def test_non_utf8_artifact_error(self, runner, bundled_run, tmp_path):
+        import shutil
+
+        _, _, out = bundled_run
+        broken = tmp_path / "broken"
+        shutil.copytree(out, broken)
+        (broken / "tails_retail_BUY.json").write_bytes(b'{"side": "upp\xe9r"}')  # the byte 0xE9
+        result = invoke(runner, "report", "--dir", broken)
+        assert result.exit_code == 1
+        assert result.output.startswith("Error: ") and result.output.count("\n") == 1
+        assert f"{broken / 'tails_retail_BUY.json'}: not UTF-8 text" in result.output
+
+    @pytest.mark.parametrize("command, name, text", [
+        ("regress", "fig4_rolling_retail_NET.csv", "end_date,H,stderr,r2\n2015-03-01,abc,0.1,0.9\n"),
+        ("regress", "fig4_rolling_retail_NET.csv", "end_date,H,stderr,r2\n2015-03-01,0.5,0.1\n"),
+        ("report", "fig4_rolling_retail_NET.csv", ""),
+        ("report", "table1_regression.csv", "group,flow\n"),
+    ], ids=["bad-float", "three-fields", "empty-fig4", "table-header"])
+    def test_malformed_csv_artifact_fails_cleanly(self, runner, data_dir, bundled_run, tmp_path,
+                                                  command, name, text):
+        import shutil
+
+        _, _, out = bundled_run
+        broken = tmp_path / "broken"
+        shutil.copytree(out, broken)
+        (broken / name).write_text(text)
+        args = ("report", "--dir", broken) if command == "report" else (
+            "regress", "--roll-dir", broken, "--prices", data_dir / "prices_synth.csv",
+            "--out", tmp_path / "table.csv")
+        result = invoke(runner, *args)
+        assert result.exit_code == 1
+        assert result.output.startswith(f"Error: {broken / name}: line ")
+        assert result.output.count("\n") == 1 and "Traceback" not in result.output
+
 
 class TestRunCommand:
     def test_run_writes_report_and_prints_summary(self, runner, data_dir, tmp_path):
@@ -284,6 +318,17 @@ class TestRunCommand:
     def test_no_ignored_options(self, runner):
         assert "--threads" not in invoke(runner, "run", "--help").output
         assert "--window" not in invoke(runner, "regress", "--help").output
+
+    def test_regress_step_below_one_is_a_usage_error(self, runner, data_dir, bundled_run, tmp_path):
+        _, _, out = bundled_run
+        for step in (0, -3):
+            result = invoke(
+                runner, "regress", "--roll-dir", out, "--prices", data_dir / "prices_synth.csv",
+                "--step", step, "--out", tmp_path / "table.csv",
+            )
+            assert result.exit_code == 2
+            assert "--step" in result.output and "no overlapping" not in result.output
+        assert not (tmp_path / "table.csv").exists()
 
     def test_run_error_names_stage(self, runner, data_dir, tmp_path):
         config = json.loads((data_dir / "run_config.json").read_text())

@@ -185,13 +185,6 @@ class TestFitHurst:
         np.testing.assert_allclose(fit.intercept, intercept, rtol=1e-10)
         np.testing.assert_allclose(fit.slope_stderr, stderr, rtol=1e-10)
 
-    def test_fit_range_restricts_points(self):
-        scales = np.array([8, 16, 32, 64, 128, 256])
-        curve = self._curve(scales, 2.0 * scales.astype(float) ** 0.6)
-        fit = fit_hurst(curve, fit_range=(16, 128))
-        assert fit.n_points_used == 4
-        assert fit.scale_range == (16, 128)
-
     def test_insufficient_points(self):
         curve = self._curve([8, 16, 32], [1.0, 2.0, 3.0])
         with pytest.raises(DfaError, match="insufficient"):

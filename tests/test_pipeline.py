@@ -496,6 +496,26 @@ def numpy_ma_after_run(data_dir, out, fork=True):
     return done.stdout.strip()
 
 
+def test_benchmark_tracer_instruments_a_run(data_dir, tmp_path):
+    """perfbench/tracing.py wraps flowmem functions by module and name and
+    reads their results; a run under it still succeeds and records spans."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    try:
+        tracer.instrument()
+        config = load_config(data_dir / "run_config.json", out_dir=str(tmp_path / "out"))
+        report = run_pipeline(config)
+    finally:
+        tracer.restore()
+    assert len(report.series) == 9 and (tmp_path / "out" / "report.json").exists()
+    aligned = [span for span in tracer.spans if span["name"] == "stats.align"]
+    assert len(aligned) == 9 and all(span["counts"]["pairs"] > 0 for span in aligned)
+    assert {"dfa.static", "tails.report", "rolling.hurst"} <= {s["name"] for s in tracer.spans}
+
+
 def test_run_loads_no_numpy_ma(data_dir, tmp_path):
     """np.unique and np.quantile import numpy.ma on first use; a run does
     without both."""
@@ -610,10 +630,12 @@ class TestConfig:
 
     def test_malformed_json_is_config_error_naming_file(self, tmp_path):
         path = tmp_path / "config.json"
-        path.write_text('{"flows_csv": "f.csv",\n}')
-        with pytest.raises(PipelineError, match=r"config\.json: .*line 2") as info:
-            load_config(path)
-        assert info.value.stage == "config"
+        for text, cause in (('{"flows_csv": "f.csv",\n}', r".*line 2"),
+                            ('{"flows_csv": "caf\xe9.csv"}', "not UTF-8 text$")):
+            path.write_bytes(text.encode("latin-1"))  # "\xe9": the byte 0xE9
+            with pytest.raises(PipelineError, match=rf"config\.json: {cause}") as info:
+                load_config(path)
+            assert info.value.stage == "config"
 
     def test_defaults_hash_is_pinned(self):
         # the defaults live on the RunConfig and DfaConfig fields alone

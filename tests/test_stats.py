@@ -1,3 +1,4 @@
+import datetime
 import math
 import os
 import re
@@ -15,17 +16,11 @@ from flowmem.errors import StatsError
 from flowmem.pipeline import read_table_csv, table_csv
 from flowmem.rolling import RollingEntry, RollingHurst
 from flowmem.stats import (
-    AlignedPairs,
-    OlsResult,
-    ReturnSeries,
-    VolatilitySeries,
     align_h_rv,
     ols,
     read_prices_csv,
-    regression_table_rows,
-    returns_from_prices,
+    regression_table,
     significance_stars,
-    squared_return_vol,
 )
 from flowmem.stats import _t_two_sided_p
 
@@ -44,38 +39,44 @@ def day(i):
     return f"d{i:05d}"
 
 
+def write_prices(tmp_path, closes):
+    """A prices file with one close per day from 2020-01-01; returns its path
+    and its calendar."""
+    first = datetime.date(2020, 1, 1)
+    dates = [(first + datetime.timedelta(days=i)).isoformat() for i in range(len(closes))]
+    path = tmp_path / "prices.csv"
+    path.write_text("date,close\n" + "".join(f"{d},{c!r}\n" for d, c in zip(dates, closes)))
+    return path, dates
+
+
 class TestVolatility:
-    def test_squared_returns(self):
-        rs = ReturnSeries(calendar=("d1", "d2"), returns=np.array([0.01, -0.02]))
-        rv = squared_return_vol(rs)
-        np.testing.assert_allclose(rv.values, [0.0001, 0.0004])
-        assert rv.calendar == rs.calendar
+    """`regression_table` takes the squared log return of a prices file."""
 
-    def test_zero_returns(self):
-        rs = ReturnSeries(calendar=("d1",), returns=np.array([0.0]))
-        assert squared_return_vol(rs).values[0] == 0.0
+    def test_price_pipeline_matches_hand_oracle(self, tmp_path):
+        prices = [100.0, 102.0, 101.0, 105.0, 104.0, 107.0]
+        path, dates = write_prices(tmp_path, prices)
+        hs = [0.5, 0.6, 0.55, 0.7, 0.65]
+        rolling = make_rolling(list(zip(dates[1:], hs)), step=1)  # one exponent per return day
+        (row,) = regression_table({("retail", "NET"): rolling}, path, "forward_fill", 0, False)
+        expected = ols([math.log(b / a) ** 2 for a, b in zip(prices, prices[1:])], hs)
+        assert (row["group"], row["flow"], row["n"]) == ("retail", "NET", 5)
+        for name in ("alpha", "t_alpha", "beta", "t_beta", "r_squared"):
+            assert row[name] == pytest.approx(getattr(expected, name), rel=1e-9), name
+        assert row["beta_stars"] == significance_stars(row["t_beta"], 5)
+        assert "t_beta_robust" not in row
 
-    def test_price_pipeline_matches_hand_oracle(self):
-        dates = tuple(f"2020-01-0{i}" for i in range(1, 6))
-        prices = [100.0, 102.0, 101.0, 105.0, 104.0]
-        rs = returns_from_prices(dates, prices)
-        rv = squared_return_vol(rs)
-        expected_r = [math.log(b / a) for a, b in zip(prices, prices[1:])]
-        np.testing.assert_allclose(rs.returns, expected_r, rtol=1e-12)
-        np.testing.assert_allclose(rv.values, [r * r for r in expected_r], rtol=1e-12)
-        assert rs.calendar == dates[1:]
-
-    def test_bad_prices(self):
-        with pytest.raises(StatsError):
-            returns_from_prices(("d1", "d2"), [100.0, -5.0])
+    def test_one_price_is_too_few(self, tmp_path):
+        path, dates = write_prices(tmp_path, [100.0])
+        with pytest.raises(StatsError, match="^need at least 2 prices$"):
+            regression_table({("retail", "NET"): make_rolling([(dates[0], 0.5)])}, path,
+                             "forward_fill", 0, False)
 
 
 class TestAlignment:
     def test_forward_fill_policy(self):
         rolling = make_rolling([(day(249), 0.6), (day(254), 0.8)], step=5)
         rv_cal = tuple(day(249 + i) for i in range(10))
-        rv = VolatilitySeries(calendar=rv_cal, values=np.arange(10.0))
-        pairs = align_h_rv(rolling, rv, "forward_fill")
+        pairs = align_h_rv(rolling, rv_cal, np.arange(10.0), "forward_fill")
         assert pairs.dates == rv_cal  # both entries live 5 days each
         np.testing.assert_array_equal(pairs.hurst[:5], 0.6)
         np.testing.assert_array_equal(pairs.hurst[5:], 0.8)
@@ -83,15 +84,13 @@ class TestAlignment:
     def test_staleness_cap(self):
         rolling = make_rolling([(day(0), 0.6)], step=5)
         rv_cal = tuple(day(i) for i in range(12))
-        rv = VolatilitySeries(calendar=rv_cal, values=np.zeros(12))
-        pairs = align_h_rv(rolling, rv, "forward_fill")
+        pairs = align_h_rv(rolling, rv_cal, np.zeros(12), "forward_fill")
         assert len(pairs.dates) == 5  # held at most `step` days
 
     def test_step_dates_only(self):
         rolling = make_rolling([(day(249), 0.6), (day(254), 0.8)], step=5)
         rv_cal = tuple(day(249 + i) for i in range(10))
-        rv = VolatilitySeries(calendar=rv_cal, values=np.arange(10.0))
-        pairs = align_h_rv(rolling, rv, "step_dates_only")
+        pairs = align_h_rv(rolling, rv_cal, np.arange(10.0), "step_dates_only")
         assert pairs.dates == (day(249), day(254))
         np.testing.assert_array_equal(pairs.volatility, [0.0, 5.0])
 
@@ -100,8 +99,8 @@ class TestAlignment:
         rolling = make_rolling(spec, step=5)
         rv_cal = tuple(day(i) for i in range(15))
         rng = np.random.Generator(np.random.PCG64(3))
-        rv = VolatilitySeries(calendar=rv_cal, values=rng.uniform(size=15))
-        pairs = align_h_rv(rolling, rv, "forward_fill")
+        vol = rng.uniform(size=15)
+        pairs = align_h_rv(rolling, rv_cal, vol, "forward_fill")
 
         expected = []
         for i, d in enumerate(rv_cal):
@@ -113,7 +112,7 @@ class TestAlignment:
                 continue
             if i - rv_cal.index(ed) >= 5:
                 continue
-            expected.append((d, h, rv.values[i]))
+            expected.append((d, h, vol[i]))
         assert pairs.dates == tuple(d for d, _, _ in expected)
         np.testing.assert_array_equal(pairs.hurst, [h for _, h, _ in expected])
         np.testing.assert_array_equal(pairs.volatility, [v for _, _, v in expected])
@@ -122,29 +121,37 @@ class TestAlignment:
     def test_no_overlap(self):
         # volatility ends before the first exponent exists
         rolling = make_rolling([(day(100), 0.5)])
-        rv = VolatilitySeries(calendar=(day(0), day(1)), values=np.zeros(2))
+        rv_cal = (day(0), day(1))
         with pytest.raises(StatsError, match="no overlapping"):
-            align_h_rv(rolling, rv)
+            align_h_rv(rolling, rv_cal, np.zeros(2))
         with pytest.raises(StatsError, match="no overlapping"):
-            align_h_rv(rolling, rv, "step_dates_only")
+            align_h_rv(rolling, rv_cal, np.zeros(2), "step_dates_only")
 
     def test_trailing_entry_covers_next_step_days(self):
         # staleness is counted in volatility trading days at/after the stamp
         rolling = make_rolling([(day(0), 0.5)], step=5)
-        rv = VolatilitySeries(calendar=(day(50), day(51)), values=np.zeros(2))
-        pairs = align_h_rv(rolling, rv)
+        pairs = align_h_rv(rolling, (day(50), day(51)), np.zeros(2))
         assert pairs.dates == (day(50), day(51))
 
-    def test_lagged_pairs(self):
-        pairs = AlignedPairs(
-            dates=tuple(day(i) for i in range(6)),
-            hurst=np.arange(6.0),
-            volatility=np.arange(6.0) * 10,
-        )
-        lagged = pairs.lagged(2)
-        assert lagged.dates == tuple(day(i) for i in range(2, 6))
-        np.testing.assert_array_equal(lagged.hurst, [0.0, 1.0, 2.0, 3.0])
-        np.testing.assert_array_equal(lagged.volatility, [20.0, 30.0, 40.0, 50.0])
+    def test_lagged_pairs(self, tmp_path):
+        closes = [100.0, 101.0, 99.5, 102.0, 103.5, 101.0, 104.0, 106.5]
+        path, dates = write_prices(tmp_path, closes)
+        hs = [0.40, 0.55, 0.45, 0.60, 0.70, 0.50, 0.65]
+        rolling = {("foreign", "BUY"): make_rolling(list(zip(dates[1:], hs)), step=1)}
+        (row,) = regression_table(rolling, path, "forward_fill", 2, True)
+        # volatility at t against the exponent two pairs earlier
+        vol = np.diff(np.log(np.array(closes))) ** 2
+        expected = ols(vol[2:], np.array(hs)[:-2])
+        robust = ols(vol[2:], np.array(hs)[:-2], robust=True)
+        assert row["n"] == 5
+        assert (row["alpha"], row["beta"], row["t_beta"]) == (
+            expected.alpha, expected.beta, expected.t_beta)
+        assert (row["t_alpha_robust"], row["t_beta_robust"]) == (robust.t_alpha, robust.t_beta)
+        # 7 pairs: a lag of 7 or more leaves none
+        for lag, message in ((7, "lag 7 leaves no pairs"), (9, "lag 9 leaves no pairs"),
+                             (-1, "lag must be >= 0, got -1")):
+            with pytest.raises(StatsError, match=f"^{re.escape(message)}$"):
+                regression_table(rolling, path, "forward_fill", lag, False)
 
 
 class TestOls:
@@ -270,25 +277,26 @@ class TestStarsAndTable:
                 assert significance_stars(t_value, n) == expected(t_value, n), (t_value, n)
 
     def test_table_rows_and_csv(self, tmp_path):
-        res = OlsResult(
-            alpha=0.003, beta=0.046, t_alpha=0.58, t_beta=4.72,
-            r_squared=0.01, n=2000, residual_variance=0.002,
-        )
-        rob = OlsResult(
-            alpha=0.003, beta=0.046, t_alpha=0.51, t_beta=3.9,
-            r_squared=0.01, n=2000, residual_variance=0.002,
-        )
-        rows = regression_table_rows(
-            {("retail", "NET"): res}, {("retail", "NET"): rob}
-        )
+        # volatility = 1e-4 * H + e, with e orthogonal to 1 and H: alpha 0, beta 1e-4
+        hs = [0.3, 0.3, 0.5, 0.5, 0.7, 0.7, 0.9, 0.9] * 3
+        vols = [1e-4 * h + (2e-6 if i % 2 == 0 else -2e-6) for i, h in enumerate(hs)]
+        closes = [100.0]
+        for v in vols:
+            closes.append(closes[-1] * math.exp(math.sqrt(v)))
+        path, dates = write_prices(tmp_path, closes)
+        rolling = make_rolling(list(zip(dates[1:], hs)), step=1)
+        rows = regression_table({("retail", "NET"): rolling}, path, "forward_fill", 0, True)
         assert rows[0]["beta_stars"] == "***"
         assert rows[0]["alpha_stars"] == ""
-        assert rows[0]["t_beta_robust"] == 3.9
+        vol = np.diff(np.log(np.array(closes))) ** 2
+        assert rows[0]["t_beta_robust"] == ols(vol, hs, robust=True).t_beta
+        assert rows[0]["t_beta_robust"] != rows[0]["t_beta"]
         path = tmp_path / "table.csv"
         path.write_text(table_csv(rows))
         lines = path.read_text().splitlines()
         assert lines[0].startswith("group,flow,alpha,")
-        assert "0.046" in lines[1] and "***" in lines[1]
+        assert lines[0].endswith(",n,t_alpha_robust,t_beta_robust")
+        assert "***" in lines[1]
         assert read_table_csv(path) == rows
 
 
@@ -359,9 +367,12 @@ class TestPricesCsv:
 
     def test_bad_close_reports_line(self, tmp_path):
         path = tmp_path / "prices.csv"
-        path.write_text("date,close\n2020-01-02,100.0\n2020-01-03,zero\n")
-        with pytest.raises(StatsError, match="line 3"):
-            read_prices_csv(path)
+        for close, cause in (("zero", "bad close 'zero'"),
+                             ("-5.0", "close must be positive and finite"),
+                             ("0", "close must be positive and finite")):
+            path.write_text(f"date,close\n2020-01-02,100.0\n2020-01-03,{close}\n")
+            with pytest.raises(StatsError, match=f"^line 3: {cause}$"):
+                read_prices_csv(path)
 
     def test_unsorted_dates(self, tmp_path):
         path = tmp_path / "prices.csv"
