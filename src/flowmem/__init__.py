@@ -17,6 +17,7 @@ from .dfa import (
     DfaFit,
     FluctuationCurve,
     dfa_hurst,
+    dfa_rows,
     fit_hurst,
     fluctuation,
     make_scale_grid,

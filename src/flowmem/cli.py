@@ -16,14 +16,17 @@ from .dfa import DfaConfig
 from .errors import FlowmemError
 from .flows import FlowType, Group
 from .pipeline import (
+    CONFIG_JSON,
     REPORT_JSON,
     ROLLING_CSV,
     RunConfig,
     _csv_text,
     _json_text,
+    _load_json_artifact,
     _write_text,
     assemble_report,
     ccdf_csv,
+    config_from_json_dict,
     curve_csv,
     fits_json_text,
     load_config,
@@ -33,7 +36,7 @@ from .pipeline import (
     run_pipeline,
     series_key,
     stage_seed,
-    static_dfa,
+    static_dfa_table,
     table_csv,
     tail_report,
 )
@@ -236,7 +239,8 @@ def synth_prices(length, seed, daily_vol, start_date, out):
 def dfa(loaded, dfa_config, include_order1, out_curve, out_fit):
     """Static DFA: fluctuation curve and log-log scaling fit."""
     _, values, label = loaded
-    curve, fits = static_dfa(values, dfa_config, include_order1)
+    fits = static_dfa_table({label: values}, dfa_config, include_order1)[label]
+    curve = fits.pop("curve")
     if out_curve:
         _write_text(out_curve, curve_csv(curve))
     if out_fit:
@@ -310,16 +314,35 @@ def tails(loaded, side, tail_fraction, out_ccdf, out_fit):
 @click.option("--roll-dir", type=click.Path(exists=True, file_okay=False), required=True,
               help=f"Directory holding {ROLLING_CSV.format(key='<group>_<flow>')} files.")
 @click.option("--prices", type=click.Path(exists=True), required=True)
-@click.option("--step", type=click.IntRange(min=1), default=RunConfig.rolling_step,
-              show_default=True,
-              help="Rolling step in trading days; caps how long forward_fill holds an exponent.")
-@click.option("--fill", type=click.Choice(FILL_POLICIES),
-              default=RunConfig.fill_policy, show_default=True)
-@click.option("--lag", default=RunConfig.lag_k, show_default=True)
-@click.option("--robust/--no-robust", default=RunConfig.robust_se, show_default=True)
+@click.option("--step", type=click.IntRange(min=1), default=None,
+              show_default=f"the run's, else {RunConfig.rolling_step}",
+              help="Rolling step in trading days; caps how long forward_fill holds an exponent. "
+                   "It is a property of the fig4 files: one that differs from the run's is an error.")
+@click.option("--fill", type=click.Choice(FILL_POLICIES), default=None,
+              show_default=f"the run's, else {RunConfig.fill_policy}")
+@click.option("--lag", type=int, default=None, show_default=f"the run's, else {RunConfig.lag_k}")
+@click.option("--robust/--no-robust", default=None,
+              show_default=f"the run's, else {'--robust' if RunConfig.robust_se else '--no-robust'}")
 @click.option("--out", type=click.Path(), required=True)
 def regress(roll_dir, prices, step, fill, lag, robust, out):
-    """Volatility-on-persistence regressions, one row per rolling series."""
+    """Volatility-on-persistence regressions, one row per rolling series.
+
+    When --roll-dir holds a run's config.json, the run's settings are the
+    defaults, so the table reproduces the run's. An explicit --fill, --lag
+    or --robust is an analysis choice and is honoured.
+    """
+    run = RunConfig  # without a config.json, the field defaults
+    if os.path.isfile(os.path.join(roll_dir, CONFIG_JSON)):
+        run = config_from_json_dict(_load_json_artifact(roll_dir, CONFIG_JSON), base_dir=roll_dir)
+        if step not in (None, run.rolling_step):
+            raise click.BadParameter(
+                f"{step} differs from the rolling step {run.rolling_step} of the run in {roll_dir}",
+                param_hint="'--step'",
+            )
+    step = run.rolling_step if step is None else step
+    fill = run.fill_policy if fill is None else fill
+    lag = run.lag_k if lag is None else lag
+    robust = run.robust_se if robust is None else robust
     # canonical series order, matching the pipeline's table
     paths = {
         (g.value, ft.value): os.path.join(roll_dir, ROLLING_CSV.format(key=series_key(g, ft)))

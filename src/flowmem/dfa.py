@@ -67,11 +67,6 @@ class FluctuationCurve:
     scales: np.ndarray
     values: np.ndarray
     detrend_order: int
-    series_length: int
-
-    @property
-    def points(self) -> tuple[tuple[int, float], ...]:
-        return tuple((int(n), float(f)) for n, f in zip(self.scales, self.values))
 
 
 @dataclass(frozen=True)
@@ -183,7 +178,8 @@ def _fluctuation_rows(profiles: np.ndarray, scales, order: int) -> tuple[np.ndar
 
 
 def fluctuation(profile_values, scales, detrend_order: int = 2) -> FluctuationCurve:
-    """Block-detrended fluctuation function F(n) over the given scales.
+    """Block-detrended fluctuation function F(n) over the given scales: the
+    kernel on one profile, which `dfa_rows` runs on a batch of rows.
 
     Scales whose F(n) sits at the numerical floor (detrending annihilated
     the block content) are excluded from the curve, since log F would be
@@ -200,7 +196,6 @@ def fluctuation(profile_values, scales, detrend_order: int = 2) -> FluctuationCu
         scales=np.asarray(scales, dtype=int)[keep[0]],
         values=values[0][keep[0]],
         detrend_order=m,
-        series_length=y.size,
     )
 
 
@@ -260,25 +255,31 @@ def fit_hurst(curve: FluctuationCurve) -> DfaFit:
 
 
 def dfa_hurst(series, config: DfaConfig = DfaConfig()) -> DfaFit:
-    """End-to-end estimate: profile -> scale grid -> F(n) -> log-log fit."""
-    prof = profile(series)
-    scales = make_scale_grid(prof.size, config)
-    curve = fluctuation(prof, scales, config.detrend_order)
-    return fit_hurst(curve)
+    """End-to-end estimate: profile -> scale grid -> F(n) -> log-log fit,
+    the one-row call of `dfa_rows`."""
+    x = np.asarray(series, dtype=float)
+    if x.ndim != 1:
+        raise DfaError("profile expects a 1-d series")
+    (entry,) = dfa_rows(x[np.newaxis], config)
+    if isinstance(entry, DfaError):
+        raise entry
+    return entry[1]
 
 
-def dfa_hurst_rows(rows, config: DfaConfig = DfaConfig()) -> list[DfaFit | DfaError]:
-    """`dfa_hurst` of every row of a (k, L) array, with F(n) batched over rows.
+def dfa_rows(rows, config: DfaConfig = DfaConfig()) -> list[tuple[FluctuationCurve, DfaFit] | DfaError]:
+    """DFA of every row of a (k, L) array, with F(n) batched over rows: the
+    one route into the kernel of the static, rolling and surrogate stages.
 
-    Entry i is row i's DfaFit, or the DfaError that `dfa_hurst` raises on
-    row i alone. Errors that depend only on the length and the config (no
-    admissible scale grid, a singular block basis) would fail every row
-    alike and are raised. Rows that keep every scale are fitted together by
-    `_loglog_fits`; a row that drops a scale goes through `fit_hurst`.
+    Entry i is row i's (FluctuationCurve, DfaFit), or the DfaError that
+    `dfa_hurst` raises on row i alone. Errors that depend only on the length
+    and the config (no admissible scale grid, a singular block basis) would
+    fail every row alike and are raised. Rows that keep every scale are
+    fitted together by `_loglog_fits`; a row that drops a scale goes through
+    `fit_hurst`.
     """
     x = np.asarray(rows, dtype=float)
     if x.ndim != 2:
-        raise DfaError(f"dfa_hurst_rows expects a (k, L) array of rows, got shape {x.shape}")
+        raise DfaError(f"dfa_rows expects a (k, L) array of rows, got shape {x.shape}")
     length = x.shape[1]
     if length < 2:
         raise DfaError(f"profile needs at least 2 observations, got {length}")
@@ -292,7 +293,7 @@ def dfa_hurst_rows(rows, config: DfaConfig = DfaConfig()) -> list[DfaFit | DfaEr
     whole = keep.all(axis=1) & (scales.size >= 4)  # under 4 scales, fit_hurst names the error
     whole_fits = iter(_loglog_fits(np.log10(values[whole]), scales, order))
     curves = zip(values, keep, whole)
-    fits = []
+    entries = []
     for row, ok in zip(x, finite):
         if not ok:
             message = (
@@ -300,16 +301,15 @@ def dfa_hurst_rows(rows, config: DfaConfig = DfaConfig()) -> list[DfaFit | DfaEr
                 if np.all(np.isfinite(row))
                 else "non-finite values in input series"
             )
-            fits.append(DfaError(message))
+            entries.append(DfaError(message))
             continue
         row_values, row_keep, row_whole = next(curves)
         if row_whole:
-            fits.append(next(whole_fits))
+            entries.append((FluctuationCurve(scales, row_values, order), next(whole_fits)))
             continue
+        curve = FluctuationCurve(scales[row_keep], row_values[row_keep], order)
         try:
-            fits.append(
-                fit_hurst(FluctuationCurve(scales[row_keep], row_values[row_keep], order, length))
-            )
+            entries.append((curve, fit_hurst(curve)))
         except DfaError as exc:
-            fits.append(exc)
-    return fits
+            entries.append(exc)
+    return entries

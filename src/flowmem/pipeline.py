@@ -32,8 +32,8 @@ import numpy as np
 import numpy.random  # noqa: F401  numpy loads these lazily; load them at import, not mid-run
 
 from . import __version__
-from .dfa import DfaConfig, fit_hurst, fluctuation, make_scale_grid, profile
-from .errors import FlowmemError, PipelineError, TailError
+from .dfa import DfaConfig, dfa_rows
+from .errors import DfaError, FlowmemError, PipelineError, TailError
 from .flows import (
     FLOW_TYPES,
     GROUPS,
@@ -403,14 +403,6 @@ class _Run:
         self.report: RunReport | None = None
 
 
-def _series_items(panel: FlowPanel):
-    return [
-        (group, flow_type, panel.series[(group, flow_type)])
-        for group in GROUPS
-        for flow_type in FLOW_TYPES
-    ]
-
-
 # from this size on a flows file is read in two halves (see `read_panel`)
 SPLIT_MIN_BYTES = 3_000_000
 
@@ -502,7 +494,7 @@ def tail_report(values, side: str, tail_fraction: float):
 
 def _stage_tails(run: _Run):
     config = run.config
-    for group, flow_type, values in _series_items(run.panel):
+    for (group, flow_type), values in run.panel.series.items():
         side = config.tail_net_side if flow_type.value == "NET" else "upper"
         ccdf, reference, summary = tail_report(values, side, config.tail_fraction)
         key = series_key(group, flow_type)
@@ -510,37 +502,34 @@ def _stage_tails(run: _Run):
         yield TAILS_JSON.format(key=key), _json_text(summary)
 
 
-def static_dfa(values, config: DfaConfig, include_order1: bool = False):
-    """Static DFA of one series: (curve, fits).
-
-    `fits` holds the DfaFit under "fit" and, when include_order1 is set,
-    the order-1 cross-check under "fit_order1"; its JSON form is the
-    dfa_fit artifact.
-    """
-    prof = profile(values)
-    scales = make_scale_grid(prof.size, config)
-    curve = fluctuation(prof, scales, config.detrend_order)
-    fits = {"fit": fit_hurst(curve)}
-    if include_order1:
-        fits["fit_order1"] = fit_hurst(fluctuation(prof, scales, 1))
-    return curve, fits
-
-
 def fits_json_text(fits: dict) -> str:
     return _json_text({name: fit.to_json_dict() for name, fit in fits.items()})
 
 
-def static_dfa_table(panel: FlowPanel, config: DfaConfig, include_order1: bool = False) -> dict:
-    """Static DFA per series: {(group, flow_type): {"curve", "fit"[, "fit_order1"]}}."""
-    out = {}
-    for group, flow_type, values in _series_items(panel):
-        curve, fits = static_dfa(values, config, include_order1)
-        out[(group, flow_type)] = {"curve": curve, **fits}
-    return out
+def static_dfa_table(series: dict, config: DfaConfig, include_order1: bool = False) -> dict:
+    """Static DFA of every series of a {key: values} mapping of one length:
+    {key: {"curve", "fit"[, "fit_order1"]}}, from one `dfa_rows` call per
+    detrend order. The first failing series' error is raised.
+
+    The dict less "curve" is the dfa_fit artifact's content: "fit" and,
+    when include_order1 is set, the order-1 cross-check "fit_order1".
+    """
+    rows = np.stack(list(series.values()))
+    orders = {"fit": dfa_rows(rows, config)}
+    if include_order1:
+        orders["fit_order1"] = dfa_rows(rows, replace(config, detrend_order=1))
+    table = {}
+    for key, *results in zip(series, *orders.values()):
+        for result in results:
+            if isinstance(result, DfaError):
+                raise result
+        fits = {name: fit for name, (_, fit) in zip(orders, results)}
+        table[key] = {"curve": results[0][0], **fits}
+    return table
 
 
 def _stage_static_dfa(run: _Run):
-    table = static_dfa_table(run.panel, run.config.dfa, run.config.dfa_include_order1)
+    table = static_dfa_table(run.panel.series, run.config.dfa, run.config.dfa_include_order1)
     for (group, flow_type), entry in table.items():
         key = series_key(group, flow_type)
         yield CURVE_CSV.format(key=key), curve_csv(entry.pop("curve"))
@@ -550,7 +539,7 @@ def _stage_static_dfa(run: _Run):
 def _stage_surrogates(run: _Run):
     """The surrogate bands; each band's seed goes into run.stage_seeds."""
     config = run.config
-    for group, flow_type, values in _series_items(run.panel):
+    for (group, flow_type), values in run.panel.series.items():
         key = series_key(group, flow_type)
         for kind in config.surrogate_kinds:
             label = f"surrogate/{kind}/{key}"
@@ -562,7 +551,7 @@ def _stage_surrogates(run: _Run):
 
 def _stage_rolling(run: _Run):
     config = run.config
-    for group, flow_type, values in _series_items(run.panel):
+    for (group, flow_type), values in run.panel.series.items():
         roll = rolling_hurst(
             values,
             run.panel.calendar,

@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .dfa import DfaConfig, dfa_hurst_rows
+from .dfa import DfaConfig, dfa_rows
 from .errors import DfaError
 
 
@@ -88,21 +88,14 @@ def rolling_hurst(
         raise DfaError(f"series length {x.size} shorter than window {window}")
     windows = np.lib.stride_tricks.sliding_window_view(x, window)[::step]
     entries = []
-    for start, fit in zip(range(0, x.size - window + 1, step), dfa_hurst_rows(windows, config)):
+    for start, result in zip(range(0, x.size - window + 1, step), dfa_rows(windows, config)):
         end_date = calendar[start + window - 1]
-        if isinstance(fit, DfaError):
-            entries.append(RollingEntry(end_date, None, None, None, 0, ok=False, error=str(fit)))
+        if isinstance(result, DfaError):
+            entries.append(RollingEntry(end_date, None, None, None, 0, ok=False, error=str(result)))
         else:
-            entries.append(
-                RollingEntry(
-                    end_date=end_date,
-                    hurst=fit.hurst,
-                    stderr=fit.slope_stderr,
-                    r_squared=fit.r_squared,
-                    n_points_used=fit.n_points_used,
-                    ok=True,
-                )
-            )
+            _, fit = result
+            stats = (fit.hurst, fit.slope_stderr, fit.r_squared, fit.n_points_used)
+            entries.append(RollingEntry(end_date, *stats, ok=True))
     return RollingHurst(entries=tuple(entries), window=window, step=step)
 
 

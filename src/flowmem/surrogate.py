@@ -15,7 +15,7 @@ import numpy as np
 import numpy.fft  # noqa: F401  numpy loads these lazily; load them at import, not mid-run
 import numpy.random  # noqa: F401
 
-from .dfa import DfaConfig, dfa_hurst_rows
+from .dfa import DfaConfig, dfa_rows
 from .errors import DfaError, SurrogateError
 from .synth import _rng
 
@@ -126,10 +126,10 @@ def surrogate_band(series, spec: SurrogateSpec, config: DfaConfig = DfaConfig())
     else:
         copies = _phase_randomized(series, seeds)
     hurst_values = []
-    for fit in dfa_hurst_rows(copies, config):
-        if isinstance(fit, DfaError):
-            raise fit
-        hurst_values.append(fit.hurst)
+    for result in dfa_rows(copies, config):
+        if isinstance(result, DfaError):
+            raise result
+        hurst_values.append(result[1].hurst)
     hs = np.asarray(hurst_values)
     ordered = np.sort(hs).tolist()
     quantiles = {f"q{int(q * 100):02d}": _linear_quantile(ordered, q) for q in _QUANTILES}

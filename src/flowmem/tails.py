@@ -37,10 +37,6 @@ class CcdfPoints:
         if np.any(np.diff(self.ps) > 0):
             raise TailError("ps must be nonincreasing")
 
-    @property
-    def points(self) -> tuple[tuple[float, float], ...]:
-        return tuple((float(x), float(p)) for x, p in zip(self.xs, self.ps))
-
 
 @dataclass(frozen=True)
 class TailFit:

@@ -160,7 +160,7 @@ def test_criterion_8_cross_type_ordering():
                 series[(group, FlowType.SELL)] = sell
                 series[(group, FlowType.NET)] = buy - sell
             panel = FlowPanel(calendar=calendar, series=series)
-            table = static_dfa_table(panel, DfaConfig())
+            table = static_dfa_table(panel.series, DfaConfig())
             for flow in (FlowType.BUY, FlowType.SELL):
                 hats = {g: table[(g, flow)]["fit"].hurst for g in targets}
                 assert (

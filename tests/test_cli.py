@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,7 @@ from click.testing import CliRunner
 
 import flowmem
 from flowmem.cli import main
-from flowmem.pipeline import read_panel
+from flowmem.pipeline import load_config, read_panel, run_pipeline
 from flowmem.stats import read_prices_csv
 
 
@@ -238,6 +239,29 @@ class TestStageByteIdentity:
         )
         assert result.exit_code == 0
         assert (tmp_path / "table.csv").read_bytes() == (out / "table1_regression.csv").read_bytes()
+
+    def test_regress_defaults_to_the_run_config(self, runner, data_dir, tmp_path):
+        out = tmp_path / "run"
+        config = load_config(data_dir / "run_config.json", out_dir=str(out))
+        run_pipeline(replace(config, rolling_step=25, lag_k=1, robust_se=False))
+        args = ("regress", "--prices", data_dir / "prices_synth.csv", "--out", tmp_path / "table.csv")
+        result = invoke(runner, *args, "--roll-dir", out)
+        assert result.exit_code == 0
+        assert (tmp_path / "table.csv").read_bytes() == (out / "table1_regression.csv").read_bytes()
+
+        result = invoke(runner, *args, "--roll-dir", out, "--step", 5)
+        assert result.exit_code == 2
+        assert "'--step'" in result.output and "rolling step 25" in result.output
+
+        bare = tmp_path / "bare"  # fig4 files alone: the options and their defaults rule
+        bare.mkdir()
+        for path in out.glob("fig4_rolling_*.csv"):
+            (bare / path.name).write_bytes(path.read_bytes())
+        result = invoke(runner, *args, "--roll-dir", bare, "--step", 25, "--lag", 1, "--no-robust")
+        assert result.exit_code == 0
+        assert (tmp_path / "table.csv").read_bytes() == (out / "table1_regression.csv").read_bytes()
+        invoke(runner, *args, "--roll-dir", bare)
+        assert (tmp_path / "table.csv").read_bytes() != (out / "table1_regression.csv").read_bytes()
 
 
 class TestReportCommand:

@@ -14,7 +14,7 @@ from flowmem.dfa import (
     _fluctuation_rows,
     _loglog_fits,
     dfa_hurst,
-    dfa_hurst_rows,
+    dfa_rows,
     fit_hurst,
     fluctuation,
     make_scale_grid,
@@ -109,7 +109,7 @@ class TestFluctuation:
         t = np.arange(64, dtype=float)
         quad = 3.0 - 0.5 * t + 0.01 * t * t
         curve = fluctuation(quad, [8, 16], detrend_order=2)
-        assert curve.points == ()
+        assert curve.scales.size == 0
 
     def test_brute_force_block_oracle(self):
         rng = np.random.Generator(np.random.PCG64(2024))
@@ -148,12 +148,11 @@ class TestFluctuation:
 
 
 class TestFitHurst:
-    def _curve(self, scales, values, order=2, length=4096):
+    def _curve(self, scales, values, order=2):
         return FluctuationCurve(
             scales=np.asarray(scales, dtype=int),
             values=np.asarray(values, dtype=float),
             detrend_order=order,
-            series_length=length,
         )
 
     @pytest.mark.parametrize("h", [0.7, 1.0])
@@ -223,10 +222,33 @@ class TestDfaHurst:
         with pytest.raises(DfaError, match="insufficient"):
             dfa_hurst(np.full(500, 3.3))
 
+    def test_rows_match_lone_calls(self):
+        """Each `dfa_rows` entry is what `dfa_hurst` gives its row alone: a
+        whole row, one that drops scales, one left with under 4 scales and
+        a non-finite one, in one batch."""
+        x = fgn(0.75, 250, seed=3)
+        rows = np.stack([x, np.full(250, 1.25), np.full(250, 1.25), x])
+        rows[1, -12:] = x[-12:]  # only scales whose blocks reach these keep F
+        rows[2, -1] = x[-1]
+        rows[3, 100] = np.nan
+        entries = dfa_rows(rows)
+        assert [e[0].scales.size for e in entries[:2]] == [19, 12]
+        for row, entry in zip(rows, entries):
+            try:
+                want = repr(dfa_hurst(row))
+            except DfaError as exc:
+                want = str(exc)
+            assert (str(entry) if isinstance(entry, DfaError) else repr(entry[1])) == want
+        assert [str(e) for e in entries[2:]] == [
+            "insufficient scales for fit: 3 < 4", "non-finite values in input series"
+        ]
+
     @pytest.mark.parametrize("shape", [(2000,), (2, 3, 250)])
     def test_rows_must_be_two_dimensional(self, shape):
         with pytest.raises(DfaError, match=re.escape(f"(k, L) array of rows, got shape {shape}")):
-            dfa_hurst_rows(np.ones(shape))
+            dfa_rows(np.ones(shape))
+        with pytest.raises(DfaError, match="profile expects a 1-d series"):
+            dfa_hurst(np.ones((1, *shape)))
 
 
 class TestSerialization:
@@ -235,7 +257,6 @@ class TestSerialization:
             scales=np.array([8, 16]),
             values=np.array([1.5, 2.25]),
             detrend_order=2,
-            series_length=100,
         )
         path = tmp_path / "curve.csv"
         path.write_text(curve_csv(curve))
@@ -268,7 +289,7 @@ def per_scale_fluctuation(y, scales, m):
         if f > floor:
             kept_n.append(n)
             kept_f.append(f)
-    return FluctuationCurve(np.asarray(kept_n, dtype=int), np.asarray(kept_f), m, y.size)
+    return FluctuationCurve(np.asarray(kept_n, dtype=int), np.asarray(kept_f), m)
 
 
 def per_scale_hurst(x, config=DfaConfig()):
@@ -348,15 +369,23 @@ class TestBatchedKernelOracle:
         k = 2 * rows_per_chunk + rows_per_chunk // 2 + 1
         assert -(-k // rows_per_chunk) >= 3  # two whole chunks and a partial one
         x = fgn(0.7, length + 3 * k, seed=length + order)
-        profiles = np.stack([profile(x[3 * i : 3 * i + length]) for i in range(k)])
-        profiles[1] = 0.0  # annihilated at every scale: F sits at the floor
-        scales = make_scale_grid(length, DfaConfig(detrend_order=order, n_min=order + 2))
+        rows = np.stack([x[3 * i : 3 * i + length] for i in range(k)])
+        rows[1] = 2.5  # a zero profile, annihilated at every scale: F sits at the floor
+        profiles = np.stack([profile(row) for row in rows])
+        config = DfaConfig(detrend_order=order, n_min=order + 2)
+        scales = make_scale_grid(length, config)
         values, keep = _fluctuation_rows(profiles, scales, order)
         assert not keep[1].any() and keep[0].all()
+        entries = dfa_rows(rows, config)
+        assert str(entries[1]) == "insufficient scales for fit: 0 < 4"
         for i in range(k):
             alone = fluctuation(profiles[i], scales, order)
             assert alone.scales.tolist() == scales[keep[i]].tolist()
             assert alone.values.tolist() == values[i][keep[i]].tolist()
+            if i != 1:
+                curve, _ = entries[i]
+                assert curve.scales.tolist() == alone.scales.tolist()
+                assert curve.values.tolist() == alone.values.tolist()
 
     def test_basis_is_cached_and_read_only(self):
         q = _basis(12, 2)
@@ -409,7 +438,7 @@ class TestLineFitCore:
     @given(scaling_points())
     def test_fit_hurst_matches_previous_fit(self, points):
         scales, values = points
-        fit = fit_hurst(FluctuationCurve(scales, values, 2, 400_000))
+        fit = fit_hurst(FluctuationCurve(scales, values, 2))
         slope, intercept, stderr, r_squared = reference_line_fit(
             np.log10(scales.astype(float)), np.log10(values)
         )
@@ -464,5 +493,5 @@ class TestBatchedLogLogFit:
     def test_rows_match_lone_fits(self, grid_and_rows, order):
         scales, values = grid_and_rows
         got = _loglog_fits(np.log10(values), scales, order)
-        want = [fit_hurst(FluctuationCurve(scales, row, order, 400_000)) for row in values]
+        want = [fit_hurst(FluctuationCurve(scales, row, order)) for row in values]
         assert [repr(fit) for fit in got] == [repr(fit) for fit in want]

@@ -722,10 +722,19 @@ class TestConstructedOrdering:
 
         from flowmem.dfa import DfaConfig
 
-        table = static_dfa_table(panel, DfaConfig())
+        table = static_dfa_table(panel.series, DfaConfig())
         h = {g: table[(g, FlowType.BUY)]["fit"].hurst for g in Group}
         assert h[Group.RETAIL] > h[Group.INSTITUTIONAL] > h[Group.FOREIGN]
         assert h[Group.RETAIL] > 1.0
+
+    def test_static_table_raises_the_first_failing_series_error(self):
+        from flowmem.dfa import DfaConfig
+        from flowmem.errors import DfaError
+
+        x = fgn(0.7, 500, seed=1)
+        series = {"whole": x, "constant": [3.3] * 500, "non_finite": [math.nan, *x[1:]]}
+        with pytest.raises(DfaError, match=re.escape("insufficient scales for fit: 0 < 4")):
+            static_dfa_table(series, DfaConfig(), include_order1=True)
 
     def test_order1_cross_check_present_when_requested(self, bundled_run):
         _, report, _ = bundled_run

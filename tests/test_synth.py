@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from scipy.linalg import toeplitz
 
 from flowmem.errors import SynthError
 from flowmem.synth import (
@@ -11,7 +10,6 @@ from flowmem.synth import (
     generate,
     iid_gaussian,
     pareto,
-    _durbin_levinson_fgn,
 )
 
 
@@ -63,6 +61,16 @@ class TestFgn:
         with pytest.raises(SynthError):
             fgn(0.5, 1, seed=1)
 
+    def test_h_near_one_at_large_n_takes_the_embedding(self):
+        # the embedding's eigenvalues go negative here by rounding alone;
+        # the lag-1 variogram E(x[t+1] - x[t])^2 = 2 (gamma(0) - gamma(1))
+        # reads gamma(1), where the sample mean of so persistent a series
+        # does not converge
+        x = fgn(0.9999, 2**16, seed=3)
+        gamma1 = float(fgn_autocovariance(0.9999, 1))
+        lag1 = 1.0 - float(np.mean(np.diff(x) ** 2)) / 2.0
+        assert abs(lag1 - gamma1) < 0.05 * (1.0 - gamma1)
+
     def test_spectral_slope(self):
         # fGn spectral density behaves like f^(1-2H) at low frequencies
         n = 2**15
@@ -73,28 +81,6 @@ class TestFgn:
             lo = slice(1, n // 64)
             coef = np.polyfit(np.log(freqs[lo]), np.log(per[lo]), 1)
             assert abs(coef[0] - (1.0 - 2.0 * h)) < 0.2
-
-
-class TestDurbinLevinsonFallback:
-    def test_matches_cholesky_factorization(self):
-        # the innovations recursion is the unique lower-triangular factor
-        # with positive diagonal, so L @ noise is an exact oracle
-        h, n, seed = 0.75, 64, 123
-        rng = np.random.Generator(np.random.PCG64(seed))
-        out = _durbin_levinson_fgn(h, n, rng)
-
-        rng2 = np.random.Generator(np.random.PCG64(seed))
-        noise = rng2.standard_normal(n)
-        cov = toeplitz(fgn_autocovariance(h, np.arange(n)))
-        oracle = np.linalg.cholesky(cov) @ noise
-        np.testing.assert_allclose(out, oracle, rtol=0, atol=1e-9)
-
-    def test_variance_sane(self):
-        rng = np.random.Generator(np.random.PCG64(8))
-        x = np.concatenate(
-            [_durbin_levinson_fgn(0.6, 128, rng) for _ in range(40)]
-        )
-        assert abs(np.std(x) - 1.0) < 0.1
 
 
 class TestCumsum:

@@ -26,7 +26,7 @@ def exact_power_law_sample(alpha, n):
 class TestEmpiricalCcdf:
     def test_counting_example(self):
         ccdf = empirical_ccdf([1.0, 2.0, 3.0, 4.0] + [0.5] * 6, side="upper")
-        lookup = dict(ccdf.points)
+        lookup = dict(zip(ccdf.xs.tolist(), ccdf.ps.tolist()))
         assert lookup[1.0] == 3 / 10
         assert lookup[3.0] == 1 / 10
         assert 4.0 not in lookup  # zero-probability maximum is dropped
@@ -48,7 +48,7 @@ class TestEmpiricalCcdf:
     def test_degenerate_all_equal(self):
         with pytest.warns(UserWarning, match="degenerate"):
             ccdf = empirical_ccdf(np.full(12, 3.0))
-        assert ccdf.points == ((3.0, 1.0),)
+        assert (ccdf.xs.tolist(), ccdf.ps.tolist()) == ([3.0], [1.0])
 
     def test_too_few_values(self):
         with pytest.raises(TailError):
