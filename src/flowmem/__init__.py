@@ -24,10 +24,10 @@ from .dfa import (
     profile,
 )
 from .flows import (
+    FLOW_TYPES,
+    GROUPS,
+    SIDES,
     FlowPanel,
-    FlowType,
-    Group,
-    Side,
     aggregate_daily,
     read_flows_csv,
 )

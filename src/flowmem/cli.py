@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import datetime
 import functools
+import itertools
 import os
 import re
 
@@ -14,7 +15,7 @@ import numpy.random  # noqa: F401  numpy loads it lazily; load it at import, not
 from . import __version__
 from .dfa import DfaConfig
 from .errors import FlowmemError
-from .flows import FlowType, Group
+from .flows import FLOW_TYPES, GROUPS, SIDES
 from .pipeline import (
     CONFIG_JSON,
     REPORT_JSON,
@@ -43,7 +44,7 @@ from .pipeline import (
 from .rolling import rolling_hurst
 from .stats import FILL_POLICIES, read_prices_csv, regression_table
 from .surrogate import SURROGATE_KINDS, SurrogateSpec, surrogate_band
-from .synth import GeneratorSpec, generate
+from .synth import GENERATOR_KINDS, GeneratorSpec, generate
 from .tails import TAIL_SIDES
 
 
@@ -77,8 +78,8 @@ def with_series_options(fn):
     return _options(
         click.option("--flows", type=click.Path(exists=True)),
         click.option("--series", type=click.Path(exists=True), help="A date,value CSV."),
-        click.option("--group", type=click.Choice([g.value for g in Group])),
-        click.option("--flow", type=click.Choice([f.value for f in FlowType])),
+        click.option("--group", type=click.Choice(GROUPS)),
+        click.option("--flow", type=click.Choice(FLOW_TYPES)),
     )(command)
 
 
@@ -109,7 +110,7 @@ def _load_series(flows, series, group, flow):
         if group is None or flow is None:
             raise click.UsageError("--flows requires --group and --flow")
         panel, _ = read_panel(flows)
-        return panel.calendar, panel.series[Group(group), FlowType(flow)], f"{group}_{flow}"
+        return panel.calendar, panel.series[group, flow], series_key(group, flow)
     calendar, values = read_prices_csv(series, column="value")
     return calendar, values, os.path.basename(series)
 
@@ -132,10 +133,8 @@ def ingest_check(flows_csv):
     panel, records = read_panel(flows_csv)
     click.echo(f"records: {records}")
     click.echo(f"trading days: {len(panel.calendar)} ({panel.calendar[0]} .. {panel.calendar[-1]})")
-    for (group, flow_type), values in sorted(
-        panel.series.items(), key=lambda kv: (kv[0][0].value, kv[0][1].value)
-    ):
-        click.echo(f"{group.value:14s} {flow_type.value:4s} total={values.sum():.6g}")
+    for (group, flow_type), values in sorted(panel.series.items()):
+        click.echo(f"{group:14s} {flow_type:4s} total={values.sum():.6g}")
 
 
 @main.group()
@@ -144,7 +143,7 @@ def synth():
 
 
 @synth.command("series")
-@click.option("--kind", type=click.Choice(["fgn", "fbm_increments_cumsum", "iid_gaussian", "pareto"]), required=True)
+@click.option("--kind", type=click.Choice(GENERATOR_KINDS), required=True)
 @click.option("--hurst", type=float, default=None)
 @click.option("--alpha", type=float, default=None)
 @click.option("-n", "--length", "length", type=int, required=True)
@@ -163,7 +162,7 @@ def synth_series(kind, hurst, alpha, length, seed, start_date, out):
 
 
 def _parse_group_spec(text):
-    m = re.match(r"^(retail|institutional|foreign)=(\w+)(?::([0-9.]+))?$", text)
+    m = re.match(rf"^({'|'.join(GROUPS)})=(\w+)(?::([0-9.]+))?$", text)
     if not m:
         raise click.UsageError(
             f"bad group spec {text!r}; expected group=kind[:param], e.g. retail=fgn:0.85"
@@ -197,7 +196,7 @@ def synth_flows(group_specs, length, seed, start_date, out):
     meta = {"seed": seed, "groups": {}}
     for text in group_specs:
         group, kind, hurst, alpha = _parse_group_spec(text)
-        for side in ("BUY", "SELL"):
+        for side in SIDES:
             side_seed = stage_seed(seed, f"synth-flows/{group}/{side}")
             spec = GeneratorSpec(kind=kind, n=length, seed=side_seed, hurst=hurst, alpha=alpha)
             raw = generate(spec)
@@ -332,8 +331,9 @@ def regress(roll_dir, prices, step, fill, lag, robust, out):
     or --robust is an analysis choice and is honoured.
     """
     run = RunConfig  # without a config.json, the field defaults
-    if os.path.isfile(os.path.join(roll_dir, CONFIG_JSON)):
-        run = config_from_json_dict(_load_json_artifact(roll_dir, CONFIG_JSON), base_dir=roll_dir)
+    config_path = os.path.join(roll_dir, CONFIG_JSON)
+    if os.path.isfile(config_path):
+        run = config_from_json_dict(_load_json_artifact(config_path), base_dir=roll_dir)
         if step not in (None, run.rolling_step):
             raise click.BadParameter(
                 f"{step} differs from the rolling step {run.rolling_step} of the run in {roll_dir}",
@@ -343,16 +343,13 @@ def regress(roll_dir, prices, step, fill, lag, robust, out):
     fill = run.fill_policy if fill is None else fill
     lag = run.lag_k if lag is None else lag
     robust = run.robust_se if robust is None else robust
-    # canonical series order, matching the pipeline's table
-    paths = {
-        (g.value, ft.value): os.path.join(roll_dir, ROLLING_CSV.format(key=series_key(g, ft)))
-        for g in Group
-        for ft in FlowType
-    }
-    present = {key: path for key, path in paths.items() if os.path.isfile(path)}
-    if not present:
+    rolling = {}  # in the canonical series order, matching the pipeline's table
+    for group, flow in itertools.product(GROUPS, FLOW_TYPES):
+        path = os.path.join(roll_dir, ROLLING_CSV.format(key=series_key(group, flow)))
+        if os.path.isfile(path):
+            rolling[group, flow] = read_rolling_csv(path, step)
+    if not rolling:
         raise click.ClickException(f"no {ROLLING_CSV.format(key='*')} files in {roll_dir}")
-    rolling = {key: read_rolling_csv(path, step) for key, path in present.items()}
     rows = regression_table(rolling, prices, fill, lag, robust)
     _write_text(out, table_csv(rows))
     for row in rows:

@@ -14,32 +14,17 @@ import math
 from collections import defaultdict
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
 from .errors import FlowError
 
 
-class Group(str, Enum):
-    RETAIL = "retail"
-    INSTITUTIONAL = "institutional"
-    FOREIGN = "foreign"
-
-
-class Side(str, Enum):
-    BUY = "BUY"
-    SELL = "SELL"
-
-
-class FlowType(str, Enum):
-    BUY = "BUY"
-    SELL = "SELL"
-    NET = "NET"
-
-
-GROUPS = tuple(Group)
-FLOW_TYPES = tuple(FlowType)
+# the investor groups, the sides of a trade and the flow types of a panel,
+# spelled as the flows files, artifact names and reports spell them
+GROUPS = ("retail", "institutional", "foreign")
+SIDES = ("BUY", "SELL")
+FLOW_TYPES = (*SIDES, "NET")
 
 LONG_HEADER = ("date", "firm_id", "group", "side", "amount")
 WIDE_HEADER = ("date", "group", "buy", "sell")
@@ -47,7 +32,8 @@ WIDE_HEADER = ("date", "group", "buy", "sell")
 
 @dataclass(frozen=True, eq=False)
 class FlowPanel:
-    """Calendar-aligned flow series keyed by (group, flow type).
+    """Calendar-aligned flow series keyed by (group, flow type) string
+    pairs, e.g. ("retail", "NET").
 
     Immutable after construction; the value arrays are read-only views.
     """
@@ -62,27 +48,27 @@ class FlowPanel:
             raise FlowError("calendar must be strictly increasing")
         length = len(self.calendar)
         frozen = {}
+        keys = {(group, flow_type) for group in GROUPS for flow_type in FLOW_TYPES}
         for key, values in self.series.items():
+            if key not in keys:
+                raise FlowError(f"unknown series key {key!r}")
             group, flow_type = key
             arr = np.asarray(values, dtype=float)
             if arr.shape != (length,):
                 raise FlowError(f"series {key} length {arr.size} != calendar {length}")
             if not np.all(np.isfinite(arr)):
                 raise FlowError(f"series {key} contains non-finite values")
-            if flow_type in (FlowType.BUY, FlowType.SELL) and np.any(arr < 0):
+            if flow_type in SIDES and np.any(arr < 0):
                 raise FlowError(f"series {key} has negative amounts")
             arr = arr.copy()
             arr.flags.writeable = False
-            frozen[(Group(group), FlowType(flow_type))] = arr
+            frozen[group, flow_type] = arr
         object.__setattr__(self, "series", frozen)
-        for group in {g for g, _ in self.series}:
-            triple = [(group, ft) in self.series for ft in FLOW_TYPES]
-            if all(triple):
-                buy = self.series[(group, FlowType.BUY)]
-                sell = self.series[(group, FlowType.SELL)]
-                net = self.series[(group, FlowType.NET)]
+        for group in GROUPS:
+            if all((group, ft) in frozen for ft in FLOW_TYPES):
+                buy, sell, net = (frozen[group, ft] for ft in FLOW_TYPES)
                 if not np.array_equal(net, buy - sell):
-                    raise FlowError(f"NET != BUY - SELL for group {group.value}")
+                    raise FlowError(f"NET != BUY - SELL for group {group}")
 
     def __eq__(self, other):
         if not isinstance(other, FlowPanel):
@@ -105,7 +91,7 @@ def aggregate_daily(records) -> FlowPanel:
     a group get an explicit zero, and the calendar is the sorted set of
     distinct dates present in the input.
     """
-    cells: defaultdict[tuple[str, Group, Side], list[float]] = defaultdict(list)
+    cells: defaultdict[tuple[str, str, str], list[float]] = defaultdict(list)
     for date, group, side, amount in records:
         cells[date, group, side].append(amount)
     return _panel(cells)
@@ -118,7 +104,7 @@ def _panel(cells) -> FlowPanel:
         raise FlowError("no records")
     calendar = tuple(sorted({date for date, _, _ in cells}))
     index = {date: i for i, date in enumerate(calendar)}
-    columns = {(group, side): np.zeros(len(calendar)) for group in GROUPS for side in Side}
+    columns = {(group, side): np.zeros(len(calendar)) for group in GROUPS for side in SIDES}
     for (date, group, side), amounts in cells.items():
         try:
             column = columns[group, side]
@@ -127,10 +113,10 @@ def _panel(cells) -> FlowPanel:
         column[index[date]] = math.fsum(amounts)
     series = {}
     for group in GROUPS:
-        buy, sell = columns[group, Side.BUY], columns[group, Side.SELL]
-        series[(group, FlowType.BUY)] = buy
-        series[(group, FlowType.SELL)] = sell
-        series[(group, FlowType.NET)] = buy - sell
+        buy, sell = columns[group, "BUY"], columns[group, "SELL"]
+        series[group, "BUY"] = buy
+        series[group, "SELL"] = sell
+        series[group, "NET"] = buy - sell
     return FlowPanel(calendar=calendar, series=series)
 
 
@@ -149,18 +135,18 @@ def _parse_date(token: str, line_num: int) -> str:
     return token
 
 
-def _parse_group(token: str, line_num: int) -> Group:
-    try:
-        return Group(token.strip().lower())
-    except ValueError:
-        raise FlowError(f"line {line_num}: unknown group {token!r}") from None
+def _parse_group(token: str, line_num: int) -> str:
+    group = token.strip().lower()
+    if group not in GROUPS:
+        raise FlowError(f"line {line_num}: unknown group {token!r}")
+    return group
 
 
-def _parse_side(token: str, line_num: int) -> Side:
-    try:
-        return Side(token.strip().upper())
-    except ValueError:
-        raise FlowError(f"line {line_num}: unknown side {token!r}") from None
+def _parse_side(token: str, line_num: int) -> str:
+    side = token.strip().upper()
+    if side not in SIDES:
+        raise FlowError(f"line {line_num}: unknown side {token!r}")
+    return side
 
 
 def _parse_amount(token: str, line_num: int) -> float:
@@ -192,7 +178,7 @@ def _first_sight(cache: dict, parse, token: str, line_num: int):
     return value
 
 
-def read_flows_csv(path) -> Iterator[tuple[str, Group, Side, float]]:
+def read_flows_csv(path) -> Iterator[tuple[str, str, str, float]]:
     """Stream a flows CSV in either supported schema as (date, group,
     side, amount) tuples, for `aggregate_daily`.
 
@@ -218,8 +204,8 @@ def read_flows_csv(path) -> Iterator[tuple[str, Group, Side, float]]:
             # raw token -> checked value; no checked value is empty, so
             # `cache.get(token) or ...` checks a token only on first sight
             dates: dict[str, str] = {}
-            groups: dict[str, Group] = {}
-            sides: dict[str, Side] = {}
+            groups: dict[str, str] = {}
+            sides: dict[str, str] = {}
             first_lines: dict = {}  # wide schema: (date, group) -> line
             rows = 0
             for row in reader:
@@ -238,10 +224,10 @@ def read_flows_csv(path) -> Iterator[tuple[str, Group, Side, float]]:
                     first = first_lines.setdefault((date, group), line)
                     if first != line:
                         raise FlowError(
-                            f"line {line}: repeats the {date} {group.value} row of line {first}"
+                            f"line {line}: repeats the {date} {group} row of line {first}"
                         )
-                    yield date, group, Side.BUY, _parse_amount(buy, line)
-                    yield date, group, Side.SELL, _parse_amount(sell, line)
+                    yield date, group, "BUY", _parse_amount(buy, line)
+                    yield date, group, "SELL", _parse_amount(sell, line)
                 else:
                     d, _, g, s, amount = row
                     yield (
@@ -348,8 +334,8 @@ def _joined_panel(header, reads) -> tuple[FlowPanel, int] | None:
     emptied as they are joined, so raw and joined never coexist in memory."""
     wide = header == WIDE_HEADER
     dates: dict[str, str] = {}
-    groups: dict[str, Group] = {}
-    sides: dict[str, Side] = {}
+    groups: dict[str, str] = {}
+    sides: dict[str, str] = {}
     cells: dict = {}
     try:
         for raw_cells, _ in reads:
@@ -359,10 +345,10 @@ def _joined_panel(header, reads) -> tuple[FlowPanel, int] | None:
                 date = dates.get(d) or _first_sight(dates, _parse_date, d, 0)
                 group = groups.get(g) or _first_sight(groups, _parse_group, g, 0)
                 if wide:
-                    if (date, group, Side.BUY) in cells:
+                    if (date, group, "BUY") in cells:
                         return None
-                    cells[date, group, Side.BUY] = [amounts[0]]
-                    cells[date, group, Side.SELL] = [amounts[1]]
+                    cells[date, group, "BUY"] = [amounts[0]]
+                    cells[date, group, "SELL"] = [amounts[1]]
                     continue
                 s = raw[2]
                 side = sides.get(s) or _first_sight(sides, _parse_side, s, 0)

@@ -37,8 +37,8 @@ from .errors import DfaError, FlowmemError, PipelineError, TailError
 from .flows import (
     FLOW_TYPES,
     GROUPS,
+    SIDES,
     FlowPanel,
-    FlowType,
     _halves,
     _joined_panel,
     _read_cells,
@@ -185,7 +185,8 @@ def _read(obj, prefix: str = "", where: str = "") -> dict:
 def config_from_json_dict(data: dict, base_dir: str = ".") -> RunConfig:
     """Validate a parsed config in full against _KEYS: an unknown key, a
     value of the wrong JSON type or out of range is a config error naming
-    the key, raised before any stage runs."""
+    the key, raised before any stage runs. So is a `dfa` block that the
+    order-1 cross-check of `dfa.include_order1` cannot use."""
     given = _read(data)
     nested: dict = {}
     for path in [p for p in given if "." in p]:
@@ -193,7 +194,10 @@ def config_from_json_dict(data: dict, base_dir: str = ".") -> RunConfig:
         nested.setdefault(owner, {})[name] = given.pop(path)
     for owner, kwargs in nested.items():
         given[owner] = _build(type(getattr(RunConfig, owner)), kwargs, f"{owner}.")
-    return _build(RunConfig, {**given, "base_dir": base_dir}, "")
+    config = _build(RunConfig, {**given, "base_dir": base_dir}, "")
+    if config.dfa_include_order1:  # the DfaConfig that `static_dfa_table` builds
+        _build(DfaConfig, {**asdict(config.dfa), "detrend_order": 1}, "dfa.include_order1")
+    return config
 
 
 def load_config(path, out_dir=None, seed=None) -> RunConfig:
@@ -220,8 +224,8 @@ def stage_seed(run_seed: int, label: str) -> int:
     return int(seq.generate_state(1, np.uint64)[0])
 
 
-def series_key(group, flow_type) -> str:
-    return f"{group.value}_{flow_type.value}"
+def series_key(group: str, flow_type: str) -> str:
+    return f"{group}_{flow_type}"
 
 
 SERIES_KEYS = tuple(series_key(g, ft) for g in GROUPS for ft in FLOW_TYPES)
@@ -282,9 +286,9 @@ def _json_text(payload) -> str:
 
 
 # The CSV formats. No field the toolkit writes needs quoting (repr'd
-# floats, ints, checked dates, enum values, stars, empty gap fields), so
-# each caller formats its lines with f-strings, and they read back
-# through csv.reader.
+# floats, ints, checked dates, group and flow names, stars, empty gap
+# fields), so each caller formats its lines with f-strings, and they read
+# back through csv.reader.
 def _csv_text(header: str, lines) -> str:
     return "\n".join([header, *lines]) + "\n"
 
@@ -455,8 +459,8 @@ def _stage_ingest(run: _Run):
     path = run.config.resolve(run.config.flows_csv)
     run.panel, _ = read_panel(path)
     for group in GROUPS:
-        if not any(run.panel.series[(group, side)].any() for side in (FlowType.BUY, FlowType.SELL)):
-            raise PipelineError("ingest", f"{path}: no flows for investor group {group.value!r}")
+        if not any(run.panel.series[group, side].any() for side in SIDES):
+            raise PipelineError("ingest", f"{path}: no flows for investor group {group!r}")
     return ()  # no file
 
 
@@ -495,7 +499,7 @@ def tail_report(values, side: str, tail_fraction: float):
 def _stage_tails(run: _Run):
     config = run.config
     for (group, flow_type), values in run.panel.series.items():
-        side = config.tail_net_side if flow_type.value == "NET" else "upper"
+        side = config.tail_net_side if flow_type == "NET" else "upper"
         ccdf, reference, summary = tail_report(values, side, config.tail_fraction)
         key = series_key(group, flow_type)
         yield CCDF_CSV.format(key=key), ccdf_csv(ccdf, reference)
@@ -564,7 +568,7 @@ def _stage_rolling(run: _Run):
         if config.regimes:
             summaries = [s.to_json_dict() for s in regime_summary(roll, config.regimes)]
             yield REGIMES_JSON.format(key=key), _json_text(summaries)
-        run.rollers[(group.value, flow_type.value)] = roll
+        run.rollers[group, flow_type] = roll
 
 
 def _stage_regression(run: _Run):
@@ -797,17 +801,28 @@ def _publish(out_dir: str, staged, target: str) -> None:
     shutil.rmtree(staging)
 
 
-def _load_json_artifact(out_dir: str, template: str, **names) -> dict:
-    path = os.path.join(out_dir, template.format(**names))
-    if not os.path.exists(path):
-        raise PipelineError("report", f"missing artifact: {os.path.basename(path)}")
+def _load_json_artifact(path) -> dict:
+    """A JSON artifact's content; a malformed one raises a FlowmemError
+    naming the file and where it does not parse."""
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except json.JSONDecodeError as exc:
-        raise PipelineError("report", f"malformed artifact {path}: {exc}") from None
+        raise FlowmemError(f"malformed artifact {path}: {exc}") from None
     except UnicodeDecodeError:
-        raise PipelineError("report", f"malformed artifact {path}: not UTF-8 text") from None
+        raise FlowmemError(f"malformed artifact {path}: not UTF-8 text") from None
+
+
+def _report_input(out_dir: str, template: str, **names) -> dict:
+    """A JSON artifact of a run directory, as `assemble_report` reads it: a
+    missing or malformed one is an error of stage 'report'."""
+    path = os.path.join(out_dir, template.format(**names))
+    if not os.path.exists(path):
+        raise PipelineError("report", f"missing artifact: {os.path.basename(path)}")
+    try:
+        return _load_json_artifact(path)
+    except FlowmemError as exc:
+        raise PipelineError("report", str(exc)) from None
 
 
 def assemble_report(out_dir: str) -> RunReport:
@@ -819,7 +834,7 @@ def assemble_report(out_dir: str) -> RunReport:
     run's config; a missing or malformed one raises a stage-labeled error
     naming it.
     """
-    config = config_from_json_dict(_load_json_artifact(out_dir, CONFIG_JSON), base_dir=out_dir)
+    config = config_from_json_dict(_report_input(out_dir, CONFIG_JSON), base_dir=out_dir)
     artifacts = artifact_names(config)
     missing = [
         name for name in artifacts
@@ -828,7 +843,7 @@ def assemble_report(out_dir: str) -> RunReport:
     if missing:
         raise PipelineError("report", f"missing artifact: {', '.join(missing)}")
     report = RunReport(
-        provenance=_load_json_artifact(out_dir, PROVENANCE_JSON),
+        provenance=_report_input(out_dir, PROVENANCE_JSON),
         series={},
         regimes={},
         regression=None,
@@ -837,14 +852,14 @@ def assemble_report(out_dir: str) -> RunReport:
 
     for key in SERIES_KEYS:
         ccdf_csv, curve_csv = CCDF_CSV.format(key=key), CURVE_CSV.format(key=key)
-        tails = _load_json_artifact(out_dir, TAILS_JSON, key=key)
-        static = _load_json_artifact(out_dir, DFA_FIT_JSON, key=key)
+        tails = _report_input(out_dir, TAILS_JSON, key=key)
+        static = _report_input(out_dir, DFA_FIT_JSON, key=key)
         entry = report.series[key] = {
             "tails": dict(tails, ccdf_csv=ccdf_csv),
             "static_dfa": dict(static, curve_csv=curve_csv),
         }
         for kind in config.surrogate_kinds:
-            band = _load_json_artifact(out_dir, SURROGATE_JSON, kind=kind, key=key)
+            band = _report_input(out_dir, SURROGATE_JSON, kind=kind, key=key)
             entry.setdefault("surrogates", {})[kind] = band
 
         roll_csv = ROLLING_CSV.format(key=key)
@@ -859,7 +874,7 @@ def assemble_report(out_dir: str) -> RunReport:
             "step": roll.step,
         }
         if config.regimes:
-            report.regimes[key] = _load_json_artifact(out_dir, REGIMES_JSON, key=key)
+            report.regimes[key] = _report_input(out_dir, REGIMES_JSON, key=key)
 
     if config.prices_csv is not None:
         rows = read_table_csv(os.path.join(out_dir, TABLE_CSV))

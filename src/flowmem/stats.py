@@ -269,8 +269,8 @@ def regression_table(rolling: dict, prices_csv, fill_policy: str, lag: int, robu
         vol, hurst = pairs.volatility[lag:], pairs.hurst[:n]
         res = ols(vol, hurst)
         row = {
-            "group": str(group),
-            "flow": str(flow),
+            "group": group,
+            "flow": flow,
             "alpha": res.alpha,
             "t_alpha": res.t_alpha,
             "alpha_stars": significance_stars(res.t_alpha, res.n),

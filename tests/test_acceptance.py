@@ -12,7 +12,7 @@ import numpy as np
 
 import conftest
 from flowmem.dfa import DfaConfig, dfa_hurst
-from flowmem.flows import FlowPanel, FlowType, Group
+from flowmem.flows import FlowPanel
 from flowmem.pipeline import load_config, run_pipeline, static_dfa_table
 from flowmem.rolling import rolling_hurst
 from flowmem.stats import ols
@@ -148,7 +148,7 @@ def test_criterion_8_cross_type_ordering():
     with criterion(8, "constructed group ranking 0.85/0.70/0.55 recovered 20/20"):
         n = 4096
         calendar = day_calendar(n)
-        targets = {Group.RETAIL: 0.85, Group.INSTITUTIONAL: 0.70, Group.FOREIGN: 0.55}
+        targets = {"retail": 0.85, "institutional": 0.70, "foreign": 0.55}
         for run_seed in range(20):
             series = {}
             for gi, (group, hurst) in enumerate(targets.items()):
@@ -156,15 +156,15 @@ def test_criterion_8_cross_type_ordering():
                 sell_raw = fgn(hurst, n, seed=1000 * run_seed + 2 * gi + 1)
                 buy = buy_raw - buy_raw.min()
                 sell = sell_raw - sell_raw.min()
-                series[(group, FlowType.BUY)] = buy
-                series[(group, FlowType.SELL)] = sell
-                series[(group, FlowType.NET)] = buy - sell
+                series[(group, "BUY")] = buy
+                series[(group, "SELL")] = sell
+                series[(group, "NET")] = buy - sell
             panel = FlowPanel(calendar=calendar, series=series)
             table = static_dfa_table(panel.series, DfaConfig())
-            for flow in (FlowType.BUY, FlowType.SELL):
+            for flow in ("BUY", "SELL"):
                 hats = {g: table[(g, flow)]["fit"].hurst for g in targets}
                 assert (
-                    hats[Group.RETAIL] > hats[Group.INSTITUTIONAL] > hats[Group.FOREIGN]
+                    hats["retail"] > hats["institutional"] > hats["foreign"]
                 ), (run_seed, flow, hats)
 
 

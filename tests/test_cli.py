@@ -316,6 +316,27 @@ class TestReportCommand:
         assert result.output.startswith(f"Error: {broken / name}: line ")
         assert result.output.count("\n") == 1 and "Traceback" not in result.output
 
+    @pytest.mark.parametrize("command, prefix", [
+        ("report", "Error: stage 'report': "),
+        ("regress", "Error: "),  # regress runs no stage, so it names none
+    ])
+    def test_malformed_config_json_names_the_file(self, runner, data_dir, bundled_run, tmp_path,
+                                                  command, prefix):
+        import shutil
+
+        _, _, out = bundled_run
+        broken = tmp_path / "broken"
+        shutil.copytree(out, broken)
+        (broken / "config.json").write_text("{ bad")
+        args = ("report", "--dir", broken) if command == "report" else (
+            "regress", "--roll-dir", broken, "--prices", data_dir / "prices_synth.csv",
+            "--out", tmp_path / "table.csv")
+        result = invoke(runner, *args)
+        assert result.exit_code == 1
+        expected = f"{prefix}malformed artifact {broken / 'config.json'}: Expecting property name"
+        assert result.output.startswith(expected)
+        assert result.output.count("\n") == 1 and "Traceback" not in result.output
+
 
 class TestRunCommand:
     def test_run_writes_report_and_prints_summary(self, runner, data_dir, tmp_path):

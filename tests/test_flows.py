@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from flowmem import flows, pipeline
 from flowmem.errors import FlowError
-from flowmem.flows import FlowPanel, FlowType, Group, Side, aggregate_daily, read_flows_csv
+from flowmem.flows import FLOW_TYPES, GROUPS, SIDES, FlowPanel, aggregate_daily, read_flows_csv
 
 LONG = "date,firm_id,group,side,amount"
 WIDE = "date,group,buy,sell"
@@ -20,7 +20,7 @@ WIDE = "date,group,buy,sell"
 
 def rec(date, group, side, amount):
     """One record as read_flows_csv yields it: (date, group, side, amount)."""
-    return (date, Group(group), Side(side), float(amount))
+    return (date, group, side, float(amount))
 
 
 record_strategy = st.builds(
@@ -37,7 +37,7 @@ class TestAggregateDaily:
         panel = aggregate_daily(
             [rec("2020-01-02", "retail", "BUY", 5), rec("2020-01-02", "retail", "BUY", 3)]
         )
-        assert panel.series[(Group.RETAIL, FlowType.BUY)][0] == 8.0
+        assert panel.series[("retail", "BUY")][0] == 8.0
 
     def test_net_is_buy_minus_sell(self):
         records = [
@@ -47,7 +47,7 @@ class TestAggregateDaily:
             rec("2020-01-03", "retail", "SELL", 4),
         ]
         panel = aggregate_daily(records)
-        np.testing.assert_array_equal(panel.series[(Group.RETAIL, FlowType.NET)], [3.0, -1.0])
+        np.testing.assert_array_equal(panel.series[("retail", "NET")], [3.0, -1.0])
 
     def test_matches_brute_force_group_by(self):
         records = [
@@ -68,16 +68,16 @@ class TestAggregateDaily:
         for date, group, side, amount in records:
             sums[(date, group, side)] = sums.get((date, group, side), 0.0) + amount
         dates = sorted({date for date, _, _, _ in records})
-        for group in Group:
-            for side in Side:
-                got = panel.series[(group, FlowType(side.value))]
+        for group in GROUPS:
+            for side in SIDES:
+                got = panel.series[(group, side)]
                 expected = [sums.get((d, group, side), 0.0) for d in dates]
                 np.testing.assert_array_equal(got, expected)
 
     def test_missing_group_day_is_zero(self):
         panel = aggregate_daily([rec("2020-01-02", "retail", "BUY", 5)])
-        assert panel.series[(Group.FOREIGN, FlowType.BUY)][0] == 0.0
-        assert panel.series[(Group.RETAIL, FlowType.SELL)][0] == 0.0
+        assert panel.series[("foreign", "BUY")][0] == 0.0
+        assert panel.series[("retail", "SELL")][0] == 0.0
 
     def test_empty_input(self):
         with pytest.raises(FlowError, match="no records"):
@@ -89,7 +89,7 @@ class TestAggregateDaily:
 
     def test_unknown_group_or_side_rejected(self):
         with pytest.raises(FlowError, match="unknown group or side"):
-            aggregate_daily([("2020-01-02", "hedge_fund", Side.BUY, 1.0)])
+            aggregate_daily([("2020-01-02", "hedge_fund", "BUY", 1.0)])
 
     def test_negative_amount_rejected(self):
         with pytest.raises(FlowError, match="negative"):
@@ -108,13 +108,13 @@ class TestAggregateDaily:
     @settings(max_examples=40, deadline=None)
     def test_net_identity_and_sum_preservation(self, records):
         panel = aggregate_daily(records)
-        for group in Group:
-            buy = panel.series[(group, FlowType.BUY)]
-            sell = panel.series[(group, FlowType.SELL)]
-            net = panel.series[(group, FlowType.NET)]
+        for group in GROUPS:
+            buy = panel.series[(group, "BUY")]
+            sell = panel.series[(group, "SELL")]
+            net = panel.series[(group, "NET")]
             np.testing.assert_array_equal(net, buy - sell)
-            for side, col in ((Side.BUY, buy), (Side.SELL, sell)):
-                total = math.fsum(a for _, g, s, a in records if g is group and s is side)
+            for side, col in (("BUY", buy), ("SELL", sell)):
+                total = math.fsum(a for _, g, s, a in records if g == group and s == side)
                 assert math.fsum(col) == pytest.approx(total, rel=1e-15, abs=1e-9)
 
 
@@ -130,7 +130,7 @@ class TestExtractSeries:
         panel = aggregate_daily(records)
         rebuilt = FlowPanel(
             calendar=panel.calendar,
-            series={(g, ft): panel.series[g, ft] for g in Group for ft in FlowType},
+            series={(g, ft): panel.series[g, ft] for g in GROUPS for ft in FLOW_TYPES},
         )
         assert rebuilt == panel
 
@@ -138,7 +138,7 @@ class TestExtractSeries:
 class TestFlowPanelValidation:
     def test_length_mismatch(self):
         with pytest.raises(FlowError, match="length"):
-            FlowPanel(calendar=("2020-01-02", "2020-01-03"), series={(Group.RETAIL, FlowType.BUY): [1.0]})
+            FlowPanel(calendar=("2020-01-02", "2020-01-03"), series={("retail", "BUY"): [1.0]})
 
     def test_unsorted_calendar(self):
         with pytest.raises(FlowError, match="increasing"):
@@ -146,23 +146,28 @@ class TestFlowPanelValidation:
 
     def test_negative_buy(self):
         with pytest.raises(FlowError, match="negative"):
-            FlowPanel(calendar=("2020-01-02",), series={(Group.RETAIL, FlowType.BUY): [-1.0]})
+            FlowPanel(calendar=("2020-01-02",), series={("retail", "BUY"): [-1.0]})
 
     def test_net_identity_enforced(self):
         with pytest.raises(FlowError, match="NET"):
             FlowPanel(
                 calendar=("2020-01-02",),
                 series={
-                    (Group.RETAIL, FlowType.BUY): [2.0],
-                    (Group.RETAIL, FlowType.SELL): [1.0],
-                    (Group.RETAIL, FlowType.NET): [0.5],
+                    ("retail", "BUY"): [2.0],
+                    ("retail", "SELL"): [1.0],
+                    ("retail", "NET"): [0.5],
                 },
             )
+
+    @pytest.mark.parametrize("key", [("bogus", "BUY"), ("retail", "bogus"), "retail"])
+    def test_unknown_key_names_the_key(self, key):
+        with pytest.raises(FlowError, match=re.escape(f"unknown series key {key!r}")):
+            FlowPanel(calendar=("2020-01-02",), series={key: [1.0]})
 
     def test_series_are_read_only(self):
         panel = aggregate_daily([rec("2020-01-02", "retail", "BUY", 5)])
         with pytest.raises(ValueError):
-            panel.series[(Group.RETAIL, FlowType.BUY)][0] = 99.0
+            panel.series[("retail", "BUY")][0] = 99.0
 
 
 def read(path):
@@ -179,9 +184,9 @@ class TestCsv:
             "2020-01-03,f2,foreign,buy,1.25\n"
         )
         assert read(path) == [
-            ("2020-01-02", Group.RETAIL, Side.BUY, 5.5),
-            ("2020-01-02", Group.RETAIL, Side.SELL, 2.0),
-            ("2020-01-03", Group.FOREIGN, Side.BUY, 1.25),
+            ("2020-01-02", "retail", "BUY", 5.5),
+            ("2020-01-02", "retail", "SELL", 2.0),
+            ("2020-01-03", "foreign", "BUY", 1.25),
         ]
 
     def test_wide_format(self, tmp_path):
@@ -192,7 +197,7 @@ class TestCsv:
         records = read(path)
         assert len(records) == 4
         panel = aggregate_daily(records)
-        np.testing.assert_array_equal(panel.series[(Group.RETAIL, FlowType.NET)], [3.5, 0.0])
+        np.testing.assert_array_equal(panel.series[("retail", "NET")], [3.5, 0.0])
 
     def test_wide_repeated_date_group_reports_both_lines(self, tmp_path):
         path = tmp_path / "flows.csv"
@@ -213,7 +218,7 @@ class TestCsv:
             "2020-01-02,f2,retail,BUY,1\n"
         )
         panel = aggregate_daily(read_flows_csv(path))
-        np.testing.assert_array_equal(panel.series[(Group.RETAIL, FlowType.BUY)], [6.0])
+        np.testing.assert_array_equal(panel.series[("retail", "BUY")], [6.0])
 
     def test_unknown_group_reports_line(self, tmp_path):
         path = tmp_path / "flows.csv"
@@ -298,8 +303,8 @@ class TestCsv:
         path = tmp_path / "flows.csv"
         path.write_text(pipeline._csv_text(WIDE, [f"2020-01-02,retail,{5.5!r},{0.1 + 0.2!r}"]))
         panel = aggregate_daily(read_flows_csv(path))
-        assert panel.series[(Group.RETAIL, FlowType.BUY)][0] == 5.5
-        assert panel.series[(Group.RETAIL, FlowType.SELL)][0] == 0.1 + 0.2
+        assert panel.series[("retail", "BUY")][0] == 5.5
+        assert panel.series[("retail", "SELL")][0] == 0.1 + 0.2
 
 
 def reference_panel(path) -> FlowPanel:
@@ -313,12 +318,12 @@ def reference_panel(path) -> FlowPanel:
         for row in filter(None, reader):
             if wide:
                 date, group, buy, sell = row
-                records.append((date.strip(), Group(group.strip().lower()), Side.BUY, float(buy)))
-                records.append((date.strip(), Group(group.strip().lower()), Side.SELL, float(sell)))
+                records.append((date.strip(), group.strip().lower(), "BUY", float(buy)))
+                records.append((date.strip(), group.strip().lower(), "SELL", float(sell)))
             else:
                 date, _firm, group, side, amount = row
                 records.append(
-                    (date.strip(), Group(group.strip().lower()), Side(side.strip().upper()),
+                    (date.strip(), group.strip().lower(), side.strip().upper(),
                      float(amount))
                 )
     cells: dict = {}
@@ -327,15 +332,15 @@ def reference_panel(path) -> FlowPanel:
     calendar = tuple(sorted({r[0] for r in records}))
     index = {date: i for i, date in enumerate(calendar)}
     series = {}
-    for group in Group:
+    for group in GROUPS:
         buy = np.zeros(len(calendar))
         sell = np.zeros(len(calendar))
         for (date, g, side), amounts in cells.items():
-            if g is group:
-                (buy if side is Side.BUY else sell)[index[date]] = math.fsum(amounts)
-        series[(group, FlowType.BUY)] = buy
-        series[(group, FlowType.SELL)] = sell
-        series[(group, FlowType.NET)] = buy - sell
+            if g == group:
+                (buy if side == "BUY" else sell)[index[date]] = math.fsum(amounts)
+        series[(group, "BUY")] = buy
+        series[(group, "SELL")] = sell
+        series[(group, "NET")] = buy - sell
     return FlowPanel(calendar=calendar, series=series)
 
 
@@ -359,8 +364,8 @@ def long_rows(draw):
         st.tuples(
             dates,
             st.sampled_from(["", "F1", " f2 "]),
-            st.sampled_from([g.value for g in Group]).flatmap(spelled),
-            st.sampled_from([s.value for s in Side]).flatmap(spelled),
+            st.sampled_from(GROUPS).flatmap(spelled),
+            st.sampled_from(SIDES).flatmap(spelled),
             amounts,
         ),
         min_size=1, max_size=40,
@@ -371,7 +376,7 @@ def long_rows(draw):
 @st.composite
 def wide_rows(draw):
     keys = draw(st.lists(
-        st.tuples(st.sampled_from(DATES), st.sampled_from([g.value for g in Group])),
+        st.tuples(st.sampled_from(DATES), st.sampled_from(GROUPS)),
         min_size=1, max_size=12, unique=True,
     ))
     return WIDE, [

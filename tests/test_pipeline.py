@@ -19,7 +19,7 @@ import pytest
 
 from flowmem import pipeline
 from flowmem.errors import PipelineError
-from flowmem.flows import FlowPanel, FlowType, Group, aggregate_daily, read_flows_csv
+from flowmem.flows import GROUPS, FlowPanel, aggregate_daily, read_flows_csv
 from flowmem.pipeline import (
     OUT_DIR_ENV,
     RunConfig,
@@ -601,6 +601,8 @@ class TestConfig:
              "regimes[0].start_date"),
             ({"regimes": [{"label": "x", "start_date": "2020-03-01", "end_date": "20200401"}]},
              "regimes[0].end_date"),
+            ({"dfa": {"include_order1": True, "detrend_order": 0, "n_min": 2}},
+             "dfa.include_order1"),
         ],
     )
     def test_bad_key_or_value_is_config_error_naming_key(self, data_dir, patch, key):
@@ -613,7 +615,8 @@ class TestConfig:
     @pytest.mark.parametrize(
         "patch",
         [{"rolling": {"step": 0}}, {"surrogates": {"count": 0}},
-         {"regression": {"lag_k": -1}}, {"tails": {"tail_fraction": 2.0}}],
+         {"regression": {"lag_k": -1}}, {"tails": {"tail_fraction": 2.0}},
+         {"dfa": {"include_order1": True, "detrend_order": 0, "n_min": 2}}],
     )
     def test_bad_range_fails_before_out_dir_exists(self, data_dir, tmp_path, patch):
         data = json.loads((data_dir / "run_config.json").read_text())
@@ -708,24 +711,24 @@ class TestConstructedOrdering:
         calendar = tuple(f"d{i:05d}" for i in range(n))
         series = {}
         for group, values, sell_seed in (
-            (Group.RETAIL, cumsum(fgn(0.35, n, seed=11)), 21),
-            (Group.INSTITUTIONAL, fgn(0.7, n, seed=12), 22),
-            (Group.FOREIGN, fgn(0.55, n, seed=13), 23),
+            ("retail", cumsum(fgn(0.35, n, seed=11)), 21),
+            ("institutional", fgn(0.7, n, seed=12), 22),
+            ("foreign", fgn(0.55, n, seed=13), 23),
         ):
             buy = values - values.min()
             sell_raw = fgn(0.5, n, seed=sell_seed)
             sell = sell_raw - sell_raw.min()
-            series[(group, FlowType.BUY)] = buy
-            series[(group, FlowType.SELL)] = sell
-            series[(group, FlowType.NET)] = buy - sell
+            series[(group, "BUY")] = buy
+            series[(group, "SELL")] = sell
+            series[(group, "NET")] = buy - sell
         panel = FlowPanel(calendar=calendar, series=series)
 
         from flowmem.dfa import DfaConfig
 
         table = static_dfa_table(panel.series, DfaConfig())
-        h = {g: table[(g, FlowType.BUY)]["fit"].hurst for g in Group}
-        assert h[Group.RETAIL] > h[Group.INSTITUTIONAL] > h[Group.FOREIGN]
-        assert h[Group.RETAIL] > 1.0
+        h = {g: table[(g, "BUY")]["fit"].hurst for g in GROUPS}
+        assert h["retail"] > h["institutional"] > h["foreign"]
+        assert h["retail"] > 1.0
 
     def test_static_table_raises_the_first_failing_series_error(self):
         from flowmem.dfa import DfaConfig
