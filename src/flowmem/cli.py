@@ -23,11 +23,10 @@ from .pipeline import (
     RunConfig,
     _csv_text,
     _json_text,
-    _load_json_artifact,
+    _load_run_config,
     _write_text,
     assemble_report,
     ccdf_csv,
-    config_from_json_dict,
     curve_csv,
     fits_json_text,
     load_config,
@@ -214,7 +213,7 @@ def synth_flows(group_specs, length, seed, start_date, out):
 
 
 @synth.command("prices")
-@click.option("-n", "--length", "length", type=int, required=True)
+@click.option("-n", "--length", "length", type=click.IntRange(min=1), required=True)
 @click.option("--seed", type=int, required=True)
 @click.option("--daily-vol", type=float, default=0.01, show_default=True)
 @click.option("--start-date", default="2015-01-01", show_default=True)
@@ -333,7 +332,7 @@ def regress(roll_dir, prices, step, fill, lag, robust, out):
     run = RunConfig  # without a config.json, the field defaults
     config_path = os.path.join(roll_dir, CONFIG_JSON)
     if os.path.isfile(config_path):
-        run = config_from_json_dict(_load_json_artifact(config_path), base_dir=roll_dir)
+        run = _load_run_config(config_path)
         if step not in (None, run.rolling_step):
             raise click.BadParameter(
                 f"{step} differs from the rolling step {run.rolling_step} of the run in {roll_dir}",
@@ -350,7 +349,7 @@ def regress(roll_dir, prices, step, fill, lag, robust, out):
             rolling[group, flow] = read_rolling_csv(path, step)
     if not rolling:
         raise click.ClickException(f"no {ROLLING_CSV.format(key='*')} files in {roll_dir}")
-    rows = regression_table(rolling, prices, fill, lag, robust)
+    rows = regression_table(rolling, read_prices_csv(prices), fill, lag, robust)
     _write_text(out, table_csv(rows))
     for row in rows:
         click.echo(

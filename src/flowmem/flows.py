@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import datetime
+import itertools
 import math
 from collections import defaultdict
 from collections.abc import Iterator
@@ -128,54 +129,85 @@ def _valid_date(token: str) -> bool:
         return False
 
 
-def _parse_date(token: str, line_num: int) -> str:
+def _parse_date(token: str) -> str:
     token = token.strip()
     if not _valid_date(token):
-        raise FlowError(f"line {line_num}: bad date {token!r}, expected a YYYY-MM-DD date")
+        raise ValueError(f"bad date {token!r}, expected a YYYY-MM-DD date")
     return token
 
 
-def _parse_group(token: str, line_num: int) -> str:
+def _parse_group(token: str) -> str:
     group = token.strip().lower()
     if group not in GROUPS:
-        raise FlowError(f"line {line_num}: unknown group {token!r}")
+        raise ValueError(f"unknown group {token!r}")
     return group
 
 
-def _parse_side(token: str, line_num: int) -> str:
+def _parse_side(token: str) -> str:
     side = token.strip().upper()
     if side not in SIDES:
-        raise FlowError(f"line {line_num}: unknown side {token!r}")
+        raise ValueError(f"unknown side {token!r}")
     return side
 
 
-def _parse_amount(token: str, line_num: int) -> float:
+def _parse_amount(token: str) -> float:
     try:
         value = float(token)
     except ValueError:
-        raise FlowError(f"line {line_num}: bad amount {token!r}") from None
+        raise ValueError(f"bad amount {token!r}") from None
     if not math.isfinite(value):
-        raise FlowError(f"line {line_num}: non-finite amount {token!r}")
+        raise ValueError(f"non-finite amount {token!r}")
     if value < 0:
-        raise FlowError(f"line {line_num}: negative amount {token!r}")
+        raise ValueError(f"negative amount {token!r}")
     return value
 
 
-def _header(path, fields) -> tuple[str, ...]:
-    """LONG_HEADER or WIDE_HEADER, whichever the header row `fields` spells."""
-    header = tuple(h.strip().lower() for h in fields)
-    if header not in (LONG_HEADER, WIDE_HEADER):
-        raise FlowError(
-            f"{path}: unrecognized header {header!r}; expected "
-            f"{','.join(LONG_HEADER)} or {','.join(WIDE_HEADER)}"
-        )
-    return header
-
-
-def _first_sight(cache: dict, parse, token: str, line_num: int):
+def _first_sight(cache: dict, parse, token: str):
     """Check a token not seen before in this file and remember the result."""
-    value = cache[token] = parse(token, line_num)
+    value = cache[token] = parse(token)
     return value
+
+
+def read_csv(path, headers, convert, error) -> Iterator:
+    """`convert(header, line, row)` for each data row of a CSV file, as the
+    file is read: `header` is the one of `headers` (tuples of column names)
+    that the first row spells, stripped and case-folded, and `line` is the
+    row's line number. Empty rows are skipped.
+
+    A file that is not UTF-8, is empty, starts with another header or has
+    no data rows, a row the csv module cannot read or with another field
+    count, and a ValueError from `convert` each raise `error` naming the
+    file, and the line where there is one.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            first = next(reader, None)
+            if first is None:
+                raise error(f"{path}: empty file")
+            spelled = tuple(name.strip().casefold() for name in first)
+            header = next((h for h in headers if tuple(map(str.casefold, h)) == spelled), None)
+            if header is None:
+                expected = " or ".join(",".join(h) for h in headers)
+                raise error(f"{path}: line 1: expected header {expected}, got {','.join(first)!r}")
+            rows, width = 0, len(header)
+            for row in reader:
+                if not row:
+                    continue
+                try:
+                    if len(row) != width:
+                        raise ValueError(f"expected {width} fields, got {len(row)}")
+                    value = convert(header, reader.line_num, row)
+                except ValueError as exc:
+                    raise error(f"{path}: line {reader.line_num}: {exc}") from None
+                rows += 1
+                yield value
+    except UnicodeDecodeError:
+        raise error(f"{path}: not UTF-8 text") from None
+    except csv.Error as exc:  # such as a field over csv.field_size_limit()
+        raise error(f"{path}: line {reader.line_num}: {exc}") from None
+    if not rows:
+        raise error(f"{path}: no data rows")
 
 
 def read_flows_csv(path) -> Iterator[tuple[str, str, str, float]]:
@@ -187,59 +219,39 @@ def read_flows_csv(path) -> Iterator[tuple[str, str, str, float]]:
     one BUY and one SELL tuple per row; a repeated (date, group) row is an
     error. Dates must be real calendar dates and amounts finite and
     non-negative. The file is read as the tuples are consumed, and a bad
-    row raises a FlowError naming its line then; a file that is not UTF-8
-    raises one naming the file.
+    row raises a FlowError naming the file and line then (see `read_csv`).
 
     Each distinct raw date, group and side token is checked once per file
     and its value cached; every amount is checked.
     """
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = _header(path, next(reader))
-            except StopIteration:
-                raise FlowError(f"{path}: empty file") from None
-            wide = header == WIDE_HEADER
-            # raw token -> checked value; no checked value is empty, so
-            # `cache.get(token) or ...` checks a token only on first sight
-            dates: dict[str, str] = {}
-            groups: dict[str, str] = {}
-            sides: dict[str, str] = {}
-            first_lines: dict = {}  # wide schema: (date, group) -> line
-            rows = 0
-            for row in reader:
-                if not row:
-                    continue
-                if len(row) != len(header):
-                    raise FlowError(
-                        f"line {reader.line_num}: expected {len(header)} fields, got {len(row)}"
-                    )
-                rows += 1
-                if wide:
-                    d, g, buy, sell = row
-                    line = reader.line_num
-                    date = dates.get(d) or _first_sight(dates, _parse_date, d, reader.line_num)
-                    group = groups.get(g) or _first_sight(groups, _parse_group, g, reader.line_num)
-                    first = first_lines.setdefault((date, group), line)
-                    if first != line:
-                        raise FlowError(
-                            f"line {line}: repeats the {date} {group} row of line {first}"
-                        )
-                    yield date, group, "BUY", _parse_amount(buy, line)
-                    yield date, group, "SELL", _parse_amount(sell, line)
-                else:
-                    d, _, g, s, amount = row
-                    yield (
-                        dates.get(d) or _first_sight(dates, _parse_date, d, reader.line_num),
-                        groups.get(g) or _first_sight(groups, _parse_group, g, reader.line_num),
-                        sides.get(s) or _first_sight(sides, _parse_side, s, reader.line_num),
-                        _parse_amount(amount, reader.line_num),
-                    )
-    except UnicodeDecodeError:
-        raise FlowError(f"{path}: not UTF-8 text") from None
-    if not rows:
-        raise FlowError(f"{path}: no data rows")
+    # raw token -> checked value; no checked value is empty, so
+    # `cache.get(token) or ...` checks a token only on first sight
+    dates: dict[str, str] = {}
+    groups: dict[str, str] = {}
+    sides: dict[str, str] = {}
+    first_lines: dict = {}  # wide schema: (date, group) -> line
+
+    def records(header, line, row):
+        if header == WIDE_HEADER:
+            d, g, buy, sell = row
+            date = dates.get(d) or _first_sight(dates, _parse_date, d)
+            group = groups.get(g) or _first_sight(groups, _parse_group, g)
+            first = first_lines.setdefault((date, group), line)
+            if first != line:
+                raise ValueError(f"repeats the {date} {group} row of line {first}")
+            buy, sell = _parse_amount(buy), _parse_amount(sell)
+            return (date, group, "BUY", buy), (date, group, "SELL", sell)
+        d, _, g, s, amount = row
+        return ((
+            dates.get(d) or _first_sight(dates, _parse_date, d),
+            groups.get(g) or _first_sight(groups, _parse_group, g),
+            sides.get(s) or _first_sight(sides, _parse_side, s),
+            _parse_amount(amount),
+        ),)
+
+    return itertools.chain.from_iterable(
+        read_csv(path, (LONG_HEADER, WIDE_HEADER), records, FlowError)
+    )
 
 
 # The raw-token read (`pipeline.read_panel`): each byte range of a file
@@ -247,13 +259,13 @@ def read_flows_csv(path) -> Iterator[tuple[str, str, str, float]]:
 # tokens and checks every amount as its row arrives; the join checks each
 # distinct token once. Where only the serial read can judge the file (a
 # quote, a lone CR, a bad row, amount or token, a repeated wide row) these
-# return None, and the serial read raises the error naming the line.
+# return None, and the serial read raises the error naming the file and line.
 
 _BLOCK_BYTES = 1 << 20
 
 
 def _text(data: bytes) -> str | None:
-    """`data` decoded, CRLF line ends made LF; None where csv.reader might
+    """`data` decoded, CRLF line ends made LF; None where `read_csv` might
     split it otherwise than on commas and LFs, or it is not UTF-8."""
     try:
         text = data.decode("utf-8")
@@ -267,19 +279,16 @@ def _text(data: bytes) -> str | None:
 def _halves(path):
     """(header, [first, second]): the byte ranges of a flows CSV's two
     halves, split at the first line boundary after its midpoint; None if
-    the header is not one csv.reader would read as a flows header."""
+    the header is not one `read_csv` would read as a flows header."""
     with open(path, "rb") as fh:
         first = fh.readline()
         end = fh.seek(0, 2)
         fh.seek(max(len(first), end // 2))
         fh.readline()
         middle = fh.tell()
-    text = _text(first)
-    if text is None:
-        return None
-    try:
-        header = _header(path, text.rstrip("\n").split(","))
-    except FlowError:
+    text = _text(first) or ""
+    header = tuple(h.strip().casefold() for h in text.rstrip("\n").split(","))
+    if header not in (LONG_HEADER, WIDE_HEADER):
         return None
     return header, [(len(first), middle), (middle, end)]
 
@@ -342,8 +351,8 @@ def _joined_panel(header, reads) -> tuple[FlowPanel, int] | None:
             while raw_cells:
                 raw, amounts = raw_cells.popitem()
                 d, g = raw[0], raw[1]
-                date = dates.get(d) or _first_sight(dates, _parse_date, d, 0)
-                group = groups.get(g) or _first_sight(groups, _parse_group, g, 0)
+                date = dates.get(d) or _first_sight(dates, _parse_date, d)
+                group = groups.get(g) or _first_sight(groups, _parse_group, g)
                 if wide:
                     if (date, group, "BUY") in cells:
                         return None
@@ -351,10 +360,10 @@ def _joined_panel(header, reads) -> tuple[FlowPanel, int] | None:
                     cells[date, group, "SELL"] = [amounts[1]]
                     continue
                 s = raw[2]
-                side = sides.get(s) or _first_sight(sides, _parse_side, s, 0)
+                side = sides.get(s) or _first_sight(sides, _parse_side, s)
                 cell = cells.setdefault((date, group, side), amounts)
                 if cell is not amounts:
                     cell.extend(amounts)
         return _panel(cells), sum(records for _, records in reads)
-    except FlowError:
+    except (ValueError, FlowError):
         return None

@@ -18,7 +18,6 @@ config hash does not depend on where the tree is checked out.
 
 from __future__ import annotations
 
-import csv
 import functools
 import hashlib
 import itertools
@@ -44,10 +43,11 @@ from .flows import (
     _read_cells,
     _valid_date,
     aggregate_daily,
+    read_csv,
     read_flows_csv,
 )
 from .rolling import RegimeWindow, RollingEntry, RollingHurst, regime_summary, rolling_hurst
-from .stats import FILL_POLICIES, regression_table
+from .stats import FILL_POLICIES, read_prices_csv, regression_table
 from .surrogate import SURROGATE_KINDS, SurrogateSpec, surrogate_band
 from .synth import RNG_NAME
 from .tails import TAIL_SIDES, empirical_ccdf, fit_tail_exponent, gaussian_ccdf_reference
@@ -288,7 +288,7 @@ def _json_text(payload) -> str:
 # The CSV formats. No field the toolkit writes needs quoting (repr'd
 # floats, ints, checked dates, group and flow names, stars, empty gap
 # fields), so each caller formats its lines with f-strings, and they read
-# back through csv.reader.
+# back through `flows.read_csv`.
 def _csv_text(header: str, lines) -> str:
     return "\n".join([header, *lines]) + "\n"
 
@@ -313,31 +313,7 @@ def rolling_csv(roll: RollingHurst) -> str:
     ))
 
 
-def _read_csv_artifact(path, headers, convert) -> list:
-    """`convert(header, row)` for every data row of a CSV artifact whose
-    header is one of `headers`. Any other header, a row with another field
-    count or a field `convert` rejects raises a FlowmemError naming the file
-    and the line."""
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            rows = csv.reader(fh)
-            header = next(rows, [])
-            if ",".join(header) not in headers:
-                raise FlowmemError(f"{path}: line 1: expected header {' or '.join(headers)}")
-            out = []
-            for row in rows:
-                try:
-                    if len(row) != len(header):
-                        raise ValueError(f"expected {len(header)} fields, got {len(row)}")
-                    out.append(convert(header, row))
-                except ValueError as exc:
-                    raise FlowmemError(f"{path}: line {rows.line_num}: {exc}") from None
-    except UnicodeDecodeError:
-        raise FlowmemError(f"{path}: not UTF-8 text") from None
-    return out
-
-
-def _rolling_entry(_, row) -> RollingEntry:
+def _rolling_entry(_header, _line, row) -> RollingEntry:
     end_date, h, stderr, r2 = row
     if not h:
         return RollingEntry(end_date, None, None, None, 0, False, "gap")
@@ -348,8 +324,9 @@ def read_rolling_csv(path, step: int, window: int | None = None) -> RollingHurst
     """The RollingHurst a `rolling_csv` file holds. The file does not hold
     the window length, n_points_used or a gap's reason, so those come back
     as `window`, 0 and "gap"."""
-    entries = _read_csv_artifact(path, ("end_date,H,stderr,r2",), _rolling_entry)
-    return RollingHurst(entries=tuple(entries), window=window, step=step)
+    header = ("end_date", "H", "stderr", "r2")
+    entries = tuple(read_csv(path, (header,), _rolling_entry, FlowmemError))
+    return RollingHurst(entries=entries, window=window, step=step)
 
 
 def table_csv(rows) -> str:
@@ -360,10 +337,13 @@ def table_csv(rows) -> str:
 
 _TEXT_COLUMNS = ("group", "flow", "alpha_stars", "beta_stars")
 # a `regression_table` row's columns; robust t-values add two more
-_TABLE_HEADER = "group,flow,alpha,t_alpha,alpha_stars,beta,t_beta,beta_stars,r_squared,n"
+_TABLE_HEADER = (
+    "group", "flow", "alpha", "t_alpha", "alpha_stars", "beta", "t_beta", "beta_stars",
+    "r_squared", "n",
+)
 
 
-def _table_row(header, row) -> dict:
+def _table_row(header, _line, row) -> dict:
     return {
         k: v if k in _TEXT_COLUMNS else int(v) if k == "n" else float(v)
         for k, v in zip(header, row)
@@ -372,8 +352,8 @@ def _table_row(header, row) -> dict:
 
 def read_table_csv(path) -> list[dict]:
     """The rows a `table_csv` file holds, with their types restored."""
-    headers = (_TABLE_HEADER, _TABLE_HEADER + ",t_alpha_robust,t_beta_robust")
-    return _read_csv_artifact(path, headers, _table_row)
+    headers = (_TABLE_HEADER, (*_TABLE_HEADER, "t_alpha_robust", "t_beta_robust"))
+    return list(read_csv(path, headers, _table_row, FlowmemError))
 
 
 @dataclass
@@ -402,6 +382,7 @@ class _Run:
         self.config = config
         self.staging = staging
         self.panel: FlowPanel | None = None
+        self.prices: tuple | None = None  # (calendar, closes), with a prices file
         self.rollers: dict = {}
         self.stage_seeds: dict = {}
         self.report: RunReport | None = None
@@ -456,11 +437,14 @@ def _read_raw(path) -> tuple[FlowPanel, int] | None:
 
 
 def _stage_ingest(run: _Run):
-    path = run.config.resolve(run.config.flows_csv)
+    config = run.config
+    path = config.resolve(config.flows_csv)
     run.panel, _ = read_panel(path)
     for group in GROUPS:
         if not any(run.panel.series[group, side].any() for side in SIDES):
             raise PipelineError("ingest", f"{path}: no flows for investor group {group!r}")
+    if config.prices_csv is not None:
+        run.prices = read_prices_csv(config.resolve(config.prices_csv))
     return ()  # no file
 
 
@@ -573,10 +557,9 @@ def _stage_rolling(run: _Run):
 
 def _stage_regression(run: _Run):
     config = run.config
-    if config.prices_csv is not None:
+    if run.prices is not None:
         rows = regression_table(
-            run.rollers, config.resolve(config.prices_csv), config.fill_policy, config.lag_k,
-            config.robust_se,
+            run.rollers, run.prices, config.fill_policy, config.lag_k, config.robust_se
         )
         yield TABLE_CSV, table_csv(rows)
 
@@ -813,14 +796,23 @@ def _load_json_artifact(path) -> dict:
         raise FlowmemError(f"malformed artifact {path}: not UTF-8 text") from None
 
 
-def _report_input(out_dir: str, template: str, **names) -> dict:
-    """A JSON artifact of a run directory, as `assemble_report` reads it: a
-    missing or malformed one is an error of stage 'report'."""
+def _load_run_config(path) -> RunConfig:
+    """The RunConfig of a run directory's config.json; a malformed file or
+    a bad value in it raises a FlowmemError naming the file."""
+    try:
+        return config_from_json_dict(_load_json_artifact(path), base_dir=os.path.dirname(path))
+    except PipelineError as exc:
+        raise FlowmemError(f"{path}: {exc.message}") from None
+
+
+def _report_input(out_dir: str, template: str, load=_load_json_artifact, **names):
+    """A JSON artifact of a run directory, as `assemble_report` reads it
+    with `load`: a missing or malformed one is an error of stage 'report'."""
     path = os.path.join(out_dir, template.format(**names))
     if not os.path.exists(path):
         raise PipelineError("report", f"missing artifact: {os.path.basename(path)}")
     try:
-        return _load_json_artifact(path)
+        return load(path)
     except FlowmemError as exc:
         raise PipelineError("report", str(exc)) from None
 
@@ -834,7 +826,7 @@ def assemble_report(out_dir: str) -> RunReport:
     run's config; a missing or malformed one raises a stage-labeled error
     naming it.
     """
-    config = config_from_json_dict(_report_input(out_dir, CONFIG_JSON), base_dir=out_dir)
+    config = _report_input(out_dir, CONFIG_JSON, _load_run_config)
     artifacts = artifact_names(config)
     missing = [
         name for name in artifacts

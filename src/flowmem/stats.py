@@ -9,7 +9,6 @@ only the exponent's own dates.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -17,7 +16,7 @@ import numpy as np
 
 from .dfa import line_fit
 from .errors import StatsError
-from .flows import _valid_date
+from .flows import _parse_date, read_csv
 from .rolling import RollingHurst
 
 FILL_POLICIES = ("forward_fill", "step_dates_only")
@@ -46,45 +45,25 @@ class OlsResult:
 def read_prices_csv(path, column: str = "close") -> tuple[tuple[str, ...], np.ndarray]:
     """Parse `date,<column>`; returns (calendar, values). Values must be
     finite, and positive for `close` (prices); dates real calendar dates,
-    strictly increasing. A bad row raises a StatsError naming its line; a
-    file that is not UTF-8 raises one naming the file."""
+    strictly increasing. A bad file or row raises a StatsError naming the
+    file, and the line where there is one (see `flows.read_csv`)."""
     positive = column == "close"
-    dates: list[str] = []
-    values: list[float] = []
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = tuple(h.strip().lower() for h in next(reader))
-            except StopIteration:
-                raise StatsError(f"{path}: empty file") from None
-            if header != ("date", column):
-                raise StatsError(f"{path}: expected header date,{column}, got {header!r}")
-            for row in reader:
-                if not row:
-                    continue
-                line = reader.line_num
-                if len(row) != 2:
-                    raise StatsError(f"line {line}: expected 2 fields")
-                date = row[0].strip()
-                if not _valid_date(date):
-                    raise StatsError(f"line {line}: bad date {date!r}, expected a YYYY-MM-DD date")
-                dates.append(date)
-                try:
-                    value = float(row[1])
-                except ValueError:
-                    raise StatsError(f"line {line}: bad {column} {row[1]!r}") from None
-                if not math.isfinite(value) or (positive and value <= 0):
-                    rule = "positive and finite" if positive else "finite"
-                    raise StatsError(f"line {line}: {column} must be {rule}")
-                values.append(value)
-    except UnicodeDecodeError:
-        raise StatsError(f"{path}: not UTF-8 text") from None
-    if not dates:
-        raise StatsError(f"{path}: no data rows")
+    rule = "positive and finite" if positive else "finite"
+
+    def dated_value(_header, _line, row):
+        date = _parse_date(row[0])
+        try:
+            value = float(row[1])
+        except ValueError:
+            raise ValueError(f"bad {column} {row[1]!r}") from None
+        if not math.isfinite(value) or (positive and value <= 0):
+            raise ValueError(f"{column} must be {rule}")
+        return date, value
+
+    dates, values = zip(*read_csv(path, (("date", column),), dated_value, StatsError))
     if any(b <= a for a, b in zip(dates, dates[1:])):
         raise StatsError(f"{path}: dates must be strictly increasing")
-    return tuple(dates), np.asarray(values)
+    return dates, np.asarray(values)
 
 
 def align_h_rv(
@@ -245,16 +224,17 @@ def significance_stars(t_value: float, n: int) -> str:
     return next((stars for level, stars in _STARS if p < level), "")
 
 
-def regression_table(rolling: dict, prices_csv, fill_policy: str, lag: int, robust: bool) -> list[dict]:
-    """Volatility-on-persistence table from a prices file.
+def regression_table(rolling: dict, prices, fill_policy: str, lag: int, robust: bool) -> list[dict]:
+    """Volatility-on-persistence table from a price path.
 
-    `rolling` maps (group, flow) -> RollingHurst. Each series is aligned
+    `rolling` maps (group, flow) -> RollingHurst, and `prices` is the
+    (calendar, closes) pair `read_prices_csv` returns. Each series is aligned
     with the squared-return volatility under `fill_policy`; volatility at
     t is paired with the exponent `lag` pairs earlier and regressed with
     classical (and, if `robust`, HC1) t-values. Rows come out in the
     mapping's iteration order.
     """
-    calendar, closes = read_prices_csv(prices_csv)
+    calendar, closes = prices
     if closes.size < 2:
         raise StatsError("need at least 2 prices")
     if lag < 0:

@@ -141,7 +141,15 @@ class TestSynthAndDfa:
         series.write_text(f"date,value\n2020-01-01,1.0\n{bad},2.0\n")
         result = invoke(runner, "dfa", "--series", series)
         assert result.exit_code == 1
-        assert f"Error: line 3: bad date '{bad}'" in result.output
+        assert f"Error: {series}: line 3: bad date '{bad}'" in result.output
+
+    @pytest.mark.parametrize("length", [0, -1])
+    def test_synth_prices_length_below_one_is_a_usage_error(self, runner, tmp_path, length):
+        out = tmp_path / "prices.csv"
+        result = invoke(runner, "synth", "prices", "-n", length, "--seed", 1, "--out", out)
+        assert result.exit_code == 2
+        assert "'--length': " in result.output and "Traceback" not in result.output
+        assert not out.exists()
 
     def test_synth_and_surrogate_files_read_back(self, runner, tmp_path):
         n, count = 100, 3
@@ -313,7 +321,8 @@ class TestReportCommand:
             "--out", tmp_path / "table.csv")
         result = invoke(runner, *args)
         assert result.exit_code == 1
-        assert result.output.startswith(f"Error: {broken / name}: line ")
+        cause = "empty file\n" if text == "" else "line "
+        assert result.output.startswith(f"Error: {broken / name}: {cause}")
         assert result.output.count("\n") == 1 and "Traceback" not in result.output
 
     @pytest.mark.parametrize("command, prefix", [
@@ -336,6 +345,29 @@ class TestReportCommand:
         expected = f"{prefix}malformed artifact {broken / 'config.json'}: Expecting property name"
         assert result.output.startswith(expected)
         assert result.output.count("\n") == 1 and "Traceback" not in result.output
+
+
+    @pytest.mark.parametrize("command, prefix", [
+        ("report", "Error: stage 'report': "),
+        ("regress", "Error: "),  # regress runs no stage, so it names none
+    ])
+    def test_bad_config_value_names_the_file(self, runner, data_dir, bundled_run, tmp_path,
+                                             command, prefix):
+        import shutil
+
+        _, _, out = bundled_run
+        broken = tmp_path / "broken"
+        shutil.copytree(out, broken)
+        config = json.loads((broken / "config.json").read_text())
+        (broken / "config.json").write_text(json.dumps({**config, "flows_csv": 5}))
+        args = ("report", "--dir", broken) if command == "report" else (
+            "regress", "--roll-dir", broken, "--prices", data_dir / "prices_synth.csv",
+            "--out", tmp_path / "table.csv")
+        result = invoke(runner, *args)
+        assert result.exit_code == 1
+        expected = f"{prefix}{broken / 'config.json'}: config key 'flows_csv': invalid value 5\n"
+        assert result.output == expected
+        assert not (tmp_path / "table.csv").exists()
 
 
 class TestRunCommand:

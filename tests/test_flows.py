@@ -11,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowmem import flows, pipeline
-from flowmem.errors import FlowError
+from flowmem.errors import FlowError, FlowmemError, StatsError
 from flowmem.flows import FLOW_TYPES, GROUPS, SIDES, FlowPanel, aggregate_daily, read_flows_csv
+from flowmem.stats import read_prices_csv
 
 LONG = "date,firm_id,group,side,amount"
 WIDE = "date,group,buy,sell"
@@ -267,7 +268,8 @@ class TestCsv:
         good = "2020-01-01,f0,retail,SELL,1" if header == LONG else "2020-01-01,retail,1,2"
         path = tmp_path / "flows.csv"
         path.write_text(f"{header}\n{good}\n\n{row}\n")  # the blank line still counts
-        with pytest.raises(FlowError, match=f"^line 4: {re.escape(message)}"):
+        expected = f"^{re.escape(str(path))}: line 4: {re.escape(message)}"
+        with pytest.raises(FlowError, match=expected):
             read(path)
 
     def test_non_finite_amount(self, tmp_path):
@@ -305,6 +307,67 @@ class TestCsv:
         panel = aggregate_daily(read_flows_csv(path))
         assert panel.series[("retail", "BUY")][0] == 5.5
         assert panel.series[("retail", "SELL")][0] == 0.1 + 0.2
+
+
+TABLE = "group,flow,alpha,t_alpha,alpha_stars,beta,t_beta,beta_stars,r_squared,n"
+
+# each reader of `flows.read_csv`: (read, error class, allowed headers, a good
+# header and data row)
+READERS = {
+    "flows-long": (read, FlowError, [LONG, WIDE], LONG, "2020-01-02,f1,retail,BUY,5"),
+    "flows-wide": (read, FlowError, [LONG, WIDE], WIDE, "2020-01-02,retail,1,2"),
+    "prices-close": (read_prices_csv, StatsError, ["date,close"], "date,close",
+                     "2020-01-02,100.0"),
+    "series-value": (lambda path: read_prices_csv(path, column="value"), StatsError,
+                     ["date,value"], "date,value", "2020-01-02,-1.5"),
+    "fig4": (lambda path: pipeline.read_rolling_csv(path, 5), FlowmemError,
+             ["end_date,H,stderr,r2"], "end_date,H,stderr,r2", "2020-01-02,0.5,0.1,0.9"),
+    "table1": (pipeline.read_table_csv, FlowmemError,
+               [TABLE, TABLE + ",t_alpha_robust,t_beta_robust"], TABLE,
+               "retail,NET,0,1,,0,1,,0.5,9"),
+}
+
+
+class TestReadCsv:
+    """One contract for every CSV reader: each fault raises the reader's
+    own error class with one message, naming the file and the line."""
+
+    @pytest.mark.parametrize("reader", list(READERS))
+    @pytest.mark.parametrize("fault", ["not-utf8", "empty", "header", "wide-row", "no-rows"])
+    def test_every_reader_names_file_and_line(self, tmp_path, reader, fault):
+        read_file, error, headers, header, row = READERS[reader]
+        text, cause = {
+            "not-utf8": (f"{header}\n{row}\n{row}\xe9\n", "not UTF-8 text"),
+            "empty": ("", "empty file"),
+            "header": (f"ticker,qty\n{row}\n",
+                       f"line 1: expected header {' or '.join(headers)}, got 'ticker,qty'"),
+            "wide-row": (f"{header}\n{row},7\n", f"line 2: expected {row.count(',') + 1} "
+                         f"fields, got {row.count(',') + 2}"),
+            "no-rows": (f"{header}\n\n", "no data rows"),
+        }[fault]
+        path = tmp_path / "input.csv"
+        path.write_bytes(text.encode("latin-1"))  # "\xe9" is the byte 0xE9, not UTF-8
+        with pytest.raises(error) as info:
+            read_file(path)
+        assert type(info.value) is error
+        assert str(info.value) == f"{path}: {cause}"
+
+    @pytest.mark.parametrize("reader", list(READERS))
+    def test_field_over_the_csv_limit_names_file_and_line(self, tmp_path, reader):
+        read_file, error, headers, header, row = READERS[reader]
+        limit = csv.field_size_limit()
+        path = tmp_path / "input.csv"
+        path.write_text(f"{header}\n{row}\n{row}{'9' * (limit + 1)}\n")
+        with pytest.raises(error) as info:
+            read_file(path)
+        assert type(info.value) is error
+        assert str(info.value) == f"{path}: line 3: field larger than field limit ({limit})"
+
+    def test_header_is_matched_stripped_and_case_folded(self, tmp_path):
+        path = tmp_path / "fig4.csv"
+        path.write_text(" END_DATE , h,Stderr,R2\n2020-01-02,0.5,0.1,0.9\n")
+        (entry,) = pipeline.read_rolling_csv(path, 5).entries
+        assert (entry.end_date, entry.hurst) == ("2020-01-02", 0.5)
 
 
 def reference_panel(path) -> FlowPanel:
@@ -496,11 +559,12 @@ class TestTwoProcessRead:
         at = text.index(row) + len(row)
         assert at > len(text) // 2
         path.write_text(text[:at] + amount + text[text.index("\n", at):])
-        with pytest.raises(FlowError, match=f"^line {line_of(path, row)}: {message} '{amount}'$"):
+        expected = f"^{re.escape(str(path))}: line {line_of(path, row)}: {message} '{amount}'$"
+        with pytest.raises(FlowError, match=expected):
             pipeline.read_panel(path)
         assert forks
         monkeypatch.setattr(pipeline, "SPLIT_MIN_BYTES", path.stat().st_size + 1)  # one range, here
-        with pytest.raises(FlowError, match=f"^line {line_of(path, row)}: {message} '{amount}'$"):
+        with pytest.raises(FlowError, match=expected):
             pipeline.read_panel(path)
         assert len(forks) == 1
 
@@ -517,7 +581,8 @@ class TestTwoProcessRead:
                 patch.setattr(pipeline, "SPLIT_MIN_BYTES", split_min)
                 with pytest.raises(
                     FlowError,
-                    match=f"^line {last}: repeats the 2020-01-05 institutional row of line {first}$",
+                    match=f"^{re.escape(str(path))}: line {last}: "
+                    f"repeats the 2020-01-05 institutional row of line {first}$",
                 ):
                     pipeline.read_panel(path)
         assert len(forks) == 1

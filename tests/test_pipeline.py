@@ -286,6 +286,18 @@ class TestStageErrors:
         assert str(flows) in str(info.value)
         assert not list((tmp_path / "out" / "quarantine").iterdir())
 
+    def test_bad_prices_file_fails_at_ingest_naming_file_and_line(self, data_dir, tmp_path):
+        prices = tmp_path / "prices.csv"
+        lines = (data_dir / "prices_synth.csv").read_text().splitlines(keepends=True)
+        lines[4] = lines[4].split(",")[0] + ",abc\n"  # line 5
+        prices.write_text("".join(lines))
+        config = load_config(data_dir / "run_config.json", out_dir=str(tmp_path / "out"))
+        with pytest.raises(PipelineError) as info:
+            run_pipeline(replace(config, prices_csv=str(prices)))
+        assert info.value.stage == "ingest"
+        assert str(info.value) == f"stage 'ingest': {prices}: line 5: bad close 'abc'"
+        assert not list((tmp_path / "out" / "quarantine").iterdir())
+
     def test_missing_out_dir(self, data_dir):
         config = load_config(data_dir / "run_config.json")
         with pytest.raises(PipelineError, match="output directory"):

@@ -57,7 +57,9 @@ class TestVolatility:
         path, dates = write_prices(tmp_path, prices)
         hs = [0.5, 0.6, 0.55, 0.7, 0.65]
         rolling = make_rolling(list(zip(dates[1:], hs)), step=1)  # one exponent per return day
-        (row,) = regression_table({("retail", "NET"): rolling}, path, "forward_fill", 0, False)
+        (row,) = regression_table(
+            {("retail", "NET"): rolling}, read_prices_csv(path), "forward_fill", 0, False
+        )
         expected = ols([math.log(b / a) ** 2 for a, b in zip(prices, prices[1:])], hs)
         assert (row["group"], row["flow"], row["n"]) == ("retail", "NET", 5)
         for name in ("alpha", "t_alpha", "beta", "t_beta", "r_squared"):
@@ -68,8 +70,8 @@ class TestVolatility:
     def test_one_price_is_too_few(self, tmp_path):
         path, dates = write_prices(tmp_path, [100.0])
         with pytest.raises(StatsError, match="^need at least 2 prices$"):
-            regression_table({("retail", "NET"): make_rolling([(dates[0], 0.5)])}, path,
-                             "forward_fill", 0, False)
+            regression_table({("retail", "NET"): make_rolling([(dates[0], 0.5)])},
+                             read_prices_csv(path), "forward_fill", 0, False)
 
 
 class TestAlignment:
@@ -138,7 +140,7 @@ class TestAlignment:
         path, dates = write_prices(tmp_path, closes)
         hs = [0.40, 0.55, 0.45, 0.60, 0.70, 0.50, 0.65]
         rolling = {("foreign", "BUY"): make_rolling(list(zip(dates[1:], hs)), step=1)}
-        (row,) = regression_table(rolling, path, "forward_fill", 2, True)
+        (row,) = regression_table(rolling, read_prices_csv(path), "forward_fill", 2, True)
         # volatility at t against the exponent two pairs earlier
         vol = np.diff(np.log(np.array(closes))) ** 2
         expected = ols(vol[2:], np.array(hs)[:-2])
@@ -151,7 +153,7 @@ class TestAlignment:
         for lag, message in ((7, "lag 7 leaves no pairs"), (9, "lag 9 leaves no pairs"),
                              (-1, "lag must be >= 0, got -1")):
             with pytest.raises(StatsError, match=f"^{re.escape(message)}$"):
-                regression_table(rolling, path, "forward_fill", lag, False)
+                regression_table(rolling, read_prices_csv(path), "forward_fill", lag, False)
 
 
 class TestOls:
@@ -285,7 +287,9 @@ class TestStarsAndTable:
             closes.append(closes[-1] * math.exp(math.sqrt(v)))
         path, dates = write_prices(tmp_path, closes)
         rolling = make_rolling(list(zip(dates[1:], hs)), step=1)
-        rows = regression_table({("retail", "NET"): rolling}, path, "forward_fill", 0, True)
+        rows = regression_table(
+            {("retail", "NET"): rolling}, read_prices_csv(path), "forward_fill", 0, True
+        )
         assert rows[0]["beta_stars"] == "***"
         assert rows[0]["alpha_stars"] == ""
         vol = np.diff(np.log(np.array(closes))) ** 2
@@ -371,7 +375,7 @@ class TestPricesCsv:
                              ("-5.0", "close must be positive and finite"),
                              ("0", "close must be positive and finite")):
             path.write_text(f"date,close\n2020-01-02,100.0\n2020-01-03,{close}\n")
-            with pytest.raises(StatsError, match=f"^line 3: {cause}$"):
+            with pytest.raises(StatsError, match=f"^{re.escape(str(path))}: line 3: {cause}$"):
                 read_prices_csv(path)
 
     def test_unsorted_dates(self, tmp_path):
