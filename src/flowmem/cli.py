@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import datetime
 import functools
-import itertools
 import os
 import re
 
@@ -31,7 +30,7 @@ from .pipeline import (
     fits_json_text,
     load_config,
     read_panel,
-    read_rolling_csv,
+    read_rolling_dir,
     rolling_csv,
     run_pipeline,
     series_key,
@@ -146,7 +145,7 @@ def synth():
 @click.option("--hurst", type=float, default=None)
 @click.option("--alpha", type=float, default=None)
 @click.option("-n", "--length", "length", type=int, required=True)
-@click.option("--seed", type=int, required=True)
+@click.option("--seed", type=click.IntRange(min=0), required=True)
 @click.option("--start-date", default="2015-01-01", show_default=True)
 @click.option("--out", type=click.Path(), required=True)
 def synth_series(kind, hurst, alpha, length, seed, start_date, out):
@@ -161,7 +160,7 @@ def synth_series(kind, hurst, alpha, length, seed, start_date, out):
 
 
 def _parse_group_spec(text):
-    m = re.match(rf"^({'|'.join(GROUPS)})=(\w+)(?::([0-9.]+))?$", text)
+    m = re.match(rf"^({'|'.join(GROUPS)})=(\w+)(?::(\d+\.?\d*|\.\d+))?$", text)
     if not m:
         raise click.UsageError(
             f"bad group spec {text!r}; expected group=kind[:param], e.g. retail=fgn:0.85"
@@ -183,7 +182,7 @@ def _parse_group_spec(text):
 @click.option("--group", "group_specs", multiple=True, required=True,
               help="group=kind[:param], e.g. retail=fgn:0.85. Repeatable.")
 @click.option("-n", "--length", "length", type=int, required=True)
-@click.option("--seed", type=int, required=True)
+@click.option("--seed", type=click.IntRange(min=0), required=True)
 @click.option("--start-date", default="2015-01-01", show_default=True)
 @click.option("--out", type=click.Path(), required=True)
 def synth_flows(group_specs, length, seed, start_date, out):
@@ -195,6 +194,8 @@ def synth_flows(group_specs, length, seed, start_date, out):
     meta = {"seed": seed, "groups": {}}
     for text in group_specs:
         group, kind, hurst, alpha = _parse_group_spec(text)
+        if group in meta["groups"]:
+            raise click.UsageError(f"{text!r}: group {group!r} is given twice")
         for side in SIDES:
             side_seed = stage_seed(seed, f"synth-flows/{group}/{side}")
             spec = GeneratorSpec(kind=kind, n=length, seed=side_seed, hurst=hurst, alpha=alpha)
@@ -214,7 +215,7 @@ def synth_flows(group_specs, length, seed, start_date, out):
 
 @synth.command("prices")
 @click.option("-n", "--length", "length", type=click.IntRange(min=1), required=True)
-@click.option("--seed", type=int, required=True)
+@click.option("--seed", type=click.IntRange(min=0), required=True)
 @click.option("--daily-vol", type=float, default=0.01, show_default=True)
 @click.option("--start-date", default="2015-01-01", show_default=True)
 @click.option("--out", type=click.Path(), required=True)
@@ -270,7 +271,7 @@ def roll(loaded, window, step, dfa_config, out):
 @with_series_options
 @click.option("--kind", type=click.Choice(SURROGATE_KINDS), required=True)
 @click.option("--count", default=RunConfig.surrogate_count, show_default=True)
-@click.option("--seed", type=int, required=True)
+@click.option("--seed", type=click.IntRange(min=0), required=True)
 @with_dfa_options
 @click.option("--out", type=click.Path(), required=True)
 @click.option("--out-values", type=click.Path(), default=None,
@@ -342,11 +343,7 @@ def regress(roll_dir, prices, step, fill, lag, robust, out):
     fill = run.fill_policy if fill is None else fill
     lag = run.lag_k if lag is None else lag
     robust = run.robust_se if robust is None else robust
-    rolling = {}  # in the canonical series order, matching the pipeline's table
-    for group, flow in itertools.product(GROUPS, FLOW_TYPES):
-        path = os.path.join(roll_dir, ROLLING_CSV.format(key=series_key(group, flow)))
-        if os.path.isfile(path):
-            rolling[group, flow] = read_rolling_csv(path, step)
+    rolling = read_rolling_dir(roll_dir, step)
     if not rolling:
         raise click.ClickException(f"no {ROLLING_CSV.format(key='*')} files in {roll_dir}")
     rows = regression_table(rolling, read_prices_csv(prices), fill, lag, robust)

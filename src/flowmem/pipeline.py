@@ -376,15 +376,13 @@ class RunReport:
 
 class _Run:
     """One pipeline execution: its config, the staging directory its files
-    are written into, and the state the stages hand on."""
+    are written into, and the inputs ingest reads for the other stages."""
 
     def __init__(self, config: RunConfig, staging: str):
         self.config = config
         self.staging = staging
         self.panel: FlowPanel | None = None
         self.prices: tuple | None = None  # (calendar, closes), with a prices file
-        self.rollers: dict = {}
-        self.stage_seeds: dict = {}
         self.report: RunReport | None = None
 
 
@@ -398,7 +396,7 @@ def read_panel(path) -> tuple[FlowPanel, int]:
 
     The file is read by raw tokens (`_read_raw`): below SPLIT_MIN_BYTES in
     this process, and from that size on in two halves, the second beside
-    this process (`_Beside`, a forked worker where os.fork exists).
+    this process (`_beside`, a forked worker where os.fork exists).
     Anything the raw read cannot judge alone (a quote, a lone CR, a bad
     row, amount or token, a repeated wide row) sends the file to
     `read_flows_csv`, which raises the error naming its line. Each cell is
@@ -422,13 +420,11 @@ def _read_raw(path) -> tuple[FlowPanel, int] | None:
     if size < SPLIT_MIN_BYTES:
         whole = _read_cells(path, header, start, size)
         return None if whole is None else _joined_panel(header, [whole])
-    worker = _Beside(functools.partial(_read_cells, path, header, *second))
-    try:
-        mine = _read_cells(path, header, *first)
-    except BaseException:
-        worker.join(kill=True)
-        raise
-    theirs, error = worker.join(kill=mine is None)
+    mine, (theirs, error) = _beside(
+        lambda: _read_cells(path, header, *second),
+        lambda: _read_cells(path, header, *first),
+        useless=lambda mine: mine is None,
+    )
     if mine is None:
         return None
     if error is not None:
@@ -525,13 +521,11 @@ def _stage_static_dfa(run: _Run):
 
 
 def _stage_surrogates(run: _Run):
-    """The surrogate bands; each band's seed goes into run.stage_seeds."""
     config = run.config
     for (group, flow_type), values in run.panel.series.items():
         key = series_key(group, flow_type)
         for kind in config.surrogate_kinds:
-            label = f"surrogate/{kind}/{key}"
-            seed = run.stage_seeds[label] = stage_seed(config.seed, label)
+            seed = stage_seed(config.seed, f"surrogate/{kind}/{key}")
             spec = SurrogateSpec(kind=kind, seed=seed, count=config.surrogate_count)
             band = surrogate_band(values, spec, config.dfa)
             yield SURROGATE_JSON.format(kind=kind, key=key), _json_text(band.to_json_dict())
@@ -552,26 +546,38 @@ def _stage_rolling(run: _Run):
         if config.regimes:
             summaries = [s.to_json_dict() for s in regime_summary(roll, config.regimes)]
             yield REGIMES_JSON.format(key=key), _json_text(summaries)
-        run.rollers[group, flow_type] = roll
+
+
+def read_rolling_dir(directory, step: int) -> dict:
+    """{(group, flow): RollingHurst} of the fig4 files in `directory`, in
+    series order; a series without a file is left out. The regression
+    stage reads the run's staged files with it, and `flowmem regress` any
+    directory."""
+    rolling = {}
+    for group, flow in itertools.product(GROUPS, FLOW_TYPES):
+        path = os.path.join(directory, ROLLING_CSV.format(key=series_key(group, flow)))
+        if os.path.isfile(path):
+            rolling[group, flow] = read_rolling_csv(path, step)
+    return rolling
 
 
 def _stage_regression(run: _Run):
     config = run.config
     if run.prices is not None:
-        rows = regression_table(
-            run.rollers, run.prices, config.fill_policy, config.lag_k, config.robust_se
-        )
+        rolling = read_rolling_dir(run.staging, config.rolling_step)
+        rows = regression_table(rolling, run.prices, config.fill_policy, config.lag_k, config.robust_se)
         yield TABLE_CSV, table_csv(rows)
 
 
 def _stage_report(run: _Run):
     config = run.config
+    labels = [f"surrogate/{kind}/{key}" for key in SERIES_KEYS for kind in config.surrogate_kinds]
     provenance = {
         "config_sha256": config.sha256(),
         "seed": config.seed,
         "version": __version__,
         "rng": RNG_NAME,
-        "stage_seeds": run.stage_seeds,
+        "stage_seeds": {label: stage_seed(config.seed, label) for label in labels},
     }
     yield CONFIG_JSON, config.canonical_json()
     yield PROVENANCE_JSON, _json_text(provenance)
@@ -580,15 +586,17 @@ def _stage_report(run: _Run):
     yield REPORT_JSON, run.report.canonical_json()
 
 
-_STAGES = [
-    ("ingest", _stage_ingest),
-    ("tails", _stage_tails),
-    ("static_dfa", _stage_static_dfa),
-    ("surrogates", _stage_surrogates),
-    ("rolling", _stage_rolling),
-    ("regression", _stage_regression),
-    ("report", _stage_report),
-]
+# The stages by name, in the order that picks the earliest failed one. `_lane`
+# runs them; the surrogate worker calls `_stage_surrogates` itself (`run_pipeline`).
+_STAGES = {
+    "ingest": _stage_ingest,
+    "tails": _stage_tails,
+    "static_dfa": _stage_static_dfa,
+    "surrogates": _stage_surrogates,
+    "rolling": _stage_rolling,
+    "regression": _stage_regression,
+    "report": _stage_report,
+}
 
 
 def run_pipeline(config: RunConfig) -> RunReport:
@@ -597,16 +605,16 @@ def run_pipeline(config: RunConfig) -> RunReport:
     Each file a stage yields is written into `<out_dir>/.staging/`,
     cleared first of anything a killed run left, by `_write` alone, and the
     report is assembled from the staged files as `assemble_report` rebuilds
-    it later. Right after ingest the surrogate stage starts in a forked
-    worker (`_Beside`) and the other stages run here meanwhile; the worker
-    hands back its files' text, which the join writes the same way, so a
-    worker orphaned by a killed run cannot write anything at all. The
-    report waits for both. `_publish` then moves the staged files to the
-    top level or, on any exception in a stage, to `quarantine/`, and a
-    PipelineError names the earliest failed stage in `_STAGES` order, as a
-    serial run would; an error from outside the toolkit keeps its type
-    name in the message. The worker is joined before anything moves, also
-    when this process is interrupted.
+    it later. After ingest the surrogate stage runs beside the tails,
+    static DFA, rolling and regression stages (`_beside`, a forked worker
+    where os.fork exists). The worker hands back its files' text, which
+    this process writes the same way, so a worker orphaned by a killed run
+    cannot write anything at all; the stages share nothing else, and the
+    regression stage reads the staged fig4 files. `_publish` then moves the
+    staged files to the top level or, on any exception in a stage, to
+    `quarantine/`, and a PipelineError names the earliest failed stage in
+    `_STAGES` order, as a serial run would; an error from outside the
+    toolkit keeps its type name in the message.
     """
     out_dir = config.out_dir
     if not out_dir:
@@ -615,34 +623,39 @@ def run_pipeline(config: RunConfig) -> RunReport:
     shutil.rmtree(staging, ignore_errors=True)
     os.makedirs(staging)
     run = _Run(config, staging)
-    position = {name: i for i, (name, _) in enumerate(_STAGES)}
-    surrogates = None
     try:
-        failed = {}  # position in _STAGES -> the PipelineError that stage failed with
-        for name, step in _STAGES:
-            if surrogates is not None and (failed or name == "report"):
-                joining, surrogates = surrogates, None
-                if (error := _join_surrogates(run, joining)) is not None:
-                    failed[position["surrogates"]] = error
-            if failed:
-                raise failed[min(failed)]
-            if name == "surrogates":  # the worker's, started after ingest
-                continue
+        if failed := _lane(run, ["ingest"]):
+            raise failed
+        mine, (files, error) = _beside(
+            lambda: list(_stage_surrogates(run)),
+            lambda: _lane(run, ["tails", "static_dfa", "rolling", "regression"]),
+        )
+        if error is None:
             try:
-                _write(run, step(run))
-            except Exception as exc:
-                failed[position[name]] = _stage_error(name, exc)
-            if name == "ingest" and not failed:
-                surrogates = _Beside(lambda: (dict(_stage_surrogates(run)), run.stage_seeds))
-        if failed:
-            raise failed[min(failed)]
+                _write(run, files)
+            except OSError as exc:
+                error = exc
+        errors = [mine, None if error is None else _stage_error("surrogates", error)]
+        if any(errors):
+            raise min(filter(None, errors), key=lambda e: list(_STAGES).index(e.stage))
+        if failed := _lane(run, ["report"]):
+            raise failed
     except BaseException:
-        if surrogates is not None:
-            _join_surrogates(run, surrogates, kill=True)
         _publish(out_dir, os.listdir(staging), os.path.join(out_dir, QUARANTINE_DIR))
         raise
     _publish(out_dir, run.report.artifacts, out_dir)
     return run.report
+
+
+def _lane(run: _Run, names) -> PipelineError | None:
+    """Run the stages `names` in turn, writing each one's files; stop at
+    the first that fails and return its PipelineError, else None."""
+    for name in names:
+        try:
+            _write(run, _STAGES[name](run))
+        except Exception as exc:
+            return _stage_error(name, exc)
+    return None
 
 
 def _write(run: _Run, files) -> None:
@@ -662,84 +675,60 @@ def _stage_error(name: str, exc: BaseException) -> PipelineError:
     return error
 
 
-def _join_surrogates(run: _Run, worker: _Beside, kill: bool = False):
-    """Wait for the surrogate stage, write its files into `.staging/`, merge
-    its stage seeds and return the PipelineError it failed with, or None."""
-    value, error = worker.join(kill)
-    if error is not None:
-        return _stage_error("surrogates", error)
-    files, seeds = value
-    try:
-        _write(run, files.items())
-    except OSError as exc:
-        return _stage_error("surrogates", exc)
-    run.stage_seeds.update(seeds)
-    return None
-
-
-class _Beside:
-    """`fn()` run beside the caller's own work: in a forked worker process,
-    or inline where os.fork does not exist. `join` waits for it and returns
-    (value, None), or (None, error) with the exception it raised.
+def _beside(theirs, mine, useless=lambda value: False) -> tuple:
+    """`theirs()` run beside `mine()`: in a forked worker process while
+    `mine()` runs here, or first and inline where os.fork does not exist.
+    Returns (mine's value, (theirs' value, None)), or (mine's value, (None,
+    error)) with the exception theirs raised; an exception mine raises is
+    raised. The worker is reaped before this returns or raises, and killed
+    first when mine raises or `useless(mine's value)` is true.
 
     The worker sends its value or exception back pickled over a pipe and
     ends with os._exit whatever happens, so it never returns into the
-    caller's frames; an interrupt or exit inside fn is its error. An
+    caller's frames; an interrupt or exit inside theirs is its error. An
     exception that does not come back whole from pickle comes back as a
     FlowmemError naming its type and message. A worker that ends without
     a result, killed or out of memory, is a ChildProcessError naming its
     exit status or signal, and a failed fork is the OSError it raised.
     """
-
-    def __init__(self, fn):
-        self.pid, self.result = None, (None, None)
-        if not hasattr(os, "fork"):
-            try:
-                self.result = (fn(), None)
-            except Exception as exc:
-                self.result = (None, exc)
-            return
-        read_end, write_end = os.pipe()
+    if not hasattr(os, "fork"):
         try:
-            self.pid = os.fork()
-        except OSError as exc:  # no process to spare
-            os.close(read_end)
-            os.close(write_end)
-            self.result = (None, exc)
-            return
-        if self.pid == 0:
-            status = 1
-            try:
-                os.close(read_end)
-                with os.fdopen(write_end, "wb") as pipe:
-                    pipe.write(_outcome(fn))
-                status = 0
-            finally:
-                os._exit(status)
+            outcome = (theirs(), None)
+        except Exception as exc:
+            outcome = (None, exc)
+        return mine(), outcome
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError as exc:  # no process to spare
+        os.close(read_end)
         os.close(write_end)
-        self.pipe = read_end
-
-    def join(self, kill: bool = False) -> tuple:
-        """Wait for fn (ending the worker first if `kill`) and reap the worker."""
-        pid, self.pid = self.pid, None
-        if pid is None:
-            return self.result
+        return mine(), (None, exc)
+    if pid == 0:
+        status = 1
         try:
-            with os.fdopen(self.pipe, "rb") as pipe:
-                if kill:
-                    _kill(pid)
-                data = pipe.read()
+            os.close(read_end)
+            with os.fdopen(write_end, "wb") as pipe:
+                pipe.write(_outcome(theirs))
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_end)
+    with os.fdopen(read_end, "rb") as pipe:
+        try:
+            value = mine()
+            if useless(value):
+                _kill(pid)
+            data = pipe.read()
         except BaseException:
             _kill(pid)
             raise
         finally:
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        if code != 0 or not data:
-            ended = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
-            self.result = (None, ChildProcessError(f"worker process ended without a result ({ended})"))
-        else:
-            self.result = pickle.loads(data)
-        return self.result
+    if code != 0 or not data:
+        ended = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+        return value, (None, ChildProcessError(f"worker process ended without a result ({ended})"))
+    return value, pickle.loads(data)
 
 
 def _outcome(fn) -> bytes:

@@ -49,8 +49,10 @@ def read_prices_csv(path, column: str = "close") -> tuple[tuple[str, ...], np.nd
     file, and the line where there is one (see `flows.read_csv`)."""
     positive = column == "close"
     rule = "positive and finite" if positive else "finite"
+    previous = ("", 0)  # the previous row's date and line
 
-    def dated_value(_header, _line, row):
+    def dated_value(_header, line, row):
+        nonlocal previous
         date = _parse_date(row[0])
         try:
             value = float(row[1])
@@ -58,11 +60,15 @@ def read_prices_csv(path, column: str = "close") -> tuple[tuple[str, ...], np.nd
             raise ValueError(f"bad {column} {row[1]!r}") from None
         if not math.isfinite(value) or (positive and value <= 0):
             raise ValueError(f"{column} must be {rule}")
+        if date <= previous[0]:
+            raise ValueError(
+                f"dates must be strictly increasing: {date} is not after {previous[0]} "
+                f"of line {previous[1]}"
+            )
+        previous = date, line
         return date, value
 
     dates, values = zip(*read_csv(path, (("date", column),), dated_value, StatsError))
-    if any(b <= a for a, b in zip(dates, dates[1:])):
-        raise StatsError(f"{path}: dates must be strictly increasing")
     return dates, np.asarray(values)
 
 

@@ -124,6 +124,10 @@ class TestSynthAndDfa:
             ("2020-01-01,1.0\n2020-01-02,abc\n", "line 3: bad value 'abc'"),
             ("2020-01-01,1.0\n2020-01-02,inf\n", "line 3: value must be finite"),
             ("2020-01-02,1.0\n2020-01-01,2.0\n", "dates must be strictly increasing"),
+            ("2020-01-01,1.0\n2020-01-03,2.0\n2020-01-02,3.0\n",
+             "line 4: dates must be strictly increasing: 2020-01-02 is not after 2020-01-03 of line 3"),
+            ("2020-01-01,1.0\n2020-01-03,2.0\n2020-01-03,3.0\n",
+             "line 4: dates must be strictly increasing: 2020-01-03 is not after 2020-01-03 of line 3"),
             ("2020-01-01,1.0\n2020-01-02,\xe9\n", "not UTF-8 text"),
         ],
     )
@@ -150,6 +154,42 @@ class TestSynthAndDfa:
         assert result.exit_code == 2
         assert "'--length': " in result.output and "Traceback" not in result.output
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ("synth", "series", "--kind", "fgn", "--hurst", 0.7, "-n", 100),
+            ("synth", "flows", "--group", "retail=fgn:0.8", "-n", 100),
+            ("synth", "prices", "-n", 100),
+            ("surrogate", "--flows", Path(__file__).parent / "data" / "flows_synth.csv",
+             "--group", "retail", "--flow", "NET", "--kind", "shuffle"),
+        ],
+        ids=["synth-series", "synth-flows", "synth-prices", "surrogate"],
+    )
+    def test_negative_seed_is_a_usage_error(self, runner, tmp_path, command):
+        out = tmp_path / "out"
+        result = invoke(runner, *command, "--seed", -1, "--out", out)
+        assert result.exit_code == 2
+        assert "'--seed': " in result.output and "Traceback" not in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("spec", ["retail=fgn:1.2.3", "retail=fgn:.", "foreign=pareto:2..5"])
+    def test_malformed_group_param_is_a_usage_error(self, runner, tmp_path, spec):
+        out = tmp_path / "flows.csv"
+        result = invoke(runner, "synth", "flows", "--group", spec, "-n", 100, "--seed", 1, "--out", out)
+        assert result.exit_code == 2
+        assert f"bad group spec {spec!r}" in result.output and "Traceback" not in result.output
+        assert not out.exists()
+
+    def test_group_given_twice_is_a_usage_error(self, runner, tmp_path):
+        out = tmp_path / "flows.csv"
+        result = invoke(
+            runner, "synth", "flows", "--group", "retail=fgn:0.8", "--group", "retail=fgn:0.6",
+            "-n", 100, "--seed", 1, "--out", out,
+        )
+        assert result.exit_code == 2
+        assert "'retail=fgn:0.6': group 'retail' is given twice" in result.output
+        assert not out.exists() and not (tmp_path / "flows.csv.meta.json").exists()
 
     def test_synth_and_surrogate_files_read_back(self, runner, tmp_path):
         n, count = 100, 3

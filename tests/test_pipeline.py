@@ -489,6 +489,20 @@ class TestIngestWorker:
         assert no_children_left()
 
 
+    def test_bad_first_half_stops_the_ingest_worker(self, config, monkeypatch):
+        flows = Path(config.flows_csv)
+        lines = flows.read_text().splitlines()
+        lines[2] = lines[2].rpartition(",")[0] + ",abc"  # line 3, in the first half
+        flows.write_text("\n".join(lines) + "\n")
+        self.patch_halves(monkeypatch, lambda: None, lambda: time.sleep(60))
+        t0 = time.monotonic()
+        with pytest.raises(PipelineError) as info:
+            run_pipeline(config)
+        assert time.monotonic() - t0 < 30  # the sleeping worker was killed, not waited for
+        assert str(info.value) == f"stage 'ingest': {flows}: line 3: bad amount 'abc'"
+        assert no_children_left()
+
+
 def numpy_ma_after_run(data_dir, out, fork=True):
     """The numpy.ma modules loaded by a fresh process after one bundled run."""
     src = Path(pipeline.__file__).resolve().parents[1]
@@ -526,6 +540,18 @@ def test_benchmark_tracer_instruments_a_run(data_dir, tmp_path):
     aligned = [span for span in tracer.spans if span["name"] == "stats.align"]
     assert len(aligned) == 9 and all(span["counts"]["pairs"] > 0 for span in aligned)
     assert {"dfa.static", "tails.report", "rolling.hurst"} <= {s["name"] for s in tracer.spans}
+
+
+def test_benchmark_selftest_passes():
+    """perfbench/selftest.py runs a small workload through the benchmark's
+    workers and shows that its output check can fail; tier-1 runs it so a
+    change to the program that breaks the check shows here."""
+    root = Path(__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "perfbench/selftest.py"],
+        cwd=root, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
 
 
 def test_run_loads_no_numpy_ma(data_dir, tmp_path):

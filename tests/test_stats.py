@@ -384,6 +384,17 @@ class TestPricesCsv:
         with pytest.raises(StatsError, match="increasing"):
             read_prices_csv(path)
 
+    @pytest.mark.parametrize("later", ["2020-01-02", "2020-01-03"], ids=["backwards", "repeated"])
+    def test_out_of_order_date_names_both_lines(self, tmp_path, later):
+        path = tmp_path / "prices.csv"
+        path.write_text(f"date,close\n2020-01-02,100.0\n2020-01-03,101.0\n{later},102.0\n")
+        expected = (
+            f"{path}: line 4: dates must be strictly increasing: "
+            f"{later} is not after 2020-01-03 of line 3"
+        )
+        with pytest.raises(StatsError, match=f"^{re.escape(expected)}$"):
+            read_prices_csv(path)
+
     @pytest.mark.parametrize("column", ["close", "value"])
     def test_not_utf8_names_the_file(self, tmp_path, column):
         path = tmp_path / "prices.csv"
