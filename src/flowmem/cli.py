@@ -14,7 +14,7 @@ import numpy.random  # noqa: F401  numpy loads it lazily; load it at import, not
 from . import __version__
 from .dfa import DfaConfig
 from .errors import FlowmemError
-from .flows import FLOW_TYPES, GROUPS, SIDES
+from .flows import FLOW_TYPES, GROUPS, SIDES, _valid_date
 from .pipeline import (
     CONFIG_JSON,
     REPORT_JSON,
@@ -48,13 +48,19 @@ from .tails import TAIL_SIDES
 
 class _Main(click.Group):
     """The root group: a FlowmemError from any command is reported as
-    `Error: <message>` with exit status 1, not a traceback."""
+    `Error: <message>`, and an OSError on a path, such as an output file
+    that cannot be written, as `Error: <path>: <reason>`, each with exit
+    status 1, not a traceback."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
         except FlowmemError as exc:
             raise click.ClickException(str(exc)) from exc
+        except OSError as exc:
+            if exc.filename is None:  # such as a closed stdout, which click handles
+                raise
+            raise click.ClickException(f"{exc.filename}: {exc.strerror}") from exc
 
 
 def _options(*options):
@@ -113,9 +119,23 @@ def _load_series(flows, series, group, flow):
     return calendar, values, os.path.basename(series)
 
 
+def _start_date(_ctx, _param, value: str) -> str:
+    if not _valid_date(value):
+        raise click.BadParameter(f"{value!r} is not a YYYY-MM-DD date")
+    return value
+
+
+start_date_option = click.option("--start-date", default="2015-01-01", show_default=True,
+                                 callback=_start_date)
+
+
 def _date_range(start: str, n: int) -> list[str]:
     d0 = datetime.date.fromisoformat(start)
-    return [(d0 + datetime.timedelta(days=i)).isoformat() for i in range(n)]
+    try:
+        return [(d0 + datetime.timedelta(days=i)).isoformat() for i in range(n)]
+    except OverflowError:
+        raise click.BadParameter(f"{n} days from {start} run past the year 9999",
+                                 param_hint="'--start-date'") from None
 
 
 @click.group(cls=_Main)
@@ -146,7 +166,7 @@ def synth():
 @click.option("--alpha", type=float, default=None)
 @click.option("-n", "--length", "length", type=int, required=True)
 @click.option("--seed", type=click.IntRange(min=0), required=True)
-@click.option("--start-date", default="2015-01-01", show_default=True)
+@start_date_option
 @click.option("--out", type=click.Path(), required=True)
 def synth_series(kind, hurst, alpha, length, seed, start_date, out):
     """One synthetic series as a date,value CSV (plus a .meta.json sidecar)."""
@@ -175,6 +195,8 @@ def _parse_group_spec(text):
         if param is None:
             raise click.UsageError(f"{text!r}: pareto needs an alpha value")
         alpha = float(param)
+    elif param is not None and kind in GENERATOR_KINDS:
+        raise click.UsageError(f"{text!r}: {kind} takes no parameter")
     return group, kind, hurst, alpha
 
 
@@ -183,7 +205,7 @@ def _parse_group_spec(text):
               help="group=kind[:param], e.g. retail=fgn:0.85. Repeatable.")
 @click.option("-n", "--length", "length", type=int, required=True)
 @click.option("--seed", type=click.IntRange(min=0), required=True)
-@click.option("--start-date", default="2015-01-01", show_default=True)
+@start_date_option
 @click.option("--out", type=click.Path(), required=True)
 def synth_flows(group_specs, length, seed, start_date, out):
     """Synthetic wide-format flows CSV; BUY and SELL per group are
@@ -217,12 +239,16 @@ def synth_flows(group_specs, length, seed, start_date, out):
 @click.option("-n", "--length", "length", type=click.IntRange(min=1), required=True)
 @click.option("--seed", type=click.IntRange(min=0), required=True)
 @click.option("--daily-vol", type=float, default=0.01, show_default=True)
-@click.option("--start-date", default="2015-01-01", show_default=True)
+@start_date_option
 @click.option("--out", type=click.Path(), required=True)
 def synth_prices(length, seed, daily_vol, start_date, out):
     """Synthetic date,close CSV following a geometric random walk."""
     rng = np.random.Generator(np.random.PCG64(seed))
-    closes = 100.0 * np.exp(np.cumsum(daily_vol * rng.standard_normal(length)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        closes = 100.0 * np.exp(np.cumsum(daily_vol * rng.standard_normal(length)))
+    if not (np.isfinite(closes) & (closes > 0)).all():
+        raise click.BadParameter(f"{daily_vol} makes closes that are not positive and finite",
+                                 param_hint="'--daily-vol'")
     dates = _date_range(start_date, length)
     lines = (f"{d},{c!r}" for d, c in zip(dates, closes.tolist()))
     _write_text(out, _csv_text("date,close", lines))
@@ -262,9 +288,9 @@ def roll(loaded, window, step, dfa_config, out):
     calendar, values, label = loaded
     rolled = rolling_hurst(values, calendar, window=window, step=step, config=dfa_config)
     _write_text(out, rolling_csv(rolled))
-    ok = rolled.hurst_values()
-    gaps = len(rolled.entries) - ok.size
-    click.echo(f"{label}: {len(rolled.entries)} windows ({gaps} gaps) -> {out}")
+    n_windows = len(rolled.end_dates)
+    gaps = n_windows - rolled.errors.count(None)
+    click.echo(f"{label}: {n_windows} windows ({gaps} gaps) -> {out}")
 
 
 @main.command()
@@ -291,7 +317,8 @@ def surrogate(loaded, kind, count, seed, dfa_config, out, out_values):
 @main.command()
 @with_series_options
 @click.option("--side", type=click.Choice(TAIL_SIDES), default="upper", show_default=True)
-@click.option("--tail-fraction", default=RunConfig.tail_fraction, show_default=True)
+@click.option("--tail-fraction", type=click.FloatRange(0, 1, min_open=True),
+              default=RunConfig.tail_fraction, show_default=True)
 @click.option("--out-ccdf", type=click.Path(), default=None)
 @click.option("--out-fit", type=click.Path(), default=None)
 def tails(loaded, side, tail_fraction, out_ccdf, out_fit):

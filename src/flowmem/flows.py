@@ -210,6 +210,24 @@ def read_csv(path, headers, convert, error) -> Iterator:
         raise error(f"{path}: no data rows")
 
 
+def increasing(convert):
+    """`convert` for `read_csv`, also checking that the first item of each
+    value it returns, a date, comes after the previous row's; a date that
+    does not is a ValueError naming the previous row's line."""
+    previous = None  # the previous row's date and line
+
+    def checked(header, line, row):
+        nonlocal previous
+        value = convert(header, line, row)
+        if previous is not None and value[0] <= previous[0]:
+            raise ValueError(f"dates must be strictly increasing: {value[0]} is not after "
+                             f"{previous[0]} of line {previous[1]}")
+        previous = value[0], line
+        return value
+
+    return checked
+
+
 def read_flows_csv(path) -> Iterator[tuple[str, str, str, float]]:
     """Stream a flows CSV in either supported schema as (date, group,
     side, amount) tuples, for `aggregate_daily`.

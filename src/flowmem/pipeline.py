@@ -22,6 +22,7 @@ import functools
 import hashlib
 import itertools
 import json
+import math
 import os
 import pickle
 import shutil
@@ -43,10 +44,11 @@ from .flows import (
     _read_cells,
     _valid_date,
     aggregate_daily,
+    increasing,
     read_csv,
     read_flows_csv,
 )
-from .rolling import RegimeWindow, RollingEntry, RollingHurst, regime_summary, rolling_hurst
+from .rolling import RegimeWindow, RollingHurst, regime_summary, rolling_hurst
 from .stats import FILL_POLICIES, read_prices_csv, regression_table
 from .surrogate import SURROGATE_KINDS, SurrogateSpec, surrogate_band
 from .synth import RNG_NAME
@@ -307,26 +309,28 @@ def curve_csv(curve) -> str:
 
 def rolling_csv(roll: RollingHurst) -> str:
     """fig4: `end_date,H,stderr,r2`; a gap row keeps its date, fields empty."""
+    columns = (roll.hurst.tolist(), roll.stderr.tolist(), roll.r_squared.tolist())
     return _csv_text("end_date,H,stderr,r2", (
-        f"{e.end_date},{e.hurst!r},{e.stderr!r},{e.r_squared!r}" if e.ok else f"{e.end_date},,,"
-        for e in roll.entries
+        f"{d},{h!r},{s!r},{r!r}" if e is None else f"{d},,,"
+        for d, h, s, r, e in zip(roll.end_dates, *columns, roll.errors)
     ))
 
 
-def _rolling_entry(_header, _line, row) -> RollingEntry:
-    end_date, h, stderr, r2 = row
-    if not h:
-        return RollingEntry(end_date, None, None, None, 0, False, "gap")
-    return RollingEntry(end_date, float(h), float(stderr), float(r2), 0, True)
-
-
 def read_rolling_csv(path, step: int, window: int | None = None) -> RollingHurst:
-    """The RollingHurst a `rolling_csv` file holds. The file does not hold
-    the window length, n_points_used or a gap's reason, so those come back
-    as `window`, 0 and "gap"."""
+    """The RollingHurst a `rolling_csv` file holds, whose end dates must
+    strictly increase. The file does not hold the window length,
+    n_points_used or a gap's reason, so those come back as `window`, 0 and
+    "gap"."""
+
+    def window_row(_header, _line, row):
+        end_date, h, stderr, r2 = row
+        if not h:
+            return end_date, math.nan, math.nan, math.nan, 0, "gap"
+        return end_date, float(h), float(stderr), float(r2), 0, None
+
     header = ("end_date", "H", "stderr", "r2")
-    entries = tuple(read_csv(path, (header,), _rolling_entry, FlowmemError))
-    return RollingHurst(entries=entries, window=window, step=step)
+    rows = read_csv(path, (header,), increasing(window_row), FlowmemError)
+    return RollingHurst.from_rows(rows, window, step)
 
 
 def table_csv(rows) -> str:
@@ -849,8 +853,8 @@ def assemble_report(out_dir: str) -> RunReport:
         )
         entry["rolling"] = {
             "csv": roll_csv,
-            "n_windows": len(roll.entries),
-            "n_gaps": sum(1 for e in roll.entries if not e.ok),
+            "n_windows": len(roll.errors),
+            "n_gaps": len(roll.errors) - roll.errors.count(None),
             "window": roll.window,
             "step": roll.step,
         }

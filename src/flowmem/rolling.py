@@ -8,6 +8,7 @@ date alignment cannot silently shift.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -18,6 +19,8 @@ from .errors import DfaError
 
 @dataclass(frozen=True)
 class RollingEntry:
+    """One window of a RollingHurst, as its `entries` view gives it."""
+
     end_date: str
     hurst: float | None
     stderr: float | None
@@ -27,14 +30,53 @@ class RollingEntry:
     error: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RollingHurst:
-    entries: tuple[RollingEntry, ...]
+    """Rolling exponents as columns, one row per window in end-date order.
+
+    A gap, a window whose fit failed, is NaN in `hurst`, `stderr` and
+    `r_squared`, 0 in `n_points_used`, and its reason in `errors`, which
+    holds None for every other window. Two are equal when their windows,
+    window length and step are.
+    """
+
+    end_dates: tuple[str, ...]
+    hurst: np.ndarray
+    stderr: np.ndarray
+    r_squared: np.ndarray
+    n_points_used: np.ndarray
+    errors: tuple[str | None, ...]
     window: int | None
     step: int
 
-    def hurst_values(self) -> np.ndarray:
-        return np.asarray([e.hurst for e in self.entries if e.ok])
+    @classmethod
+    def from_rows(cls, rows, window: int | None, step: int) -> RollingHurst:
+        """The columns of (end_date, hurst, stderr, r_squared, n_points_used,
+        error) rows, one per window."""
+        end_dates, hurst, stderr, r_squared, n_points_used, errors = tuple(zip(*rows)) or ((),) * 6
+        floats = (np.array(column, dtype=float) for column in (hurst, stderr, r_squared))
+        return cls(end_dates, *floats, np.array(n_points_used, dtype=int), errors, window, step)
+
+    @property
+    def ok(self) -> np.ndarray:
+        """True for each window that is not a gap."""
+        return np.equal(self.errors, None)
+
+    @property
+    def entries(self) -> tuple[RollingEntry, ...]:
+        """The windows as RollingEntry objects, built on each access; a gap's
+        hurst, stderr and r_squared are None."""
+        columns = (self.hurst, self.stderr, self.r_squared, self.n_points_used)
+        return tuple(
+            RollingEntry(d, h, s, r, n, True) if e is None
+            else RollingEntry(d, None, None, None, 0, False, e)
+            for d, h, s, r, n, e in zip(self.end_dates, *(c.tolist() for c in columns), self.errors)
+        )
+
+    def __eq__(self, other):
+        if not isinstance(other, RollingHurst):
+            return NotImplemented
+        return (self.entries, self.window, self.step) == (other.entries, other.window, other.step)
 
 
 @dataclass(frozen=True)
@@ -87,16 +129,15 @@ def rolling_hurst(
     if x.size < window:
         raise DfaError(f"series length {x.size} shorter than window {window}")
     windows = np.lib.stride_tricks.sliding_window_view(x, window)[::step]
-    entries = []
-    for start, result in zip(range(0, x.size - window + 1, step), dfa_rows(windows, config)):
-        end_date = calendar[start + window - 1]
-        if isinstance(result, DfaError):
-            entries.append(RollingEntry(end_date, None, None, None, 0, ok=False, error=str(result)))
-        else:
-            _, fit = result
-            stats = (fit.hurst, fit.slope_stderr, fit.r_squared, fit.n_points_used)
-            entries.append(RollingEntry(end_date, *stats, ok=True))
-    return RollingHurst(entries=tuple(entries), window=window, step=step)
+    rows = map(_window_row, calendar[window - 1 :: step], dfa_rows(windows, config))
+    return RollingHurst.from_rows(rows, window, step)
+
+
+def _window_row(end_date, result) -> tuple:
+    if isinstance(result, DfaError):
+        return end_date, math.nan, math.nan, math.nan, 0, str(result)
+    _, fit = result
+    return end_date, fit.hurst, fit.slope_stderr, fit.r_squared, fit.n_points_used, None
 
 
 def regime_summary(rolling: RollingHurst, windows) -> list[RegimeSummary]:
@@ -105,29 +146,13 @@ def regime_summary(rolling: RollingHurst, windows) -> list[RegimeSummary]:
     Standard deviation is the population form. A window containing no
     entries is a data condition, reported as n_obs=0 with null statistics.
     """
-    if not rolling.entries:
+    if not rolling.end_dates:
         raise DfaError("rolling series has no entries")
+    ends = np.asarray(rolling.end_dates, dtype=str)
+    ok = rolling.ok
     out = []
     for win in windows:
-        hs = np.asarray(
-            [
-                e.hurst
-                for e in rolling.entries
-                if e.ok and win.start_date <= e.end_date <= win.end_date
-            ]
-        )
-        if hs.size == 0:
-            out.append(RegimeSummary(win.label, 0, None, None, None, None))
-        else:
-            out.append(
-                RegimeSummary(
-                    label=win.label,
-                    n_obs=int(hs.size),
-                    mean_hurst=float(hs.mean()),
-                    std_hurst=float(hs.std()),
-                    min_hurst=float(hs.min()),
-                    max_hurst=float(hs.max()),
-                )
-            )
+        hs = rolling.hurst[ok & (win.start_date <= ends) & (ends <= win.end_date)]
+        stats = map(float, (hs.mean(), hs.std(), hs.min(), hs.max())) if hs.size else [None] * 4
+        out.append(RegimeSummary(win.label, hs.size, *stats))
     return out
-

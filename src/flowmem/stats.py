@@ -16,7 +16,7 @@ import numpy as np
 
 from .dfa import line_fit
 from .errors import StatsError
-from .flows import _parse_date, read_csv
+from .flows import _parse_date, increasing, read_csv
 from .rolling import RollingHurst
 
 FILL_POLICIES = ("forward_fill", "step_dates_only")
@@ -49,10 +49,8 @@ def read_prices_csv(path, column: str = "close") -> tuple[tuple[str, ...], np.nd
     file, and the line where there is one (see `flows.read_csv`)."""
     positive = column == "close"
     rule = "positive and finite" if positive else "finite"
-    previous = ("", 0)  # the previous row's date and line
 
-    def dated_value(_header, line, row):
-        nonlocal previous
+    def dated_value(_header, _line, row):
         date = _parse_date(row[0])
         try:
             value = float(row[1])
@@ -60,15 +58,10 @@ def read_prices_csv(path, column: str = "close") -> tuple[tuple[str, ...], np.nd
             raise ValueError(f"bad {column} {row[1]!r}") from None
         if not math.isfinite(value) or (positive and value <= 0):
             raise ValueError(f"{column} must be {rule}")
-        if date <= previous[0]:
-            raise ValueError(
-                f"dates must be strictly increasing: {date} is not after {previous[0]} "
-                f"of line {previous[1]}"
-            )
-        previous = date, line
         return date, value
 
-    dates, values = zip(*read_csv(path, (("date", column),), dated_value, StatsError))
+    rows = read_csv(path, (("date", column),), increasing(dated_value), StatsError)
+    dates, values = zip(*rows)
     return dates, np.asarray(values)
 
 
@@ -76,7 +69,7 @@ def align_h_rv(
     rolling: RollingHurst, calendar, volatility, fill_policy: str = "forward_fill"
 ) -> AlignedPairs:
     """Match rolling exponents to daily volatility (`volatility[i]` on
-    `calendar[i]`) by date.
+    `calendar[i]`, the calendar in increasing date order) by date.
 
     forward_fill holds each valid exponent for up to `rolling.step`
     volatility trading days, counted from the first volatility date at or
@@ -86,44 +79,23 @@ def align_h_rv(
     """
     if fill_policy not in FILL_POLICIES:
         raise StatsError(f"unknown fill policy {fill_policy!r}")
-    entries = rolling.entries
-    if not entries:
+    if not rolling.end_dates:
         raise StatsError("rolling series has no entries")
-
-    dates: list[str] = []
-    hs: list[float] = []
-    vols: list[float] = []
+    ends = np.asarray(rolling.end_dates, dtype=str)
+    days = np.asarray(calendar, dtype=str)
+    latest = np.searchsorted(ends, days, side="right") - 1  # the last entry stamped by each day
     if fill_policy == "step_dates_only":
-        by_date = {e.end_date: e for e in entries}
-        for i, d in enumerate(calendar):
-            e = by_date.get(d)
-            if e is not None and e.ok:
-                dates.append(d)
-                hs.append(e.hurst)
-                vols.append(float(volatility[i]))
+        fresh = ends[latest] == days
     else:
-        ptr = -1
-        active_i = -1  # volatility index at which the current entry became active
-        for i, d in enumerate(calendar):
-            while ptr + 1 < len(entries) and entries[ptr + 1].end_date <= d:
-                ptr += 1
-                active_i = i
-            if ptr < 0:
-                continue
-            e = entries[ptr]
-            if not e.ok:
-                continue
-            if i - active_i >= rolling.step:
-                continue  # staleness cap: held for at most `step` days
-            dates.append(d)
-            hs.append(e.hurst)
-            vols.append(float(volatility[i]))
-    if not dates:
+        # each entry is held from the first day whose latest entry it is
+        fresh = np.arange(days.size) - np.searchsorted(latest, latest) < rolling.step
+    kept = np.flatnonzero((latest >= 0) & rolling.ok[latest] & fresh)
+    if not kept.size:
         raise StatsError("no overlapping dates between rolling exponent and volatility")
     return AlignedPairs(
-        dates=tuple(dates),
-        hurst=np.asarray(hs),
-        volatility=np.asarray(vols),
+        dates=tuple(days[kept].tolist()),
+        hurst=rolling.hurst[latest[kept]],
+        volatility=np.asarray(volatility, dtype=float)[kept],
     )
 
 

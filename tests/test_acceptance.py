@@ -84,11 +84,12 @@ def test_criterion_5_rolling_regime_detection():
     with criterion(5, "rolling H: regime shift >= 0.2, stationary std < 0.06"):
         cal = day_calendar(3000)
         shifted = np.concatenate([fgn(0.6, 1500, seed=50), fgn(0.9, 1500, seed=80)])
-        hs = rolling_hurst(shifted, cal, window=250, step=5).hurst_values()
+        roll = rolling_hurst(shifted, cal, window=250, step=5)
+        hs = roll.hurst[roll.ok]
         assert np.mean(hs[-10:]) - np.mean(hs[:10]) >= 0.2
 
         stationary = rolling_hurst(fgn(0.7, 3000, seed=1), cal, window=250, step=5)
-        assert stationary.hurst_values().std() < 0.06
+        assert stationary.hurst[stationary.ok].std() < 0.06
 
 
 def test_criterion_6_tail_fit_accuracy():

@@ -365,6 +365,32 @@ class TestReportCommand:
         assert result.output.startswith(f"Error: {broken / name}: {cause}")
         assert result.output.count("\n") == 1 and "Traceback" not in result.output
 
+    @pytest.mark.parametrize("command", ["regress", "report"])
+    @pytest.mark.parametrize("fault", ["swapped", "repeated"])
+    def test_fig4_out_of_date_order_names_both_lines(self, runner, data_dir, bundled_run, tmp_path,
+                                                     command, fault):
+        import shutil
+
+        _, _, out = bundled_run
+        broken = tmp_path / "broken"
+        shutil.copytree(out, broken)
+        fig4 = broken / "fig4_rolling_retail_NET.csv"
+        lines = fig4.read_text().splitlines(keepends=True)
+        # lines[10] and lines[11] are the file's lines 11 and 12
+        lines[10:12] = [lines[11], lines[10]] if fault == "swapped" else [lines[10], lines[10]]
+        fig4.write_text("".join(lines))
+        on_11, on_12 = (line.split(",")[0] for line in lines[10:12])
+        args = ("report", "--dir", broken) if command == "report" else (
+            "regress", "--roll-dir", broken, "--prices", data_dir / "prices_synth.csv",
+            "--out", tmp_path / "table.csv")
+        result = invoke(runner, *args)
+        assert result.exit_code == 1
+        assert result.output == (
+            f"Error: {fig4}: line 12: dates must be strictly increasing: {on_12} is not after "
+            f"{on_11} of line 11\n"
+        )
+        assert not (tmp_path / "table.csv").exists()
+
     @pytest.mark.parametrize("command, prefix", [
         ("report", "Error: stage 'report': "),
         ("regress", "Error: "),  # regress runs no stage, so it names none
@@ -457,3 +483,127 @@ class TestRunCommand:
         result = invoke(runner, "run", "--config", bad, "--out", tmp_path / "out")
         assert result.exit_code != 0
         assert "rolling" in result.output
+
+
+# One row per bad value of an option (or argument) and per output path that
+# cannot be written: the command line, then what its one `Error:` line must
+# name. Both are templates over {flows}, {prices}, {run} (a finished run),
+# {empty} (an empty directory), {series} (a date,value file), {file} (a
+# regular file), {missing} (a path that does not exist), {out} (a writable
+# path) and {unwritable} (a path in a directory that does not exist).
+SERIES = "--flows {flows} --group retail --flow NET"
+SYNTH = "-n 10 --seed 1 --out {out}"
+REGRESS = "regress --roll-dir {run} --prices {prices}"
+BOUNDARY_CASES = {
+    "ingest-check-missing": ("ingest-check {missing}", "'FLOWS_CSV'"),
+    "ingest-check-series-file": ("ingest-check {series}", "{series}: line 1"),
+    "series-kind": (f"synth series --kind nope {SYNTH}", "'--kind'"),
+    "series-no-hurst": (f"synth series --kind fgn {SYNTH}", "requires hurst"),
+    "series-hurst": (f"synth series --kind fgn --hurst 1.5 {SYNTH}", "hurst must be in (0, 1)"),
+    "series-alpha": (f"synth series --kind pareto --alpha -1 {SYNTH}", "alpha must be positive"),
+    "series-length": ("synth series --kind iid_gaussian -n 0 --seed 1 --out {out}", "need n >= 1"),
+    "series-seed": ("synth series --kind iid_gaussian -n 5 --seed -1 --out {out}", "'--seed'"),
+    "series-start-date": (f"synth series --kind iid_gaussian --start-date 2020-13-01 {SYNTH}",
+                          "'--start-date'"),
+    "series-start-date-late": (f"synth series --kind iid_gaussian --start-date 9999-12-30 {SYNTH}",
+                               "'--start-date'"),
+    "series-out": ("synth series --kind iid_gaussian -n 5 --seed 1 --out {unwritable}",
+                   "{unwritable}: "),
+    "flows-param-for-no-param-kind": (f"synth flows --group retail=iid_gaussian:0.5 {SYNTH}",
+                                      "'retail=iid_gaussian:0.5': iid_gaussian takes no parameter"),
+    "flows-malformed-group": (f"synth flows --group retail=fgn:1.2.3 {SYNTH}", "'retail=fgn:1.2.3'"),
+    "flows-unknown-kind": (f"synth flows --group retail=nope {SYNTH}", "'nope'"),
+    "flows-length": ("synth flows --group retail=iid_gaussian -n 0 --seed 1 --out {out}",
+                     "need n >= 1"),
+    "flows-seed": ("synth flows --group retail=iid_gaussian -n 5 --seed -1 --out {out}", "'--seed'"),
+    "flows-start-date": (f"synth flows --group retail=iid_gaussian --start-date x {SYNTH}",
+                         "'--start-date'"),
+    "flows-out": ("synth flows --group retail=iid_gaussian -n 5 --seed 1 --out {unwritable}",
+                  "{unwritable}: "),
+    "prices-length": ("synth prices -n 0 --seed 1 --out {out}", "'--length'"),
+    "prices-seed": ("synth prices -n 5 --seed -1 --out {out}", "'--seed'"),
+    "prices-daily-vol": (f"synth prices --daily-vol nan {SYNTH}", "'--daily-vol'"),
+    "prices-start-date": (f"synth prices --start-date 2020-02-30 {SYNTH}", "'--start-date'"),
+    "prices-out": ("synth prices -n 5 --seed 1 --out {unwritable}", "{unwritable}: "),
+    "dfa-series-missing": ("dfa --series {missing}", "'--series'"),
+    "dfa-flows-missing": ("dfa --flows {missing} --group retail --flow NET", "'--flows'"),
+    "dfa-flows-without-group": ("dfa --flows {flows}", "--group"),
+    "dfa-group": ("dfa --flows {flows} --group nope --flow NET", "'--group'"),
+    "dfa-flow": ("dfa --flows {flows} --group retail --flow nope", "'--flow'"),
+    "dfa-order": (f"dfa {SERIES} --order -1", "detrend_order"),
+    "dfa-n-min": (f"dfa {SERIES} --n-min 1", "n_min"),
+    "dfa-n-max-fraction": (f"dfa {SERIES} --n-max-fraction 2", "n_max_fraction"),
+    "dfa-n-scales": (f"dfa {SERIES} --n-scales 2", "at least 4 scales"),
+    "dfa-min-blocks": (f"dfa {SERIES} --min-blocks 0", "min_blocks"),
+    "dfa-out-curve": (f"dfa {SERIES} --out-curve {{unwritable}}", "{unwritable}: "),
+    "dfa-out-fit": (f"dfa {SERIES} --out-fit {{unwritable}}", "{unwritable}: "),
+    "roll-window": (f"roll {SERIES} --window 1 --out {{out}}", "window"),
+    "roll-window-longer-than-series": (f"roll {SERIES} --window 700 --out {{out}}", "window 700"),
+    "roll-step": (f"roll {SERIES} --step 0 --out {{out}}", "window/step"),
+    "roll-out": (f"roll {SERIES} --out {{unwritable}}", "{unwritable}: "),
+    "surrogate-kind": (f"surrogate {SERIES} --kind nope --seed 1 --out {{out}}", "'--kind'"),
+    "surrogate-count": (f"surrogate {SERIES} --kind shuffle --count 0 --seed 1 --out {{out}}",
+                        "count must be >= 1"),
+    "surrogate-seed": (f"surrogate {SERIES} --kind shuffle --seed -1 --out {{out}}", "'--seed'"),
+    "surrogate-out": (f"surrogate {SERIES} --kind shuffle --count 2 --seed 1 --out {{unwritable}}",
+                      "{unwritable}: "),
+    "surrogate-out-values": (
+        f"surrogate {SERIES} --kind shuffle --count 2 --seed 1 --out {{out}} "
+        "--out-values {unwritable}", "{unwritable}: "),
+    "tails-side": (f"tails {SERIES} --side nope", "'--side'"),
+    "tails-tail-fraction-above-1": (f"tails {SERIES} --tail-fraction 2", "'--tail-fraction'"),
+    "tails-tail-fraction-0": (f"tails {SERIES} --tail-fraction 0", "'--tail-fraction'"),
+    "tails-out-ccdf": (f"tails {SERIES} --out-ccdf {{unwritable}}", "{unwritable}: "),
+    "tails-out-fit": (f"tails {SERIES} --out-fit {{unwritable}}", "{unwritable}: "),
+    "regress-roll-dir-missing": ("regress --roll-dir {missing} --prices {prices} --out {out}",
+                                 "'--roll-dir'"),
+    "regress-roll-dir-empty": ("regress --roll-dir {empty} --prices {prices} --out {out}", "{empty}"),
+    "regress-prices": ("regress --roll-dir {run} --prices {missing} --out {out}", "'--prices'"),
+    "regress-step": (f"{REGRESS} --step 0 --out {{out}}", "'--step'"),
+    "regress-step-not-the-runs": (f"{REGRESS} --step 7 --out {{out}}", "'--step'"),
+    "regress-fill": (f"{REGRESS} --fill nope --out {{out}}", "'--fill'"),
+    "regress-lag": (f"{REGRESS} --lag -1 --out {{out}}", "lag must be >= 0"),
+    "regress-lag-longer-than-data": (f"{REGRESS} --lag 100000 --out {{out}}", "lag 100000"),
+    "regress-out": (f"{REGRESS} --out {{unwritable}}", "{unwritable}: "),
+    "report-dir-missing": ("report --dir {missing}", "'--dir'"),
+    "report-dir-without-run": ("report --dir {empty}", "config.json"),
+    "report-out": ("report --dir {run} --out {unwritable}", "{unwritable}: "),
+    "run-config": ("run --config {missing}", "'--config'"),
+    "run-seed": ("run --config {config} --seed -1 --out {out}", "'seed'"),
+    "run-out-under-a-file": ("run --config {config} --out {file}/sub", "{file}/sub: "),
+}
+
+
+@pytest.mark.parametrize("command, names", BOUNDARY_CASES.values(), ids=BOUNDARY_CASES)
+def test_bad_option_or_output_path_is_one_error_line(runner, data_dir, bundled_run, tmp_path,
+                                                     command, names):
+    (tmp_path / "empty").mkdir()
+    (tmp_path / "file").write_text("not a directory\n")
+    (tmp_path / "series.csv").write_text("date,value\n2020-01-02,1.5\n2020-01-03,0.5\n")
+    paths = {
+        "flows": data_dir / "flows_synth.csv",
+        "prices": data_dir / "prices_synth.csv",
+        "config": data_dir / "run_config.json",
+        "run": bundled_run[2],
+        "missing": tmp_path / "missing",
+        "unwritable": tmp_path / "missing" / "out.txt",
+        **{name: tmp_path / name for name in ("empty", "file", "out")},
+        "series": tmp_path / "series.csv",
+    }
+    result = runner.invoke(main, [token.format(**paths) for token in command.split()])
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert result.exit_code in (1, 2) and "Traceback" not in result.output
+    errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+    assert len(errors) == 1, result.output
+    assert names.format(**paths) in errors[0]
+
+
+def test_run_whose_out_dir_cannot_be_made_leaves_nothing(runner, data_dir, tmp_path):
+    (tmp_path / "file").write_text("not a directory\n")
+    result = runner.invoke(
+        main, ["run", "--config", str(data_dir / "run_config.json"), "--out", str(tmp_path / "file" / "sub")]
+    )
+    assert result.exit_code == 1
+    assert result.output == f"Error: {tmp_path / 'file' / 'sub'}: Not a directory\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["file"]
+    assert (tmp_path / "file").read_text() == "not a directory\n"

@@ -540,6 +540,14 @@ def test_benchmark_tracer_instruments_a_run(data_dir, tmp_path):
     aligned = [span for span in tracer.spans if span["name"] == "stats.align"]
     assert len(aligned) == 9 and all(span["counts"]["pairs"] > 0 for span in aligned)
     assert {"dfa.static", "tails.report", "rolling.hurst"} <= {s["name"] for s in tracer.spans}
+    # the counts the tracer reads off `RollingHurst.entries` and `AlignedPairs.dates`
+    rolled = [span["counts"] for span in tracer.spans if span["name"] == "rolling.hurst"]
+    for count in ("windows", "gaps"):
+        in_report = sum(entry["rolling"][f"n_{count}"] for entry in report.series.values())
+        assert sum(counts[count] for counts in rolled) == in_report
+    assert report.regression["lag_k"] == 0
+    rows = report.regression["rows"]
+    assert [span["counts"]["pairs"] for span in aligned] == [row["n"] for row in rows]
 
 
 def test_benchmark_selftest_passes():

@@ -1,16 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from flowmem.dfa import DfaConfig, dfa_hurst
-from flowmem.errors import DfaError
+from flowmem.errors import DfaError, FlowmemError
 from flowmem.pipeline import read_rolling_csv, rolling_csv
-from flowmem.rolling import (
-    RegimeWindow,
-    RollingEntry,
-    RollingHurst,
-    regime_summary,
-    rolling_hurst,
-)
+from flowmem.rolling import RegimeWindow, RollingHurst, regime_summary, rolling_hurst
 from flowmem.synth import fgn, iid_gaussian
 
 
@@ -30,7 +26,7 @@ class TestRollingHurst:
     def test_stationary_series_is_stable(self):
         x = fgn(0.7, 3000, seed=1)
         roll = rolling_hurst(x, day_calendar(3000), window=250, step=5)
-        hs = roll.hurst_values()
+        hs = roll.hurst[roll.ok]
         assert hs.size == len(roll.entries)
         # window estimates have sigma ~0.05, so a hard +-0.15 band on every
         # one of 551 entries is not statistically available; 97% is
@@ -40,7 +36,7 @@ class TestRollingHurst:
     def test_regime_shift_detected(self):
         x = np.concatenate([fgn(0.6, 1500, seed=50), fgn(0.9, 1500, seed=80)])
         roll = rolling_hurst(x, day_calendar(3000), window=250, step=5)
-        hs = roll.hurst_values()
+        hs = roll.hurst[roll.ok]
         assert hs.mean() is not None
         assert np.mean(hs[-10:]) - np.mean(hs[:10]) >= 0.2
 
@@ -86,7 +82,8 @@ class TestRollingHurst:
         cal = day_calendar(1500)
         fracs, means = [], []
         for seed in range(5):
-            hs = rolling_hurst(iid_gaussian(1500, seed=seed), cal, 250, 5).hurst_values()
+            roll = rolling_hurst(iid_gaussian(1500, seed=seed), cal, 250, 5)
+            hs = roll.hurst[roll.ok]
             fracs.append(np.mean((hs >= 0.4) & (hs <= 0.6)))
             means.append(hs.mean())
         assert np.mean(fracs) >= 0.70
@@ -97,34 +94,45 @@ class TestRollingHurst:
             rolling_hurst(iid_gaussian(100, seed=1), day_calendar(100), window=250)
 
     def test_csv_gap_rows(self, tmp_path):
-        entries = (
-            RollingEntry("d1", 0.5, 0.01, 0.99, 12, True),
-            RollingEntry("d2", None, None, None, 0, False, "insufficient scales"),
+        rows = (
+            ("d1", 0.5, 0.01, 0.99, 12, None),
+            ("d2", math.nan, math.nan, math.nan, 0, "insufficient scales"),
         )
-        roll = RollingHurst(entries=entries, window=250, step=5)
+        roll = RollingHurst.from_rows(rows, window=250, step=5)
         path = tmp_path / "roll.csv"
         path.write_text(rolling_csv(roll))
         assert path.read_text() == "end_date,H,stderr,r2\nd1,0.5,0.01,0.99\nd2,,,\n"
         # the file holds neither n_points_used nor a gap's reason
-        assert read_rolling_csv(path, step=5, window=250) == RollingHurst(
-            entries=(
-                RollingEntry("d1", 0.5, 0.01, 0.99, 0, True),
-                RollingEntry("d2", None, None, None, 0, False, "gap"),
+        assert read_rolling_csv(path, step=5, window=250) == RollingHurst.from_rows(
+            (
+                ("d1", 0.5, 0.01, 0.99, 0, None),
+                ("d2", math.nan, math.nan, math.nan, 0, "gap"),
             ),
             window=250,
             step=5,
         )
 
 
+    @pytest.mark.parametrize("second", ["2020-01-02", "2020-01-01"], ids=["repeats", "goes-back"])
+    def test_csv_end_dates_must_increase(self, tmp_path, second):
+        path = tmp_path / "roll.csv"
+        path.write_text(f"end_date,H,stderr,r2\n2020-01-02,0.5,0.01,0.99\n{second},,,\n")
+        with pytest.raises(FlowmemError) as info:
+            read_rolling_csv(path, step=5)
+        assert str(info.value) == (
+            f"{path}: line 3: dates must be strictly increasing: {second} is not after "
+            "2020-01-02 of line 2"
+        )
+
 class TestRegimeSummary:
     def _roll(self, pairs):
-        entries = tuple(
-            RollingEntry(d, h, 0.01, 0.99, 10, True)
+        rows = tuple(
+            (d, h, 0.01, 0.99, 10, None)
             if h is not None
-            else RollingEntry(d, None, None, None, 0, False, "gap")
+            else (d, math.nan, math.nan, math.nan, 0, "gap")
             for d, h in pairs
         )
-        return RollingHurst(entries=entries, window=250, step=5)
+        return RollingHurst.from_rows(rows, window=250, step=5)
 
     def test_two_entry_window(self):
         roll = self._roll([("2020-01-02", 0.6), ("2020-01-03", 0.8)])
@@ -177,6 +185,6 @@ class TestRegimeSummary:
             RegimeWindow("w", "2020-02-01", "2020-01-01")
 
     def test_empty_rolling_rejected(self):
-        roll = RollingHurst(entries=(), window=250, step=5)
+        roll = RollingHurst.from_rows((), window=250, step=5)
         with pytest.raises(DfaError, match="no entries"):
             regime_summary(roll, [RegimeWindow("w", "2020-01-01", "2020-02-01")])

@@ -14,8 +14,10 @@ from hypothesis import strategies as st
 import flowmem
 from flowmem.errors import StatsError
 from flowmem.pipeline import read_table_csv, table_csv
-from flowmem.rolling import RollingEntry, RollingHurst
+from flowmem.rolling import RollingHurst
 from flowmem.stats import (
+    FILL_POLICIES,
+    AlignedPairs,
     align_h_rv,
     ols,
     read_prices_csv,
@@ -26,13 +28,13 @@ from flowmem.stats import _t_two_sided_p
 
 
 def make_rolling(pairs, step=5):
-    entries = tuple(
-        RollingEntry(d, h, 0.01, 0.99, 10, True)
+    rows = tuple(
+        (d, h, 0.01, 0.99, 10, None)
         if h is not None
-        else RollingEntry(d, None, None, None, 0, False, "gap")
+        else (d, math.nan, math.nan, math.nan, 0, "gap")
         for d, h in pairs
     )
-    return RollingHurst(entries=entries, window=250, step=step)
+    return RollingHurst.from_rows(rows, window=250, step=step)
 
 
 def day(i):
@@ -154,6 +156,75 @@ class TestAlignment:
                              (-1, "lag must be >= 0, got -1")):
             with pytest.raises(StatsError, match=f"^{re.escape(message)}$"):
                 regression_table(rolling, read_prices_csv(path), "forward_fill", lag, False)
+
+
+def reference_align_h_rv(rolling, calendar, volatility, fill_policy="forward_fill"):
+    """The pointer walk over per-window entries that `align_h_rv` replaced,
+    kept as its oracle."""
+    if fill_policy not in FILL_POLICIES:
+        raise StatsError(f"unknown fill policy {fill_policy!r}")
+    entries = rolling.entries
+    if not entries:
+        raise StatsError("rolling series has no entries")
+
+    dates: list[str] = []
+    hs: list[float] = []
+    vols: list[float] = []
+    if fill_policy == "step_dates_only":
+        by_date = {e.end_date: e for e in entries}
+        for i, d in enumerate(calendar):
+            e = by_date.get(d)
+            if e is not None and e.ok:
+                dates.append(d)
+                hs.append(e.hurst)
+                vols.append(float(volatility[i]))
+    else:
+        ptr = -1
+        active_i = -1  # volatility index at which the current entry became active
+        for i, d in enumerate(calendar):
+            while ptr + 1 < len(entries) and entries[ptr + 1].end_date <= d:
+                ptr += 1
+                active_i = i
+            if ptr < 0:
+                continue
+            e = entries[ptr]
+            if not e.ok:
+                continue
+            if i - active_i >= rolling.step:
+                continue  # staleness cap: held for at most `step` days
+            dates.append(d)
+            hs.append(e.hurst)
+            vols.append(float(volatility[i]))
+    if not dates:
+        raise StatsError("no overlapping dates between rolling exponent and volatility")
+    return AlignedPairs(dates=tuple(dates), hurst=np.asarray(hs), volatility=np.asarray(vols))
+
+
+@st.composite
+def alignment_cases(draw):
+    """A calendar of 1-40 days, 1-15 stamps before, inside and after it with
+    any pattern of gaps, a step of 1-6 and a fill policy."""
+    days = sorted(draw(st.sets(st.integers(10, 50), min_size=1, max_size=40)))
+    stamps = sorted(draw(st.sets(st.integers(0, 60), min_size=1, max_size=15)))
+    finite = st.floats(-1e6, 1e6, allow_nan=False)
+    hs = [None if draw(st.integers(0, 3)) == 0 else draw(finite) for _ in stamps]  # a gap in 4
+    volatility = np.array(draw(st.lists(finite, min_size=len(days), max_size=len(days))))
+    rolling = make_rolling(list(zip(map(day, stamps), hs)), step=draw(st.integers(1, 6)))
+    return rolling, tuple(map(day, days)), volatility, draw(st.sampled_from(FILL_POLICIES))
+
+
+class TestAlignmentOracle:
+    @given(alignment_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_pointer_walk(self, case):
+        def outcome(align):
+            try:
+                pairs = align(*case)
+            except StatsError as exc:
+                return str(exc)
+            return pairs.dates, pairs.hurst.tobytes(), pairs.volatility.tobytes()
+
+        assert outcome(align_h_rv) == outcome(reference_align_h_rv)
 
 
 class TestOls:
