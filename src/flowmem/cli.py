@@ -13,7 +13,7 @@ import numpy.random  # noqa: F401  numpy loads it lazily; load it at import, not
 
 from . import __version__
 from .dfa import DfaConfig
-from .errors import FlowmemError
+from .errors import DfaError, FlowmemError
 from .flows import FLOW_TYPES, GROUPS, SIDES, _valid_date
 from .pipeline import (
     CONFIG_JSON,
@@ -42,7 +42,7 @@ from .pipeline import (
 from .rolling import rolling_hurst
 from .stats import FILL_POLICIES, read_prices_csv, regression_table
 from .surrogate import SURROGATE_KINDS, SurrogateSpec, surrogate_band
-from .synth import GENERATOR_KINDS, GeneratorSpec, generate
+from .synth import GENERATOR_KINDS, GENERATORS, GeneratorSpec, generate
 from .tails import TAIL_SIDES
 
 
@@ -89,11 +89,15 @@ def with_series_options(fn):
 
 def with_dfa_options(fn):
     """The DfaConfig fields as options, defaulting to the field defaults and
-    handed to the command as one `dfa_config` argument."""
+    handed to the command as one `dfa_config` argument. A config that
+    DfaConfig rejects is a usage error."""
 
     @functools.wraps(fn)
     def command(order, n_min, n_max_fraction, n_scales, min_blocks, **kwargs):
-        config = DfaConfig(order, n_min, n_max_fraction, n_scales, min_blocks)
+        try:
+            config = DfaConfig(order, n_min, n_max_fraction, n_scales, min_blocks)
+        except DfaError as exc:
+            raise click.UsageError(str(exc)) from None
         return fn(dfa_config=config, **kwargs)
 
     return _options(
@@ -185,19 +189,16 @@ def _parse_group_spec(text):
         raise click.UsageError(
             f"bad group spec {text!r}; expected group=kind[:param], e.g. retail=fgn:0.85"
         )
-    group, kind, param = m.group(1), m.group(2), m.group(3)
-    hurst = alpha = None
-    if kind in ("fgn", "fbm_increments_cumsum"):
-        if param is None:
-            raise click.UsageError(f"{text!r}: {kind} needs a hurst value")
-        hurst = float(param)
-    elif kind == "pareto":
-        if param is None:
-            raise click.UsageError(f"{text!r}: pareto needs an alpha value")
-        alpha = float(param)
-    elif param is not None and kind in GENERATOR_KINDS:
+    group, kind, param = m.groups()
+    if kind not in GENERATORS:  # GeneratorSpec names the unknown kind
+        return group, kind, {}
+    takes = GENERATORS[kind][1]
+    if takes is None and param is not None:
         raise click.UsageError(f"{text!r}: {kind} takes no parameter")
-    return group, kind, hurst, alpha
+    if takes is not None and param is None:
+        article = "an" if takes == "alpha" else "a"
+        raise click.UsageError(f"{text!r}: {kind} needs {article} {takes} value")
+    return group, kind, {takes: float(param)} if takes else {}
 
 
 @synth.command("flows")
@@ -215,12 +216,12 @@ def synth_flows(group_specs, length, seed, start_date, out):
     columns = {}
     meta = {"seed": seed, "groups": {}}
     for text in group_specs:
-        group, kind, hurst, alpha = _parse_group_spec(text)
+        group, kind, params = _parse_group_spec(text)
         if group in meta["groups"]:
             raise click.UsageError(f"{text!r}: group {group!r} is given twice")
         for side in SIDES:
             side_seed = stage_seed(seed, f"synth-flows/{group}/{side}")
-            spec = GeneratorSpec(kind=kind, n=length, seed=side_seed, hurst=hurst, alpha=alpha)
+            spec = GeneratorSpec(kind=kind, n=length, seed=side_seed, **params)
             raw = generate(spec)
             columns[(group, side)] = (raw - raw.min()).tolist()
             meta["groups"].setdefault(group, {})[side] = spec.metadata()
@@ -279,8 +280,10 @@ def dfa(loaded, dfa_config, include_order1, out_curve, out_fit):
 
 @main.command()
 @with_series_options
-@click.option("--window", default=RunConfig.rolling_window, show_default=True)
-@click.option("--step", default=RunConfig.rolling_step, show_default=True)
+@click.option("--window", type=click.IntRange(min=2), default=RunConfig.rolling_window,
+              show_default=True)
+@click.option("--step", type=click.IntRange(min=1), default=RunConfig.rolling_step,
+              show_default=True)
 @with_dfa_options
 @click.option("--out", type=click.Path(), required=True)
 def roll(loaded, window, step, dfa_config, out):
@@ -296,7 +299,8 @@ def roll(loaded, window, step, dfa_config, out):
 @main.command()
 @with_series_options
 @click.option("--kind", type=click.Choice(SURROGATE_KINDS), required=True)
-@click.option("--count", default=RunConfig.surrogate_count, show_default=True)
+@click.option("--count", type=click.IntRange(min=1), default=RunConfig.surrogate_count,
+              show_default=True)
 @click.option("--seed", type=click.IntRange(min=0), required=True)
 @with_dfa_options
 @click.option("--out", type=click.Path(), required=True)
@@ -346,7 +350,8 @@ def tails(loaded, side, tail_fraction, out_ccdf, out_fit):
                    "It is a property of the fig4 files: one that differs from the run's is an error.")
 @click.option("--fill", type=click.Choice(FILL_POLICIES), default=None,
               show_default=f"the run's, else {RunConfig.fill_policy}")
-@click.option("--lag", type=int, default=None, show_default=f"the run's, else {RunConfig.lag_k}")
+@click.option("--lag", type=click.IntRange(min=0), default=None,
+              show_default=f"the run's, else {RunConfig.lag_k}")
 @click.option("--robust/--no-robust", default=None,
               show_default=f"the run's, else {'--robust' if RunConfig.robust_se else '--no-robust'}")
 @click.option("--out", type=click.Path(), required=True)
@@ -400,7 +405,7 @@ def report(out_dir, out):
 @main.command()
 @click.option("--config", "config_path", type=click.Path(exists=True), required=True)
 @click.option("--out", type=click.Path(), default=None, help="Output directory override.")
-@click.option("--seed", type=int, default=None, help="Run seed override.")
+@click.option("--seed", type=click.IntRange(min=0), default=None, help="Run seed override.")
 def run(config_path, out, seed):
     """Run the full pipeline: ingest, tails, DFA, surrogates, rolling, regression."""
     config = load_config(config_path, out_dir=out, seed=seed)

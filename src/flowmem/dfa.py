@@ -199,23 +199,6 @@ def fluctuation(profile_values, scales, detrend_order: int = 2) -> FluctuationCu
     )
 
 
-def line_fit(x: np.ndarray, y: np.ndarray):
-    """Closed-form simple OLS of y on x, the one core of `stats.ols` and the
-    `ccdf_ols` tail fit: (slope, intercept, ssr, sst, sxx, dx, resid), with
-    dx the deviations of x from its mean. A constant x raises
-    ZeroDivisionError.
-    """
-    xm = x.mean()
-    dx = x - xm
-    sxx = float(dx @ dx)
-    ym = y.mean()
-    dy = y - ym
-    slope = float(dx @ dy) / sxx
-    intercept = ym - slope * xm
-    resid = y - intercept - slope * x
-    return slope, intercept, float(resid @ resid), float(dy @ dy), sxx, dx, resid
-
-
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Dot product of each row of `a` with `b` (one vector, or the same row
     of a 2-d `b`), each as one item of a stacked matmul: the bits a lone
@@ -223,23 +206,33 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, np.newaxis, :] @ b[..., np.newaxis])[:, 0, 0]
 
 
-def _loglog_fits(log_values: np.ndarray, scales: np.ndarray, order: int) -> list[DfaFit]:
-    """The OLS fit of log F on log n of every row of a (k, scales) array, the
-    one log-log fit of the static, rolling and surrogate stages. Each row's
-    dot products are taken alone by `_row_dots`, so a row's fit has the bits
-    it has in a batch of one."""
-    x = np.log10(scales.astype(float))
+def line_fits(x: np.ndarray, ys: np.ndarray):
+    """Closed-form simple OLS of each row of a (k, m) array `ys` on one x, the
+    one least-squares core of the DFA log-log fits, `stats.ols` and the
+    `ccdf_ols` tail fit: (slope, intercept, stderr, ssr, sst, resid, sxx, dx),
+    one entry per row but sxx and dx, the deviations of x from its mean. Each
+    row's dot products are taken alone by `_row_dots`, so a row's fit has the
+    bits it has in a batch of one. A constant x raises ZeroDivisionError."""
     xm = x.mean()
     dx = x - xm
     sxx = float(dx @ dx)
-    ym = log_values.mean(axis=1)
-    dy = log_values - ym[:, np.newaxis]
+    if sxx == 0.0:  # numpy would divide to inf
+        raise ZeroDivisionError("x is constant")
+    ym = ys.mean(axis=1)
+    dy = ys - ym[:, np.newaxis]
     slope = _row_dots(dy, dx) / sxx
     intercept = ym - slope * xm
-    resid = log_values - intercept[:, np.newaxis] - slope[:, np.newaxis] * x
+    resid = ys - intercept[:, np.newaxis] - slope[:, np.newaxis] * x
     ssr = _row_dots(resid, resid)
-    sst = _row_dots(dy, dy)
-    stderr = np.sqrt(np.maximum(ssr, 0.0) / (scales.size - 2) / sxx)
+    stderr = np.sqrt(np.maximum(ssr, 0.0) / (x.size - 2) / sxx)
+    return slope, intercept, stderr, ssr, _row_dots(dy, dy), resid, sxx, dx
+
+
+def _loglog_fits(log_values: np.ndarray, scales: np.ndarray, order: int) -> list[DfaFit]:
+    """The OLS fit of log F on log n of every row of a (k, scales) array, the
+    one log-log fit of the static, rolling and surrogate stages."""
+    x = np.log10(scales.astype(float))
+    slope, intercept, stderr, ssr, sst, _, _, _ = line_fits(x, log_values)
     with np.errstate(divide="ignore", invalid="ignore"):  # sst == 0 reads 1.0 below
         r_squared = np.where(sst > 0.0, np.clip(1.0 - ssr / sst, 0.0, 1.0), 1.0)
     scale_range = (int(scales[0]), int(scales[-1]))

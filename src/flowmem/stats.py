@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dfa import line_fit
+from .dfa import line_fits
 from .errors import StatsError
 from .flows import _parse_date, increasing, read_csv
 from .rolling import RollingHurst
@@ -116,7 +116,7 @@ def ols(y, x, robust: bool = False) -> OlsResult:
     if not (np.all(np.isfinite(yv)) and np.all(np.isfinite(xv))):
         raise StatsError("non-finite values in regression input")
     try:
-        beta, alpha, ssr, sst, sxx, dx, resid = line_fit(xv, yv)
+        (beta,), (alpha,), _, (ssr,), (sst,), (resid,), sxx, dx = line_fits(xv, yv[np.newaxis])
     except ZeroDivisionError:
         raise StatsError("degenerate regressor: x is constant") from None
     xm = xv.mean()

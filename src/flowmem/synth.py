@@ -21,8 +21,6 @@ from .errors import SynthError
 RNG_NAME = "numpy.random.PCG64"
 RNG_VERSION = 1
 
-GENERATOR_KINDS = ("fgn", "fbm_increments_cumsum", "iid_gaussian", "pareto")
-
 
 def _rng(seed) -> np.random.Generator:
     """Deterministic generator from an integer seed or a SeedSequence."""
@@ -111,9 +109,21 @@ def iid_gaussian(n: int, seed) -> np.ndarray:
     return _rng(seed).standard_normal(n)
 
 
+# Each generator kind: its generator, called as (param, n, seed), and the one
+# GeneratorSpec parameter it takes as `param`, None for a kind that takes none.
+GENERATORS = {
+    "fgn": (fgn, "hurst"),
+    "fbm_increments_cumsum": (lambda hurst, n, seed: cumsum(fgn(hurst, n, seed)), "hurst"),
+    "iid_gaussian": (lambda _, n, seed: iid_gaussian(n, seed), None),
+    "pareto": (pareto, "alpha"),
+}
+GENERATOR_KINDS = tuple(GENERATORS)
+
+
 @dataclass(frozen=True)
 class GeneratorSpec:
-    """Declarative request for one synthetic series."""
+    """Declarative request for one synthetic series: `hurst` or `alpha` is
+    given exactly when the kind takes it (see GENERATORS)."""
 
     kind: str
     n: int
@@ -122,14 +132,13 @@ class GeneratorSpec:
     alpha: float | None = None
 
     def __post_init__(self):
-        if self.kind not in GENERATOR_KINDS:
+        if self.kind not in GENERATORS:
             raise SynthError(f"unknown generator kind {self.kind!r}")
-        if self.kind in ("fgn", "fbm_increments_cumsum"):
-            if self.hurst is None:
-                raise SynthError(f"kind {self.kind!r} requires hurst")
-        elif self.kind == "pareto":
-            if self.alpha is None:
-                raise SynthError("kind 'pareto' requires alpha")
+        takes = GENERATORS[self.kind][1]
+        for name in ("hurst", "alpha"):
+            if (getattr(self, name) is None) == (name == takes):
+                rule = "requires" if name == takes else "takes no"
+                raise SynthError(f"kind {self.kind!r} {rule} {name}")
 
     def metadata(self) -> dict:
         meta = {
@@ -139,21 +148,13 @@ class GeneratorSpec:
             "rng": RNG_NAME,
             "rng_version": RNG_VERSION,
         }
-        if self.hurst is not None:
-            meta["hurst"] = self.hurst
-        if self.alpha is not None:
-            meta["alpha"] = self.alpha
+        takes = GENERATORS[self.kind][1]
+        if takes:
+            meta[takes] = getattr(self, takes)
         return meta
 
 
 def generate(spec: GeneratorSpec) -> np.ndarray:
     """Materialize a GeneratorSpec; bit-identical for identical specs."""
-    if spec.kind == "fgn":
-        return fgn(spec.hurst, spec.n, spec.seed)
-    if spec.kind == "fbm_increments_cumsum":
-        return cumsum(fgn(spec.hurst, spec.n, spec.seed))
-    if spec.kind == "iid_gaussian":
-        return iid_gaussian(spec.n, spec.seed)
-    if spec.kind == "pareto":
-        return pareto(spec.alpha, spec.n, spec.seed)
-    raise SynthError(f"unknown generator kind {spec.kind!r}")
+    make, takes = GENERATORS[spec.kind]
+    return make(takes and getattr(spec, takes), spec.n, spec.seed)

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .dfa import line_fit
+from .dfa import line_fits
 from .errors import TailError
 
 TAIL_SIDES = ("upper", "absolute")
@@ -143,12 +143,11 @@ def fit_tail_exponent(values, tail_fraction: float = 0.05, method: str = "hill")
         raise TailError("nonpositive values in tail; cannot take logs")
     if xs.size < 4:
         raise TailError(f"insufficient distinct tail points: {xs.size}")
-    slope, _, ssr, _, sxx, _, _ = line_fit(np.log(xs), np.log(ps))
-    stderr = float(np.sqrt(max(ssr, 0.0) / (xs.size - 2) / sxx))
+    (slope,), _, (stderr,), *_ = line_fits(np.log(xs), np.log(ps)[np.newaxis])
     return TailFit(
-        exponent=-slope,
+        exponent=-float(slope),
         fit_xmin=xmin,
         n_tail=n_tail,
         method=method,
-        stderr=stderr,
+        stderr=float(stderr),
     )

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -6,13 +7,17 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import click
 import pytest
 from click.testing import CliRunner
 
 import flowmem
 from flowmem.cli import main
-from flowmem.pipeline import load_config, read_panel, run_pipeline
-from flowmem.stats import read_prices_csv
+from flowmem.errors import PipelineError
+from flowmem.pipeline import config_from_json_dict, load_config, read_panel, run_pipeline
+from flowmem.stats import FILL_POLICIES, read_prices_csv
+from flowmem.surrogate import SURROGATE_KINDS
+from flowmem.tails import TAIL_SIDES
 
 
 @pytest.fixture()
@@ -490,7 +495,9 @@ class TestRunCommand:
 # name. Both are templates over {flows}, {prices}, {run} (a finished run),
 # {empty} (an empty directory), {series} (a date,value file), {file} (a
 # regular file), {missing} (a path that does not exist), {out} (a writable
-# path) and {unwritable} (a path in a directory that does not exist).
+# path, which a failed command must not create, nor its sidecar), {written}
+# (a writable path that the command writes before it fails) and
+# {unwritable} (a path in a directory that does not exist).
 SERIES = "--flows {flows} --group retail --flow NET"
 SYNTH = "-n 10 --seed 1 --out {out}"
 REGRESS = "regress --roll-dir {run} --prices {prices}"
@@ -501,6 +508,10 @@ BOUNDARY_CASES = {
     "series-no-hurst": (f"synth series --kind fgn {SYNTH}", "requires hurst"),
     "series-hurst": (f"synth series --kind fgn --hurst 1.5 {SYNTH}", "hurst must be in (0, 1)"),
     "series-alpha": (f"synth series --kind pareto --alpha -1 {SYNTH}", "alpha must be positive"),
+    "series-hurst-for-no-param-kind": (f"synth series --kind iid_gaussian --hurst 0.7 {SYNTH}",
+                                       "kind 'iid_gaussian' takes no hurst"),
+    "series-alpha-for-hurst-kind": (f"synth series --kind fgn --hurst 0.7 --alpha 2 {SYNTH}",
+                                    "kind 'fgn' takes no alpha"),
     "series-length": ("synth series --kind iid_gaussian -n 0 --seed 1 --out {out}", "need n >= 1"),
     "series-seed": ("synth series --kind iid_gaussian -n 5 --seed -1 --out {out}", "'--seed'"),
     "series-start-date": (f"synth series --kind iid_gaussian --start-date 2020-13-01 {SYNTH}",
@@ -537,18 +548,18 @@ BOUNDARY_CASES = {
     "dfa-min-blocks": (f"dfa {SERIES} --min-blocks 0", "min_blocks"),
     "dfa-out-curve": (f"dfa {SERIES} --out-curve {{unwritable}}", "{unwritable}: "),
     "dfa-out-fit": (f"dfa {SERIES} --out-fit {{unwritable}}", "{unwritable}: "),
-    "roll-window": (f"roll {SERIES} --window 1 --out {{out}}", "window"),
+    "roll-window": (f"roll {SERIES} --window 1 --out {{out}}", "'--window'"),
     "roll-window-longer-than-series": (f"roll {SERIES} --window 700 --out {{out}}", "window 700"),
-    "roll-step": (f"roll {SERIES} --step 0 --out {{out}}", "window/step"),
+    "roll-step": (f"roll {SERIES} --step 0 --out {{out}}", "'--step'"),
     "roll-out": (f"roll {SERIES} --out {{unwritable}}", "{unwritable}: "),
     "surrogate-kind": (f"surrogate {SERIES} --kind nope --seed 1 --out {{out}}", "'--kind'"),
     "surrogate-count": (f"surrogate {SERIES} --kind shuffle --count 0 --seed 1 --out {{out}}",
-                        "count must be >= 1"),
+                        "'--count'"),
     "surrogate-seed": (f"surrogate {SERIES} --kind shuffle --seed -1 --out {{out}}", "'--seed'"),
     "surrogate-out": (f"surrogate {SERIES} --kind shuffle --count 2 --seed 1 --out {{unwritable}}",
                       "{unwritable}: "),
     "surrogate-out-values": (
-        f"surrogate {SERIES} --kind shuffle --count 2 --seed 1 --out {{out}} "
+        f"surrogate {SERIES} --kind shuffle --count 2 --seed 1 --out {{written}} "
         "--out-values {unwritable}", "{unwritable}: "),
     "tails-side": (f"tails {SERIES} --side nope", "'--side'"),
     "tails-tail-fraction-above-1": (f"tails {SERIES} --tail-fraction 2", "'--tail-fraction'"),
@@ -562,14 +573,14 @@ BOUNDARY_CASES = {
     "regress-step": (f"{REGRESS} --step 0 --out {{out}}", "'--step'"),
     "regress-step-not-the-runs": (f"{REGRESS} --step 7 --out {{out}}", "'--step'"),
     "regress-fill": (f"{REGRESS} --fill nope --out {{out}}", "'--fill'"),
-    "regress-lag": (f"{REGRESS} --lag -1 --out {{out}}", "lag must be >= 0"),
+    "regress-lag": (f"{REGRESS} --lag -1 --out {{out}}", "'--lag'"),
     "regress-lag-longer-than-data": (f"{REGRESS} --lag 100000 --out {{out}}", "lag 100000"),
     "regress-out": (f"{REGRESS} --out {{unwritable}}", "{unwritable}: "),
     "report-dir-missing": ("report --dir {missing}", "'--dir'"),
     "report-dir-without-run": ("report --dir {empty}", "config.json"),
     "report-out": ("report --dir {run} --out {unwritable}", "{unwritable}: "),
     "run-config": ("run --config {missing}", "'--config'"),
-    "run-seed": ("run --config {config} --seed -1 --out {out}", "'seed'"),
+    "run-seed": ("run --config {config} --seed -1 --out {out}", "'--seed'"),
     "run-out-under-a-file": ("run --config {config} --out {file}/sub", "{file}/sub: "),
 }
 
@@ -587,7 +598,7 @@ def test_bad_option_or_output_path_is_one_error_line(runner, data_dir, bundled_r
         "run": bundled_run[2],
         "missing": tmp_path / "missing",
         "unwritable": tmp_path / "missing" / "out.txt",
-        **{name: tmp_path / name for name in ("empty", "file", "out")},
+        **{name: tmp_path / name for name in ("empty", "file", "out", "written")},
         "series": tmp_path / "series.csv",
     }
     result = runner.invoke(main, [token.format(**paths) for token in command.split()])
@@ -596,6 +607,7 @@ def test_bad_option_or_output_path_is_one_error_line(runner, data_dir, bundled_r
     errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
     assert len(errors) == 1, result.output
     assert names.format(**paths) in errors[0]
+    assert not [p.name for p in tmp_path.iterdir() if p.name.startswith("out")]
 
 
 def test_run_whose_out_dir_cannot_be_made_leaves_nothing(runner, data_dir, tmp_path):
@@ -607,3 +619,108 @@ def test_run_whose_out_dir_cannot_be_made_leaves_nothing(runner, data_dir, tmp_p
     assert result.output == f"Error: {tmp_path / 'file' / 'sub'}: Not a directory\n"
     assert [p.name for p in tmp_path.iterdir()] == ["file"]
     assert (tmp_path / "file").read_text() == "not a directory\n"
+
+
+# Each stage option that sets a config key: the command line (templates as in
+# BOUNDARY_CASES, plus {value} and {fig4}, a directory of a run's fig4 files
+# without its config.json), the option, the key, the values its rule allows
+# at the boundary (each value of a choice) and the first value it rejects.
+RANGE_CASES = {
+    "roll-window": (f"roll {SERIES} --window {{value}} --out {{out}}", "--window",
+                    "rolling.window", [2], 1),
+    "roll-step": (f"roll {SERIES} --step {{value}} --out {{out}}", "--step", "rolling.step", [1], 0),
+    "regress-step": ("regress --roll-dir {fig4} --prices {prices} --step {value} --out {out}",
+                     "--step", "rolling.step", [1], 0),
+    "surrogate-count": (f"surrogate {SERIES} --kind shuffle --count {{value}} --seed 1 --out {{out}}",
+                        "--count", "surrogates.count", [1], 0),
+    "surrogate-kind": (f"surrogate {SERIES} --kind {{value}} --count 1 --seed 1 --out {{out}}",
+                       "--kind", "surrogates.kinds", list(SURROGATE_KINDS), "nope"),
+    "surrogate-seed": (f"surrogate {SERIES} --kind shuffle --count 1 --seed {{value}} --out {{out}}",
+                       "--seed", "seed", [0], -1),
+    "regress-lag": (f"{REGRESS} --lag {{value}} --out {{out}}", "--lag", "regression.lag_k", [0], -1),
+    "regress-fill": (f"{REGRESS} --fill {{value}} --out {{out}}", "--fill", "regression.fill_policy",
+                     list(FILL_POLICIES), "nope"),
+    "tails-tail-fraction-high": (f"tails {SERIES} --tail-fraction {{value}}", "--tail-fraction",
+                                 "tails.tail_fraction", [1.0], math.nextafter(1.0, 2.0)),
+    "tails-tail-fraction-low": (f"tails {SERIES} --tail-fraction {{value}}", "--tail-fraction",
+                                "tails.tail_fraction", [5e-324], 0.0),
+    "tails-side": (f"tails {SERIES} --side {{value}}", "--side", "tails.net_side",
+                   list(TAIL_SIDES), "nope"),
+    "run-seed": ("run --config {config} --seed {value} --out {out}", "--seed", "seed", [0], -1),
+}
+
+
+@pytest.mark.parametrize("command, option, key, allowed, rejected", RANGE_CASES.values(),
+                         ids=RANGE_CASES)
+def test_cli_ranges_match_the_config_rules(runner, data_dir, bundled_run, tmp_path,
+                                           command, option, key, allowed, rejected):
+    (tmp_path / "fig4").mkdir()
+    for path in bundled_run[2].glob("fig4_rolling_*.csv"):
+        (tmp_path / "fig4" / path.name).write_bytes(path.read_bytes())
+    paths = {
+        "flows": data_dir / "flows_synth.csv",
+        "prices": data_dir / "prices_synth.csv",
+        "config": data_dir / "run_config.json",
+        "run": bundled_run[2],
+        "fig4": tmp_path / "fig4",
+        "out": tmp_path / "out",
+    }
+    base = json.loads((data_dir / "run_config.json").read_text())
+
+    def config_with(value):
+        data = json.loads(json.dumps(base))
+        block, _, name = key.rpartition(".")
+        (data[block] if block else data)[name] = [value] if key == "surrogates.kinds" else value
+        return config_from_json_dict(data, base_dir=str(data_dir))
+
+    def cli_with(value):
+        args = [token.format(value=value, **paths) for token in command.split()]
+        return runner.invoke(main, args)
+
+    for value in allowed:
+        config_with(value)
+        result = cli_with(value)
+        assert result.exit_code != 2, result.output
+    with pytest.raises(PipelineError, match=re.escape(f"config key {key!r}: invalid value")):
+        config_with(rejected)
+    result = cli_with(rejected)
+    assert result.exit_code == 2
+    errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+    assert len(errors) == 1 and f"'{option}'" in errors[0], result.output
+
+
+def _commands(group, path=()):
+    """Every command path under a click group, the group's own included."""
+    yield path
+    for name, command in group.commands.items():
+        if isinstance(command, click.Group):
+            yield from _commands(command, path + (name,))
+        else:
+            yield path + (name,)
+
+
+@pytest.mark.parametrize("path", list(_commands(main)), ids=lambda path: " ".join(path) or "main")
+def test_help_lists_every_option(runner, path):
+    command = main
+    for name in path:
+        command = command.commands[name]
+    result = runner.invoke(main, [*path, "--help"])
+    assert result.exit_code == 0 and result.exception is None, result.output
+    for param in command.params:
+        if isinstance(param, click.Option):
+            for opt in param.opts + param.secondary_opts:
+                assert opt in result.output
+
+
+@pytest.mark.parametrize("option, value, text", [
+    ("--order", -1, "detrend_order must be >= 0, got -1"),
+    ("--n-min", 1, "n_min=1 leaves order-2 block fits underdetermined"),
+    ("--n-max-fraction", 2, "n_max_fraction must be in (0, 1], got 2.0"),
+    ("--n-scales", 2, "need at least 4 scales, got 2"),
+    ("--min-blocks", 0, "min_blocks must be >= 2, got 0"),
+], ids=["order", "n-min", "n-max-fraction", "n-scales", "min-blocks"])
+def test_rejected_dfa_config_is_a_usage_error(runner, data_dir, option, value, text):
+    result = invoke(runner, "dfa", "--flows", data_dir / "flows_synth.csv", "--group", "retail",
+                    "--flow", "NET", option, value)
+    assert result.exit_code == 2
+    assert [line for line in result.output.splitlines() if line.startswith("Error:")] == [f"Error: {text}"]

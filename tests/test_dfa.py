@@ -431,7 +431,7 @@ def scaling_points(draw):
 
 
 class TestLineFitCore:
-    """fit_hurst and stats.ols share `line_fit`; both reproduce the fit they
+    """fit_hurst and stats.ols share `line_fits`; both reproduce the fit they
     made before it exactly (==, not allclose)."""
 
     @settings(max_examples=300, deadline=None)

@@ -137,6 +137,15 @@ class TestGeneratorSpec:
         with pytest.raises(SynthError):
             GeneratorSpec(kind="pareto", n=10, seed=1)
 
+    @pytest.mark.parametrize("kind, params, name", [
+        ("iid_gaussian", {"hurst": 0.7}, "hurst"),
+        ("fgn", {"hurst": 0.7, "alpha": 2.0}, "alpha"),
+        ("pareto", {"hurst": 0.7, "alpha": 2.0}, "hurst"),
+    ])
+    def test_parameter_the_kind_does_not_take(self, kind, params, name):
+        with pytest.raises(SynthError, match=f"kind '{kind}' takes no {name}"):
+            GeneratorSpec(kind=kind, n=10, seed=1, **params)
+
     def test_unknown_kind(self):
         with pytest.raises(SynthError):
             GeneratorSpec(kind="brownian", n=10, seed=1)
