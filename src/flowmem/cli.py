@@ -174,6 +174,7 @@ def synth():
 @click.option("--out", type=click.Path(), required=True)
 def synth_series(kind, hurst, alpha, length, seed, start_date, out):
     """One synthetic series as a date,value CSV (plus a .meta.json sidecar)."""
+    _check_length(kind, length)
     spec = GeneratorSpec(kind=kind, n=length, seed=seed, hurst=hurst, alpha=alpha)
     values = generate(spec)
     dates = _date_range(start_date, length)
@@ -181,6 +182,14 @@ def synth_series(kind, hurst, alpha, length, seed, start_date, out):
     _write_text(out, _csv_text("date,value", lines))
     _write_text(f"{out}.meta.json", _json_text(spec.metadata()))
     click.echo(f"wrote {out} ({length} rows)")
+
+
+def _check_length(kind, length):
+    """A length below the least n of a known kind (GENERATORS) is a usage
+    error naming -n."""
+    if kind in GENERATORS and length < GENERATORS[kind][2]:
+        raise click.BadParameter(f"{kind} needs n >= {GENERATORS[kind][2]}, got {length}.",
+                                 param_hint="'-n' / '--length'")
 
 
 def _parse_group_spec(text):
@@ -217,6 +226,7 @@ def synth_flows(group_specs, length, seed, start_date, out):
     meta = {"seed": seed, "groups": {}}
     for text in group_specs:
         group, kind, params = _parse_group_spec(text)
+        _check_length(kind, length)
         if group in meta["groups"]:
             raise click.UsageError(f"{text!r}: group {group!r} is given twice")
         for side in SIDES:

@@ -380,13 +380,15 @@ class RunReport:
 
 class _Run:
     """One pipeline execution: its config, the staging directory its files
-    are written into, and the inputs ingest reads for the other stages."""
+    are written into, the inputs ingest reads for the other stages, and
+    the queue of surrogate bands its two processes share."""
 
     def __init__(self, config: RunConfig, staging: str):
         self.config = config
         self.staging = staging
         self.panel: FlowPanel | None = None
         self.prices: tuple | None = None  # (calendar, closes), with a prices file
+        self.queue: int | None = None  # the surrogate band queue's read end (`run_pipeline`)
         self.report: RunReport | None = None
 
 
@@ -443,8 +445,18 @@ def _stage_ingest(run: _Run):
     for group in GROUPS:
         if not any(run.panel.series[group, side].any() for side in SIDES):
             raise PipelineError("ingest", f"{path}: no flows for investor group {group!r}")
+    return ()  # no file
+
+
+def _stage_prices(run: _Run):
+    """The rest of ingest, read at the head of the parent's lane after the
+    fork: the prices file, if any. Its errors are ingest's."""
+    config = run.config
     if config.prices_csv is not None:
-        run.prices = read_prices_csv(config.resolve(config.prices_csv))
+        try:
+            run.prices = read_prices_csv(config.resolve(config.prices_csv))
+        except Exception as exc:
+            raise _stage_error("ingest", exc)
     return ()  # no file
 
 
@@ -525,14 +537,37 @@ def _stage_static_dfa(run: _Run):
 
 
 def _stage_surrogates(run: _Run):
+    """One band file per (series, kind), in that order: every band, or with
+    a queue the bands this process takes from it, one at a time. A failing
+    band's exception carries the band's index as `band`, and the rest of
+    the queue is drained first, so that the other process starts no more
+    bands."""
     config = run.config
-    for (group, flow_type), values in run.panel.series.items():
-        key = series_key(group, flow_type)
-        for kind in config.surrogate_kinds:
+    bands = [
+        (series_key(group, flow_type), kind, values)
+        for (group, flow_type), values in run.panel.series.items()
+        for kind in config.surrogate_kinds
+    ]
+    for index in range(len(bands)) if run.queue is None else _taken(run.queue):
+        key, kind, values = bands[index]
+        try:
             seed = stage_seed(config.seed, f"surrogate/{kind}/{key}")
             spec = SurrogateSpec(kind=kind, seed=seed, count=config.surrogate_count)
-            band = surrogate_band(values, spec, config.dfa)
-            yield SURROGATE_JSON.format(kind=kind, key=key), _json_text(band.to_json_dict())
+            text = _json_text(surrogate_band(values, spec, config.dfa).to_json_dict())
+        except BaseException as exc:
+            exc.band = index
+            if run.queue is not None:
+                for _ in _taken(run.queue):
+                    pass
+            raise
+        yield SURROGATE_JSON.format(kind=kind, key=key), text
+
+
+def _taken(queue: int):
+    """Band indices taken from a queue's read end, one byte each, until it
+    is empty; each index goes to exactly one of the processes reading it."""
+    while token := os.read(queue, 1):
+        yield token[0]
 
 
 def _stage_rolling(run: _Run):
@@ -590,10 +625,12 @@ def _stage_report(run: _Run):
     yield REPORT_JSON, run.report.canonical_json()
 
 
-# The stages by name, in the order that picks the earliest failed one. `_lane`
-# runs them; the surrogate worker calls `_stage_surrogates` itself (`run_pipeline`).
+# The stages by name, in the order that picks the earliest failed one, and
+# `_lane` runs them. "prices" is the rest of ingest, read after the fork
+# (`run_pipeline`), and fails as stage 'ingest'.
 _STAGES = {
     "ingest": _stage_ingest,
+    "prices": _stage_prices,
     "tails": _stage_tails,
     "static_dfa": _stage_static_dfa,
     "surrogates": _stage_surrogates,
@@ -603,22 +640,38 @@ _STAGES = {
 }
 
 
+_SURROGATES = list(_STAGES).index("surrogates")
+
+
+def _serial_order(error: PipelineError) -> tuple[int, int]:
+    """Where `error` stands in a serial run: its stage, and in the surrogate
+    stage its band, a worker error without one (a failed fork, a worker
+    that died) first."""
+    return list(_STAGES).index(error.stage), getattr(error.__cause__, "band", -1)
+
+
 def run_pipeline(config: RunConfig) -> RunReport:
     """Execute every stage, publish the run's artifacts, return its report.
 
     Each file a stage yields is written into `<out_dir>/.staging/`,
     cleared first of anything a killed run left, by `_write` alone, and the
     report is assembled from the staged files as `assemble_report` rebuilds
-    it later. After ingest the surrogate stage runs beside the tails,
-    static DFA, rolling and regression stages (`_beside`, a forked worker
-    where os.fork exists). The worker hands back its files' text, which
-    this process writes the same way, so a worker orphaned by a killed run
-    cannot write anything at all; the stages share nothing else, and the
-    regression stage reads the staged fig4 files. `_publish` then moves the
-    staged files to the top level or, on any exception in a stage, to
-    `quarantine/`, and a PipelineError names the earliest failed stage in
-    `_STAGES` order, as a serial run would; an error from outside the
-    toolkit keeps its type name in the message.
+    it later. After the flows are read, the surrogate bands go into a
+    queue, one byte per band in an os.pipe, and a worker (`_beside`, a
+    forked process where os.fork exists) takes bands from it while this
+    process reads the prices and runs the tails, static DFA, rolling and
+    regression stages, then takes the bands that are left; each band is
+    taken once. The worker hands back its files' text, which this process
+    writes the same way, so a worker orphaned by a killed run cannot write
+    anything at all; the stages share nothing else, and the regression
+    stage reads the staged fig4 files. A failure in this process before
+    the surrogate stage's place in `_STAGES` kills the worker, whose result
+    could not matter. `_publish` then moves the staged files to the top
+    level or, on any exception in a stage, to `quarantine/`, and a
+    PipelineError names the earliest failed stage in `_STAGES` order, and
+    in the surrogate stage the earliest failed band, as a serial run
+    would; an error from outside the toolkit keeps its type name in the
+    message.
     """
     out_dir = config.out_dir
     if not out_dir:
@@ -630,18 +683,27 @@ def run_pipeline(config: RunConfig) -> RunReport:
     try:
         if failed := _lane(run, ["ingest"]):
             raise failed
-        mine, (files, error) = _beside(
-            lambda: list(_stage_surrogates(run)),
-            lambda: _lane(run, ["tails", "static_dfa", "rolling", "regression"]),
-        )
+        run.queue, write_end = os.pipe()
+        try:
+            with os.fdopen(write_end, "wb") as queue:
+                queue.write(bytes(range(len(run.panel.series) * len(config.surrogate_kinds))))
+            failed, (files, error) = _beside(
+                lambda: list(_stage_surrogates(run)),
+                lambda: _lane(
+                    run, ["prices", "tails", "static_dfa", "rolling", "regression", "surrogates"]
+                ),
+                useless=lambda failed: failed and _serial_order(failed)[0] < _SURROGATES,
+            )
+        finally:
+            os.close(run.queue)
         if error is None:
             try:
                 _write(run, files)
             except OSError as exc:
                 error = exc
-        errors = [mine, None if error is None else _stage_error("surrogates", error)]
+        errors = [failed, None if error is None else _stage_error("surrogates", error)]
         if any(errors):
-            raise min(filter(None, errors), key=lambda e: list(_STAGES).index(e.stage))
+            raise min(filter(None, errors), key=_serial_order)
         if failed := _lane(run, ["report"]):
             raise failed
     except BaseException:

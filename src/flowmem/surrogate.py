@@ -9,7 +9,7 @@ by side they separate distribution-driven from correlation-driven effects.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import numpy.fft  # noqa: F401  numpy loads these lazily; load them at import, not mid-run
@@ -95,7 +95,8 @@ class SurrogateBand:
     hurst_values: tuple[float, ...]
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        # shallow: the fields hold plain JSON values, which asdict would deep-copy
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def _linear_quantile(ordered: list, q: float) -> float:

@@ -109,13 +109,14 @@ def iid_gaussian(n: int, seed) -> np.ndarray:
     return _rng(seed).standard_normal(n)
 
 
-# Each generator kind: its generator, called as (param, n, seed), and the one
-# GeneratorSpec parameter it takes as `param`, None for a kind that takes none.
+# Each generator kind: its generator, called as (param, n, seed), the one
+# GeneratorSpec parameter it takes as `param`, None for a kind that takes
+# none, and the least n it accepts.
 GENERATORS = {
-    "fgn": (fgn, "hurst"),
-    "fbm_increments_cumsum": (lambda hurst, n, seed: cumsum(fgn(hurst, n, seed)), "hurst"),
-    "iid_gaussian": (lambda _, n, seed: iid_gaussian(n, seed), None),
-    "pareto": (pareto, "alpha"),
+    "fgn": (fgn, "hurst", 2),
+    "fbm_increments_cumsum": (lambda hurst, n, seed: cumsum(fgn(hurst, n, seed)), "hurst", 2),
+    "iid_gaussian": (lambda _, n, seed: iid_gaussian(n, seed), None, 1),
+    "pareto": (pareto, "alpha", 1),
 }
 GENERATOR_KINDS = tuple(GENERATORS)
 
@@ -156,5 +157,5 @@ class GeneratorSpec:
 
 def generate(spec: GeneratorSpec) -> np.ndarray:
     """Materialize a GeneratorSpec; bit-identical for identical specs."""
-    make, takes = GENERATORS[spec.kind]
+    make, takes, _ = GENERATORS[spec.kind]
     return make(takes and getattr(spec, takes), spec.n, spec.seed)

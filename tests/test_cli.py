@@ -161,6 +161,26 @@ class TestSynthAndDfa:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "command, length",
+        [
+            (("synth", "series", "--kind", "iid_gaussian"), 0),
+            (("synth", "series", "--kind", "pareto", "--alpha", 2), -1),
+            (("synth", "series", "--kind", "fgn", "--hurst", 0.7), 1),
+            (("synth", "series", "--kind", "fbm_increments_cumsum", "--hurst", 0.7), 1),
+            (("synth", "flows", "--group", "retail=iid_gaussian"), 0),
+            (("synth", "flows", "--group", "retail=iid_gaussian", "--group", "foreign=fgn:0.6"), 1),
+        ],
+        ids=["series-iid", "series-pareto", "series-fgn", "series-fbm", "flows-iid", "flows-fgn"],
+    )
+    def test_synth_length_below_the_kind_minimum_is_a_usage_error(self, runner, tmp_path, command,
+                                                                  length):
+        out = tmp_path / "out.csv"
+        result = invoke(runner, *command, "-n", length, "--seed", 1, "--out", out)
+        assert result.exit_code == 2
+        assert "'--length': " in result.output and "Traceback" not in result.output
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
         "command",
         [
             ("synth", "series", "--kind", "fgn", "--hurst", 0.7, "-n", 100),
@@ -512,7 +532,9 @@ BOUNDARY_CASES = {
                                        "kind 'iid_gaussian' takes no hurst"),
     "series-alpha-for-hurst-kind": (f"synth series --kind fgn --hurst 0.7 --alpha 2 {SYNTH}",
                                     "kind 'fgn' takes no alpha"),
-    "series-length": ("synth series --kind iid_gaussian -n 0 --seed 1 --out {out}", "need n >= 1"),
+    "series-length": ("synth series --kind iid_gaussian -n 0 --seed 1 --out {out}", "'--length'"),
+    "series-length-fgn": ("synth series --kind fgn --hurst 0.7 -n 1 --seed 1 --out {out}",
+                          "'--length': fgn needs n >= 2, got 1"),
     "series-seed": ("synth series --kind iid_gaussian -n 5 --seed -1 --out {out}", "'--seed'"),
     "series-start-date": (f"synth series --kind iid_gaussian --start-date 2020-13-01 {SYNTH}",
                           "'--start-date'"),
@@ -525,7 +547,9 @@ BOUNDARY_CASES = {
     "flows-malformed-group": (f"synth flows --group retail=fgn:1.2.3 {SYNTH}", "'retail=fgn:1.2.3'"),
     "flows-unknown-kind": (f"synth flows --group retail=nope {SYNTH}", "'nope'"),
     "flows-length": ("synth flows --group retail=iid_gaussian -n 0 --seed 1 --out {out}",
-                     "need n >= 1"),
+                     "'--length'"),
+    "flows-length-fgn": ("synth flows --group retail=fgn:0.7 -n 1 --seed 1 --out {out}",
+                         "'--length': fgn needs n >= 2, got 1"),
     "flows-seed": ("synth flows --group retail=iid_gaussian -n 5 --seed -1 --out {out}", "'--seed'"),
     "flows-start-date": (f"synth flows --group retail=iid_gaussian --start-date x {SYNTH}",
                          "'--start-date'"),

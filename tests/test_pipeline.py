@@ -393,11 +393,21 @@ class TestSurrogateWorker:
         assert [p.name for p in out.iterdir()] == ["quarantine"]
         assert no_children_left()
 
-    def test_killed_worker_fails_the_stage(self, data_dir, tmp_path, monkeypatch):
-        def killed(run):
-            os.kill(os.getpid(), signal.SIGKILL)
+    def in_worker(self, monkeypatch, fault):
+        """Patch `_stage_surrogates`, which both processes call, to run
+        `fault()` in the worker; this process computes its bands as usual."""
+        stage, parent = pipeline._stage_surrogates, os.getpid()
 
-        monkeypatch.setattr(pipeline, "_stage_surrogates", killed)
+        def patched(run):
+            if os.getpid() != parent:
+                fault()
+            return stage(run)
+
+        monkeypatch.setattr(pipeline, "_stage_surrogates", patched)
+        monkeypatch.setitem(pipeline._STAGES, "surrogates", patched)
+
+    def test_killed_worker_fails_the_stage(self, data_dir, tmp_path, monkeypatch):
+        self.in_worker(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL))
         out = tmp_path / "out"
         with pytest.raises(PipelineError, match=f"signal {int(signal.SIGKILL)}") as info:
             run_pipeline(load_config(data_dir / "run_config.json", out_dir=str(out)))
@@ -407,10 +417,10 @@ class TestSurrogateWorker:
 
     @pytest.mark.parametrize("exc", [SystemExit(3), KeyboardInterrupt()], ids=["exit", "interrupt"])
     def test_exit_or_interrupt_in_worker_fails_the_stage(self, data_dir, tmp_path, monkeypatch, exc):
-        def interrupted(run):
+        def interrupted():
             raise exc
 
-        monkeypatch.setattr(pipeline, "_stage_surrogates", interrupted)
+        self.in_worker(monkeypatch, interrupted)
         out = tmp_path / "out"
         test_process = os.getpid()
         try:
@@ -435,6 +445,117 @@ class TestSurrogateWorker:
         with pytest.raises(KeyboardInterrupt):
             run_pipeline(load_config(data_dir / "run_config.json", out_dir=str(out)))
         assert [p.name for p in out.iterdir()] == ["quarantine"]
+        assert no_children_left()
+
+    def patch_bands(self, monkeypatch, config, in_parent, in_worker):
+        """Patch `surrogate_band` to call `in_parent(index)` or
+        `in_worker(index)` with the band's index in band order (series,
+        then kind) before it computes the band."""
+        band, parent = pipeline.surrogate_band, os.getpid()
+        labels = [
+            f"surrogate/{kind}/{key}" for key in pipeline.SERIES_KEYS for kind in config.surrogate_kinds
+        ]
+        index = {stage_seed(config.seed, label): i for i, label in enumerate(labels)}
+
+        def patched(values, spec, dfa):
+            (in_parent if os.getpid() == parent else in_worker)(index[spec.seed])
+            return band(values, spec, dfa)
+
+        monkeypatch.setattr(pipeline, "surrogate_band", patched)
+
+    def test_each_band_is_computed_once(self, bundled_run, tmp_path, monkeypatch):
+        config, _, previous = bundled_run
+        out, log = tmp_path / "out", tmp_path / "bands"
+
+        def note(index):
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()} {index}\n")
+
+        def slow_note(index):  # a slow worker leaves bands for this process
+            time.sleep(0.2)
+            note(index)
+
+        self.patch_bands(monkeypatch, config, note, slow_note)
+        run_pipeline(replace(config, out_dir=str(out)))
+        taken = [line.split() for line in log.read_text().splitlines()]
+        assert sorted(int(index) for _, index in taken) == list(range(18))
+        assert len({pid for pid, _ in taken}) == 2 and str(os.getpid()) in {pid for pid, _ in taken}
+        assert out_files(out) == out_files(previous)
+        assert no_children_left()
+
+    @pytest.mark.parametrize("fork", [True, False], ids=["forked", "inline"])
+    def test_first_failed_band_in_band_order_is_named(self, data_dir, tmp_path, monkeypatch, fork):
+        # band 1 fails only after band 2 has failed; forked, the two fail in
+        # different processes, band 2 first
+        config = load_config(data_dir / "run_config.json", out_dir=str(tmp_path / "out"))
+        tried, log = tmp_path / "band_2_tried", tmp_path / "failed"
+
+        def fail(index):
+            if index == 1 and fork:
+                t0 = time.monotonic()
+                while not tried.exists() and time.monotonic() - t0 < 30:
+                    time.sleep(0.01)
+            if index in (1, 2):
+                with open(log, "a", encoding="utf-8") as fh:
+                    fh.write(f"{os.getpid()} {index}\n")
+                tried.touch()
+                raise ValueError(f"band {index}")
+
+        self.patch_bands(monkeypatch, config, fail, fail)
+        if not fork:
+            monkeypatch.delattr(os, "fork")
+        with pytest.raises(PipelineError) as info:
+            run_pipeline(config)
+        assert str(info.value) == "stage 'surrogates': ValueError: band 1"
+        failed = [line.split() for line in log.read_text().splitlines()]
+        if fork:
+            assert sorted(index for _, index in failed) == ["1", "2"]
+            assert len({pid for pid, _ in failed}) == 2
+        else:
+            assert failed == [[str(os.getpid()), "1"]]
+        assert [p.name for p in Path(config.out_dir).iterdir()] == ["quarantine"]
+        assert no_children_left()
+
+    def test_interrupt_in_a_parent_band_stops_the_worker_and_quarantines(
+        self, data_dir, tmp_path, monkeypatch
+    ):
+        config = load_config(data_dir / "run_config.json", out_dir=str(tmp_path / "out"))
+
+        def interrupt(index):
+            raise KeyboardInterrupt
+
+        self.patch_bands(monkeypatch, config, interrupt, lambda index: time.sleep(60 * (index == 0)))
+        t0 = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            run_pipeline(config)
+        assert time.monotonic() - t0 < 30  # the sleeping worker was killed, not waited for
+        assert [p.name for p in Path(config.out_dir).iterdir()] == ["quarantine"]
+        assert no_children_left()
+
+    @pytest.mark.parametrize("stage", ["ingest", "tails", "static_dfa"])
+    def test_failure_before_the_surrogate_stage_stops_the_worker(
+        self, data_dir, tmp_path, monkeypatch, stage
+    ):
+        config = load_config(data_dir / "run_config.json", out_dir=str(tmp_path / "out"))
+        if stage == "ingest":  # the prices read, after the fork
+            prices = tmp_path / "prices.csv"
+            prices.write_text("date,close\n2020-01-02,abc\n")
+            config = replace(config, prices_csv=str(prices))
+        else:
+            def broken(*args, **kwargs):
+                raise ValueError("broken on purpose")
+
+            name = {"tails": "tail_report", "static_dfa": "static_dfa_table"}[stage]
+            monkeypatch.setattr(pipeline, name, broken)
+        # the worker takes band 0 first, this process being busy with its lane
+        self.patch_bands(
+            monkeypatch, config, lambda index: None, lambda index: time.sleep(30 * (index == 0))
+        )
+        t0 = time.monotonic()
+        with pytest.raises(PipelineError) as info:
+            run_pipeline(config)
+        assert time.monotonic() - t0 < 10  # the sleeping worker was killed, not waited for
+        assert info.value.stage == stage
         assert no_children_left()
 
 
