@@ -27,7 +27,6 @@ from .pipeline import (
     assemble_report,
     ccdf_csv,
     curve_csv,
-    fits_json_text,
     load_config,
     read_panel,
     read_rolling_dir,
@@ -280,7 +279,7 @@ def dfa(loaded, dfa_config, include_order1, out_curve, out_fit):
     if out_curve:
         _write_text(out_curve, curve_csv(curve))
     if out_fit:
-        _write_text(out_fit, fits_json_text(fits))
+        _write_text(out_fit, _json_text(fits))
     fit = fits["fit"]
     click.echo(
         f"{label}: hurst={fit.hurst:.4f} stderr={fit.slope_stderr:.4f} "
@@ -320,7 +319,7 @@ def surrogate(loaded, kind, count, seed, dfa_config, out, out_values):
     """Surrogate null band: DFA exponent distribution over randomized copies."""
     _, values, label = loaded
     band = surrogate_band(values, SurrogateSpec(kind=kind, seed=seed, count=count), dfa_config)
-    _write_text(out, _json_text(band.to_json_dict()))
+    _write_text(out, _json_text(band))
     if out_values:
         lines = (f"{i},{h!r}" for i, h in enumerate(band.hurst_values))
         _write_text(out_values, _csv_text("surrogate_index,hurst", lines))

@@ -15,7 +15,7 @@ large scales.
 from __future__ import annotations
 
 import functools
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import legendre
@@ -80,9 +80,6 @@ class DfaFit:
     scale_range: tuple[int, int]
     n_points_used: int
     detrend_order: int
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 def profile(series) -> np.ndarray:

@@ -26,7 +26,7 @@ import math
 import os
 import pickle
 import shutil
-from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 import numpy.random  # noqa: F401  numpy loads these lazily; load them at import, not mid-run
@@ -90,14 +90,12 @@ class RunConfig:
             block, _, name = key.rpartition(".")
             if key != "out_dir" and "[" not in block:
                 value = functools.reduce(getattr, field.split("."), self)
-                if isinstance(value, tuple):
-                    value = [asdict(v) if is_dataclass(v) else v for v in value]
                 (out.setdefault(block, {}) if block else out)[name] = value
         return out
 
     def canonical_json(self) -> str:
         """Stable serialization; out_dir and base_dir are runtime-only."""
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
+        return _json_text(self.to_json_dict())
 
     def sha256(self) -> str:
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()
@@ -198,7 +196,7 @@ def config_from_json_dict(data: dict, base_dir: str = ".") -> RunConfig:
         given[owner] = _build(type(getattr(RunConfig, owner)), kwargs, f"{owner}.")
     config = _build(RunConfig, {**given, "base_dir": base_dir}, "")
     if config.dfa_include_order1:  # the DfaConfig that `static_dfa_table` builds
-        _build(DfaConfig, {**asdict(config.dfa), "detrend_order": 1}, "dfa.include_order1")
+        _build(DfaConfig, {**_fields(config.dfa), "detrend_order": 1}, "dfa.include_order1")
     return config
 
 
@@ -254,6 +252,8 @@ CURVE_CSV, DFA_FIT_JSON = ARTIFACTS["static_dfa"]
 (REGIMES_JSON,) = ARTIFACTS["regimes"]
 (TABLE_CSV,) = ARTIFACTS["regression"]
 CONFIG_JSON, PROVENANCE_JSON, REPORT_JSON = ARTIFACTS["report"]
+# the label of a surrogate band's stage seed, and its key in "stage_seeds"
+SURROGATE_SEED = "surrogate/{kind}/{key}"
 
 STAGING_DIR = ".staging"
 QUARANTINE_DIR = "quarantine"
@@ -283,8 +283,13 @@ def _write_text(path, text) -> None:
         fh.write(text)
 
 
+def _fields(obj) -> dict:
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
+
+
 def _json_text(payload) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """The text of every JSON file; a dataclass encodes as the object of its fields."""
+    return json.dumps(payload, sort_keys=True, indent=2, default=_fields) + "\n"
 
 
 # The CSV formats. No field the toolkit writes needs quoting (repr'd
@@ -366,16 +371,10 @@ class RunReport:
     series: dict
     regimes: dict
     regression: dict | None
-    artifacts: list[str]
-
-    def to_json_dict(self) -> dict:
-        # shallow: the fields hold plain JSON values, which asdict would deep-copy
-        return {f.name: getattr(self, f.name) for f in fields(self)} | {
-            "artifacts": sorted(self.artifacts)
-        }
+    artifacts: list[str]  # sorted
 
     def canonical_json(self) -> str:
-        return _json_text(self.to_json_dict())
+        return _json_text(self)
 
 
 class _Run:
@@ -402,7 +401,7 @@ def read_panel(path) -> tuple[FlowPanel, int]:
 
     The file is read by raw tokens (`_read_raw`): below SPLIT_MIN_BYTES in
     this process, and from that size on in two halves, the second beside
-    this process (`_beside`, a forked worker where os.fork exists).
+    this process (`_beside`, a forked worker where a fork succeeds).
     Anything the raw read cannot judge alone (a quote, a lone CR, a bad
     row, amount or token, a repeated wide row) sends the file to
     `read_flows_csv`, which raises the error naming its line. Each cell is
@@ -479,9 +478,9 @@ def tail_report(values, side: str, tail_fraction: float):
     fits = {}
     for method in ("ccdf_ols", "hill"):
         try:
-            fits[method] = fit_tail_exponent(
-                plotted, tail_fraction=tail_fraction, method=method
-            ).to_json_dict()
+            fits[method] = _fields(
+                fit_tail_exponent(plotted, tail_fraction=tail_fraction, method=method)
+            )
         except TailError as exc:
             fits[method] = {"error": str(exc)}
     disagree = None
@@ -500,10 +499,6 @@ def _stage_tails(run: _Run):
         key = series_key(group, flow_type)
         yield CCDF_CSV.format(key=key), ccdf_csv(ccdf, reference)
         yield TAILS_JSON.format(key=key), _json_text(summary)
-
-
-def fits_json_text(fits: dict) -> str:
-    return _json_text({name: fit.to_json_dict() for name, fit in fits.items()})
 
 
 def static_dfa_table(series: dict, config: DfaConfig, include_order1: bool = False) -> dict:
@@ -533,14 +528,14 @@ def _stage_static_dfa(run: _Run):
     for (group, flow_type), entry in table.items():
         key = series_key(group, flow_type)
         yield CURVE_CSV.format(key=key), curve_csv(entry.pop("curve"))
-        yield DFA_FIT_JSON.format(key=key), fits_json_text(entry)
+        yield DFA_FIT_JSON.format(key=key), _json_text(entry)
 
 
 def _stage_surrogates(run: _Run):
-    """One band file per (series, kind), in that order: every band, or with
-    a queue the bands this process takes from it, one at a time. A failing
-    band's exception carries the band's index as `band`, and the rest of
-    the queue is drained first, so that the other process starts no more
+    """One band file per (series, kind), in that order, for the bands this
+    process takes from the run's queue, one at a time. A failing band's
+    exception carries the band's index as `band`, and the rest of the
+    queue is drained first, so that the other process starts no more
     bands."""
     config = run.config
     bands = [
@@ -548,17 +543,16 @@ def _stage_surrogates(run: _Run):
         for (group, flow_type), values in run.panel.series.items()
         for kind in config.surrogate_kinds
     ]
-    for index in range(len(bands)) if run.queue is None else _taken(run.queue):
+    for index in _taken(run.queue):
         key, kind, values = bands[index]
         try:
-            seed = stage_seed(config.seed, f"surrogate/{kind}/{key}")
+            seed = stage_seed(config.seed, SURROGATE_SEED.format(kind=kind, key=key))
             spec = SurrogateSpec(kind=kind, seed=seed, count=config.surrogate_count)
-            text = _json_text(surrogate_band(values, spec, config.dfa).to_json_dict())
+            text = _json_text(surrogate_band(values, spec, config.dfa))
         except BaseException as exc:
             exc.band = index
-            if run.queue is not None:
-                for _ in _taken(run.queue):
-                    pass
+            for _ in _taken(run.queue):
+                pass
             raise
         yield SURROGATE_JSON.format(kind=kind, key=key), text
 
@@ -583,8 +577,7 @@ def _stage_rolling(run: _Run):
         key = series_key(group, flow_type)
         yield ROLLING_CSV.format(key=key), rolling_csv(roll)
         if config.regimes:
-            summaries = [s.to_json_dict() for s in regime_summary(roll, config.regimes)]
-            yield REGIMES_JSON.format(key=key), _json_text(summaries)
+            yield REGIMES_JSON.format(key=key), _json_text(regime_summary(roll, config.regimes))
 
 
 def read_rolling_dir(directory, step: int) -> dict:
@@ -610,7 +603,8 @@ def _stage_regression(run: _Run):
 
 def _stage_report(run: _Run):
     config = run.config
-    labels = [f"surrogate/{kind}/{key}" for key in SERIES_KEYS for kind in config.surrogate_kinds]
+    kinds = config.surrogate_kinds
+    labels = [SURROGATE_SEED.format(kind=kind, key=key) for key in SERIES_KEYS for kind in kinds]
     provenance = {
         "config_sha256": config.sha256(),
         "seed": config.seed,
@@ -645,8 +639,7 @@ _SURROGATES = list(_STAGES).index("surrogates")
 
 def _serial_order(error: PipelineError) -> tuple[int, int]:
     """Where `error` stands in a serial run: its stage, and in the surrogate
-    stage its band, a worker error without one (a failed fork, a worker
-    that died) first."""
+    stage its band, a worker that died (no band) first."""
     return list(_STAGES).index(error.stage), getattr(error.__cause__, "band", -1)
 
 
@@ -658,7 +651,7 @@ def run_pipeline(config: RunConfig) -> RunReport:
     report is assembled from the staged files as `assemble_report` rebuilds
     it later. After the flows are read, the surrogate bands go into a
     queue, one byte per band in an os.pipe, and a worker (`_beside`, a
-    forked process where os.fork exists) takes bands from it while this
+    forked process where a fork succeeds) takes bands from it while this
     process reads the prices and runs the tails, static DFA, rolling and
     regression stages, then takes the bands that are left; each band is
     taken once. The worker hands back its files' text, which this process
@@ -743,11 +736,11 @@ def _stage_error(name: str, exc: BaseException) -> PipelineError:
 
 def _beside(theirs, mine, useless=lambda value: False) -> tuple:
     """`theirs()` run beside `mine()`: in a forked worker process while
-    `mine()` runs here, or first and inline where os.fork does not exist.
-    Returns (mine's value, (theirs' value, None)), or (mine's value, (None,
-    error)) with the exception theirs raised; an exception mine raises is
-    raised. The worker is reaped before this returns or raises, and killed
-    first when mine raises or `useless(mine's value)` is true.
+    `mine()` runs here, or first and inline where os.fork is missing or
+    fails. Returns (mine's value, (theirs' value, None)), or (mine's value,
+    (None, error)) with the exception theirs raised; an exception mine
+    raises is raised. The worker is reaped before this returns or raises,
+    and killed first when mine raises or `useless(mine's value)` is true.
 
     The worker sends its value or exception back pickled over a pipe and
     ends with os._exit whatever happens, so it never returns into the
@@ -755,21 +748,19 @@ def _beside(theirs, mine, useless=lambda value: False) -> tuple:
     exception that does not come back whole from pickle comes back as a
     FlowmemError naming its type and message. A worker that ends without
     a result, killed or out of memory, is a ChildProcessError naming its
-    exit status or signal, and a failed fork is the OSError it raised.
+    exit status or signal.
     """
-    if not hasattr(os, "fork"):
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except (AttributeError, OSError):  # no os.fork, or no process to spare
+        os.close(read_end)
+        os.close(write_end)
         try:
             outcome = (theirs(), None)
         except Exception as exc:
             outcome = (None, exc)
         return mine(), outcome
-    read_end, write_end = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError as exc:  # no process to spare
-        os.close(read_end)
-        os.close(write_end)
-        return mine(), (None, exc)
     if pid == 0:
         status = 1
         try:
@@ -894,7 +885,7 @@ def assemble_report(out_dir: str) -> RunReport:
         series={},
         regimes={},
         regression=None,
-        artifacts=artifacts,
+        artifacts=sorted(artifacts),
     )
 
     for key in SERIES_KEYS:
@@ -929,7 +920,7 @@ def assemble_report(out_dir: str) -> RunReport:
             "rows": rows,
             "fill_policy": config.fill_policy,
             "lag_k": config.lag_k,
-            "n_pairs": {row["group"] + "_" + row["flow"]: row["n"] for row in rows},
+            "n_pairs": {series_key(row["group"], row["flow"]): row["n"] for row in rows},
             "csv": TABLE_CSV,
         }
 

@@ -9,7 +9,7 @@ date alignment cannot silently shift.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -102,9 +102,6 @@ class RegimeSummary:
     std_hurst: float | None
     min_hurst: float | None
     max_hurst: float | None
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 def rolling_hurst(

@@ -37,6 +37,8 @@ class OlsResult:
     beta: float
     t_alpha: float
     t_beta: float
+    t_alpha_robust: float  # HC1
+    t_beta_robust: float
     r_squared: float
     n: int
     residual_variance: float
@@ -99,12 +101,12 @@ def align_h_rv(
     )
 
 
-def ols(y, x, robust: bool = False) -> OlsResult:
+def ols(y, x) -> OlsResult:
     """Closed-form simple regression of y on x with t-values.
 
-    Classical (homoskedastic) standard errors by default; robust=True
-    switches to the HC1 sandwich, which matters when y is a squared
-    return. t-values use n-2 degrees of freedom either way.
+    Each estimate has two: over its classical (homoskedastic) standard
+    error, and over its HC1 sandwich one, which matters when y is a
+    squared return. t-values use n-2 degrees of freedom either way.
     """
     yv = np.asarray(y, dtype=float)
     xv = np.asarray(x, dtype=float)
@@ -127,15 +129,13 @@ def ols(y, x, robust: bool = False) -> OlsResult:
     else:
         r_squared = 1.0 if ssr < 1e-300 else 0.0
 
-    if robust:
-        u2 = resid * resid
-        w_beta = dx / sxx
-        w_alpha = 1.0 / n - xm * w_beta
-        var_beta = float(n / dof) * float((w_beta * w_beta) @ u2)
-        var_alpha = float(n / dof) * float((w_alpha * w_alpha) @ u2)
-    else:
-        var_beta = residual_variance / sxx
-        var_alpha = residual_variance * (1.0 / n + xm * xm / sxx)
+    var_beta = residual_variance / sxx
+    var_alpha = residual_variance * (1.0 / n + xm * xm / sxx)
+    u2 = resid * resid
+    w_beta = dx / sxx
+    w_alpha = 1.0 / n - xm * w_beta
+    var_beta_robust = float(n / dof) * float((w_beta * w_beta) @ u2)
+    var_alpha_robust = float(n / dof) * float((w_alpha * w_alpha) @ u2)
 
     def t_value(est, var):
         if var <= 0.0:
@@ -147,6 +147,8 @@ def ols(y, x, robust: bool = False) -> OlsResult:
         beta=float(beta),
         t_alpha=float(t_value(alpha, var_alpha)),
         t_beta=float(t_value(beta, var_beta)),
+        t_alpha_robust=float(t_value(alpha, var_alpha_robust)),
+        t_beta_robust=float(t_value(beta, var_beta_robust)),
         r_squared=float(r_squared),
         n=int(n),
         residual_variance=float(residual_variance),
@@ -224,8 +226,7 @@ def regression_table(rolling: dict, prices, fill_policy: str, lag: int, robust: 
         n = len(pairs.dates) - lag
         if n <= 0:
             raise StatsError(f"lag {lag} leaves no pairs")
-        vol, hurst = pairs.volatility[lag:], pairs.hurst[:n]
-        res = ols(vol, hurst)
+        res = ols(pairs.volatility[lag:], pairs.hurst[:n])
         row = {
             "group": group,
             "flow": flow,
@@ -239,7 +240,6 @@ def regression_table(rolling: dict, prices, fill_policy: str, lag: int, robust: 
             "n": res.n,
         }
         if robust:
-            rob = ols(vol, hurst, robust=True)
-            row.update(t_alpha_robust=rob.t_alpha, t_beta_robust=rob.t_beta)
+            row.update(t_alpha_robust=res.t_alpha_robust, t_beta_robust=res.t_beta_robust)
         rows.append(row)
     return rows

@@ -9,7 +9,7 @@ by side they separate distribution-driven from correlation-driven effects.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 import numpy.fft  # noqa: F401  numpy loads these lazily; load them at import, not mid-run
@@ -93,10 +93,6 @@ class SurrogateBand:
     std: float | None  # undefined (None) when count == 1
     quantiles: dict
     hurst_values: tuple[float, ...]
-
-    def to_json_dict(self) -> dict:
-        # shallow: the fields hold plain JSON values, which asdict would deep-copy
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def _linear_quantile(ordered: list, q: float) -> float:

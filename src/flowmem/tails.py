@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,9 +45,6 @@ class TailFit:
     n_tail: int
     method: str
     stderr: float
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 def _clean(values) -> np.ndarray:

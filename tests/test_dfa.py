@@ -269,7 +269,7 @@ class TestSerialization:
 
         fit = dfa_hurst(fgn(0.6, 1024, seed=1))
         path = tmp_path / "fit.json"
-        path.write_text(_json_text(fit.to_json_dict()))
+        path.write_text(_json_text(fit))
         loaded = json.loads(path.read_text())
         assert loaded["hurst"] == fit.hurst
         assert loaded["n_points_used"] == fit.n_points_used

@@ -618,6 +618,20 @@ class TestTwoProcessRead:
         monkeypatch.setattr(pipeline, "read_flows_csv", None)  # a call would raise TypeError
         assert pipeline.read_panel(path) == expected
 
+    def test_failed_fork_reads_the_halves_in_process(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(pipeline, "SPLIT_MIN_BYTES", 1)
+        path = long_file(tmp_path / "flows.csv")
+        expected = serial_read(path)
+
+        def no_fork():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        monkeypatch.setattr(pipeline, "read_flows_csv", None)  # a call would raise TypeError
+        assert pipeline.read_panel(path) == expected
+        with pytest.raises(ChildProcessError):  # no child, running or unreaped
+            os.waitpid(-1, os.WNOHANG)
+
     def test_one_cpu_still_reads_in_two_halves(self, tmp_path, forks, monkeypatch):
         path = long_file(tmp_path / "flows.csv")
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)

@@ -185,7 +185,7 @@ class TestGolden:
         if changes:
             out = tmp_path / "out"
             report = run_pipeline(replace(config, out_dir=str(out), **changes))
-        listed = set(report.to_json_dict()["artifacts"])
+        listed = set(report.artifacts)
         on_disk = {p.name for p in out.iterdir()}
         assert listed == on_disk
         assert json.loads((out / "report.json").read_text())["artifacts"] == sorted(listed)
@@ -200,7 +200,7 @@ class TestPublish:
         out = tmp_path / "out"
         shutil.copytree(previous, out)
         report = run_pipeline(replace(config, out_dir=str(out), regimes=()))
-        assert sorted(p.name for p in out.iterdir()) == report.to_json_dict()["artifacts"]
+        assert sorted(p.name for p in out.iterdir()) == report.artifacts
         assert not list(out.glob("regimes_*"))
 
     def test_failed_rerun_leaves_only_quarantine(self, bundled_run, tmp_path):
@@ -225,7 +225,7 @@ class TestPublish:
         (out / "notes.txt").write_text("not a flowmem file\n")
         report = run_pipeline(replace(config, out_dir=str(out)))
         names = sorted(p.name for p in out.iterdir())
-        assert names == sorted([*report.to_json_dict()["artifacts"], "notes.txt"])
+        assert names == sorted([*report.artifacts, "notes.txt"])
         assert (out / "notes.txt").read_text() == "not a flowmem file\n"
 
     def test_failure_merges_into_existing_quarantine(self, bundled_run, tmp_path):
@@ -357,17 +357,16 @@ class TestSurrogateWorker:
         assert {name for _, name in writers} == {p.name for p in out.iterdir()}
         assert out_files(out) == out_files(previous)
 
-    def test_failed_fork_fails_the_stage(self, data_dir, tmp_path, monkeypatch):
+    def test_failed_fork_runs_the_worker_inline(self, bundled_run, tmp_path, monkeypatch):
         def no_fork():
             raise BlockingIOError(11, "Resource temporarily unavailable")
 
+        config, report, out = bundled_run
         monkeypatch.setattr(os, "fork", no_fork)
-        out = tmp_path / "out"
-        with pytest.raises(PipelineError, match="Resource temporarily unavailable") as info:
-            run_pipeline(load_config(data_dir / "run_config.json", out_dir=str(out)))
-        assert info.value.stage == "surrogates"
-        assert [p.name for p in out.iterdir()] == ["quarantine"]
-        assert not [p for p in (out / "quarantine").iterdir() if p.is_dir()]
+        inline = run_pipeline(replace(config, out_dir=str(tmp_path / "inline")))
+        assert inline.canonical_json() == report.canonical_json()
+        assert out_files(tmp_path / "inline") == out_files(out)
+        assert no_children_left()
 
     @pytest.mark.parametrize("fork", [True, False], ids=["forked", "inline"])
     @pytest.mark.parametrize(
@@ -681,6 +680,18 @@ def test_benchmark_selftest_passes():
         cwd=root, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stdout + done.stderr
+
+
+def test_readme_library_use_block_runs(data_dir, tmp_path, monkeypatch):
+    """README's Library use example runs as written, beside a flows.csv."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library use\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    shutil.copy(data_dir / "flows_synth.csv", tmp_path / "flows.csv")
+    monkeypatch.chdir(tmp_path)
+    namespace = {}
+    exec(compile(code, "README.md", "exec"), namespace)
+    assert namespace["retail_net"].ndim == 1 and namespace["retail_net"].size > 0
 
 
 def test_run_loads_no_numpy_ma(data_dir, tmp_path):

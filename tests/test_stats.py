@@ -146,11 +146,11 @@ class TestAlignment:
         # volatility at t against the exponent two pairs earlier
         vol = np.diff(np.log(np.array(closes))) ** 2
         expected = ols(vol[2:], np.array(hs)[:-2])
-        robust = ols(vol[2:], np.array(hs)[:-2], robust=True)
         assert row["n"] == 5
         assert (row["alpha"], row["beta"], row["t_beta"]) == (
             expected.alpha, expected.beta, expected.t_beta)
-        assert (row["t_alpha_robust"], row["t_beta_robust"]) == (robust.t_alpha, robust.t_beta)
+        assert (row["t_alpha_robust"], row["t_beta_robust"]) == (
+            expected.t_alpha_robust, expected.t_beta_robust)
         # 7 pairs: a lag of 7 or more leaves none
         for lag, message in ((7, "lag 7 leaves no pairs"), (9, "lag 9 leaves no pairs"),
                              (-1, "lag must be >= 0, got -1")):
@@ -308,10 +308,8 @@ class TestOls:
         rng = np.random.Generator(np.random.PCG64(8))
         x = rng.normal(size=3000)
         y = 1.0 + 0.5 * x + rng.normal(size=3000)
-        classic = ols(y, x)
-        robust = ols(y, x, robust=True)
-        assert classic.beta == robust.beta  # point estimates identical
-        assert abs(robust.t_beta / classic.t_beta - 1.0) < 0.1
+        res = ols(y, x)
+        assert abs(res.t_beta_robust / res.t_beta - 1.0) < 0.1
 
     @given(st.integers(0, 2**31))
     @settings(max_examples=20, deadline=None)
@@ -319,9 +317,18 @@ class TestOls:
         rng = np.random.Generator(np.random.PCG64(seed))
         x = rng.normal(size=30)
         y = rng.normal(size=30)
-        a = ols(y, x)
-        b = ols(y, x, robust=True)
-        assert a.alpha == b.alpha and a.beta == b.beta
+        res = ols(y, x)
+        # each t-value is the one estimate over its own standard error: the
+        # HC1 ones against the sandwich (X'X)^-1 X' diag(u^2) X (X'X)^-1 n/(n-2)
+        design = np.column_stack([np.ones(30), x])
+        coef = np.linalg.lstsq(design, y, rcond=None)[0]
+        np.testing.assert_allclose([res.alpha, res.beta], coef, rtol=1e-9, atol=1e-12)
+        bread = np.linalg.inv(design.T @ design)
+        u2 = (y - design @ coef) ** 2
+        cov = 30 / 28 * bread @ (design.T * u2) @ design @ bread
+        robust = coef / np.sqrt(np.diag(cov))
+        got = [res.t_alpha_robust, res.t_beta_robust]
+        np.testing.assert_allclose(got, robust, rtol=1e-7, atol=1e-9)
 
 
 class TestStarsAndTable:
@@ -364,7 +371,7 @@ class TestStarsAndTable:
         assert rows[0]["beta_stars"] == "***"
         assert rows[0]["alpha_stars"] == ""
         vol = np.diff(np.log(np.array(closes))) ** 2
-        assert rows[0]["t_beta_robust"] == ols(vol, hs, robust=True).t_beta
+        assert rows[0]["t_beta_robust"] == ols(vol, hs).t_beta_robust
         assert rows[0]["t_beta_robust"] != rows[0]["t_beta"]
         path = tmp_path / "table.csv"
         path.write_text(table_csv(rows))

@@ -133,7 +133,7 @@ class TestSurrogateBand:
                 "--out", jpath, "--out-values", cpath]
         result = CliRunner().invoke(main, [str(a) for a in args])
         assert result.exit_code == 0, result.output
-        assert jpath.read_text() == _json_text(band.to_json_dict())
+        assert jpath.read_text() == _json_text(band)
         assert cpath.read_text().splitlines() == ["surrogate_index,hurst"] + [
             f"{i},{h!r}" for i, h in enumerate(band.hurst_values)
         ]
