@@ -24,9 +24,11 @@ from .errors import DfaError
 
 # F(n) below this relative level is detrending round-off, not signal
 _F_FLOOR_REL = 1e-12
-# profile values per row chunk of the batched kernel, sized by measurement
-# on a 2 MiB L2 cache: a 128 KiB chunk and its residuals stay in cache,
-# where a whole batch of 50 surrogates of 2,000 days does not
+# profile values per row chunk of the batched kernel (`dfa_made_rows`), sized
+# by measurement on a 2 MiB L2 cache: a 128 KiB chunk and its residuals stay
+# in cache, where a whole batch of 50 surrogates of 2,000 days does not. A
+# chunk's rows are made and profiled only when the kernel takes them, so it
+# also bounds the memory a batch of surrogate copies or rolling windows holds
 _CHUNK_DOUBLES = 16_384
 
 
@@ -134,17 +136,15 @@ def _basis(n: int, order: int) -> np.ndarray:
 
 
 def _fluctuation_rows(profiles: np.ndarray, scales, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """F(n) of every row of a finite (k, L) profile array: the (k, scales)
-    table of F and the mask of entries above their row's F floor.
+    """F(n) of every row of a finite (k, L) profile array, one kernel chunk
+    in `dfa_made_rows`: the (k, scales) table of F and the mask of entries
+    above their row's F floor.
 
-    Rows are taken in chunks of about `_CHUNK_DOUBLES` profile values, so a
-    chunk and its residuals stay in cache while every scale is applied to
-    it. At each scale a row's blocks are the columns of an (n, blocks)
-    matrix, and the matmul pair runs on each row's matrix in turn, with the
-    shapes and strides a lone profile has: a row's F does not depend on the
-    other rows or on the chunk it falls in, whatever way the BLAS kernel
-    sums. The residuals come out as one C-contiguous (n, blocks) slab per
-    row and are summed as such.
+    At each scale a row's blocks are the columns of an (n, blocks) matrix,
+    and the matmul pair runs on each row's matrix in turn, with the shapes
+    and strides a lone profile has: a row's F does not depend on the other
+    rows, whatever way the BLAS kernel sums. The residuals come out as one
+    C-contiguous (n, blocks) slab per row and are summed as such.
     """
     k, length = profiles.shape
     scales = np.asarray(scales, dtype=int)
@@ -157,17 +157,13 @@ def _fluctuation_rows(profiles: np.ndarray, scales, order: int) -> tuple[np.ndar
             raise DfaError(f"scale {n} too small for order-{order} detrending")
         bases.append((n, blocks, _basis(n, order)))
     sums = np.empty((k, scales.size))
-    rows = max(1, _CHUNK_DOUBLES // length)
-    for lo in range(0, k, rows):
-        chunk = profiles[lo : lo + rows]
-        c = chunk.shape[0]
-        for j, (n, blocks, q) in enumerate(bases):
-            # (c, n, blocks): one column per block, fixed layout for determinism
-            seg = chunk[:, : blocks * n].reshape(c, blocks, n).transpose(0, 2, 1)
-            slab = q @ (q.T @ seg)
-            np.subtract(seg, slab, out=slab)
-            slab *= slab
-            np.add.reduce(slab, axis=(1, 2), out=sums[lo : lo + c, j])
+    for j, (n, blocks, q) in enumerate(bases):
+        # (k, n, blocks): one column per block, fixed layout for determinism
+        seg = profiles[:, : blocks * n].reshape(k, blocks, n).transpose(0, 2, 1)
+        slab = q @ (q.T @ seg)
+        np.subtract(seg, slab, out=slab)
+        slab *= slab
+        np.add.reduce(slab, axis=(1, 2), out=sums[:, j])
     # the mean square of each row's residuals, divided as np.mean divides
     values = np.sqrt(sums / [n * blocks for n, blocks, _ in bases])
     floors = _F_FLOOR_REL * np.max(np.abs(profiles), axis=1, initial=0.0)
@@ -257,8 +253,9 @@ def dfa_hurst(series, config: DfaConfig = DfaConfig()) -> DfaFit:
 
 
 def dfa_rows(rows, config: DfaConfig = DfaConfig()) -> list[tuple[FluctuationCurve, DfaFit] | DfaError]:
-    """DFA of every row of a (k, L) array, with F(n) batched over rows: the
-    one route into the kernel of the static, rolling and surrogate stages.
+    """DFA of every row of a (k, L) array, with F(n) batched over rows:
+    `dfa_made_rows` on the array's rows, the one route into the kernel of
+    the static, rolling and surrogate stages.
 
     Entry i is row i's (FluctuationCurve, DfaFit), or the DfaError that
     `dfa_hurst` raises on row i alone. Errors that depend only on the length
@@ -270,30 +267,50 @@ def dfa_rows(rows, config: DfaConfig = DfaConfig()) -> list[tuple[FluctuationCur
     x = np.asarray(rows, dtype=float)
     if x.ndim != 2:
         raise DfaError(f"dfa_rows expects a (k, L) array of rows, got shape {x.shape}")
-    length = x.shape[1]
+    return dfa_made_rows(*x.shape, lambda part: x[part], config)
+
+
+def dfa_made_rows(
+    count: int, length: int, make, config: DfaConfig = DfaConfig()
+) -> list[tuple[FluctuationCurve, DfaFit] | DfaError]:
+    """`dfa_rows` of `count` rows of `length` values that `make(part)`
+    forms as an array, rows `part` (a slice) at a time.
+
+    Rows go through the kernel a chunk of about `_CHUNK_DOUBLES` values at
+    a time: each chunk's rows are made, and their profiles formed, just
+    before the kernel takes them, so no more than one chunk of either is
+    held. A row's entry does not depend on its chunk.
+    """
     if length < 2:
         raise DfaError(f"profile needs at least 2 observations, got {length}")
     order = config.detrend_order
     scales = make_scale_grid(length, config)
-    with np.errstate(invalid="ignore"):  # a row with inf becomes an error entry, not a warning
-        profiles = x - x.mean(axis=1, keepdims=True)
-        np.cumsum(profiles, axis=1, out=profiles)
-    finite = np.isfinite(profiles).all(axis=1)
-    values, keep = _fluctuation_rows(profiles if finite.all() else profiles[finite], scales, order)
-    whole = keep.all(axis=1) & (scales.size >= 4)  # under 4 scales, fit_hurst names the error
-    whole_fits = iter(_loglog_fits(np.log10(values[whole]), scales, order))
-    curves = zip(values, keep, whole)
-    entries = []
-    for row, ok in zip(x, finite):
-        if not ok:
-            message = (
+    values = np.empty((count, scales.size))
+    keep = np.zeros((count, scales.size), dtype=bool)
+    errors = {}  # the message of each row whose profile is not finite, by row
+    step = max(1, _CHUNK_DOUBLES // length)
+    for lo in range(0, count, step):
+        part = slice(lo, min(lo + step, count))
+        x = make(part)
+        with np.errstate(invalid="ignore"):  # a row with inf becomes an error entry, not a warning
+            profiles = x - x.mean(axis=1, keepdims=True)
+            np.cumsum(profiles, axis=1, out=profiles)
+        finite = np.isfinite(profiles).all(axis=1)
+        for i in np.flatnonzero(~finite).tolist():
+            errors[lo + i] = (
                 "profile must be a finite 1-d array"
-                if np.all(np.isfinite(row))
+                if np.all(np.isfinite(x[i]))
                 else "non-finite values in input series"
             )
-            entries.append(DfaError(message))
+        kernel_rows = profiles if finite.all() else profiles[finite]
+        values[part][finite], keep[part][finite] = _fluctuation_rows(kernel_rows, scales, order)
+    whole = keep.all(axis=1) & (scales.size >= 4)  # under 4 scales, fit_hurst names the error
+    whole_fits = iter(_loglog_fits(np.log10(values[whole]), scales, order))
+    entries = []
+    for i, (row_values, row_keep, row_whole) in enumerate(zip(values, keep, whole)):
+        if i in errors:
+            entries.append(DfaError(errors[i]))
             continue
-        row_values, row_keep, row_whole = next(curves)
         if row_whole:
             entries.append((FluctuationCurve(scales, row_values, order), next(whole_fits)))
             continue

@@ -98,6 +98,10 @@ def aggregate_daily(records) -> FlowPanel:
     return _panel(cells)
 
 
+class _SumOverflow(FlowError):
+    """A cell summed past the float range; `pipeline.read_panel` names the file."""
+
+
 def _panel(cells) -> FlowPanel:
     """The panel of {(date, group, side): amounts}, each cell summed with
     math.fsum."""
@@ -111,7 +115,10 @@ def _panel(cells) -> FlowPanel:
             column = columns[group, side]
         except KeyError:
             raise FlowError(f"unknown group or side ({group!r}, {side!r})") from None
-        column[index[date]] = math.fsum(amounts)
+        try:
+            column[index[date]] = math.fsum(amounts)
+        except OverflowError:
+            raise _SumOverflow(f"cell ({date}, {group}, {side}) exceeds the float range") from None
     series = {}
     for group in GROUPS:
         buy, sell = columns[group, "BUY"], columns[group, "SELL"]

@@ -33,7 +33,7 @@ import numpy.random  # noqa: F401  numpy loads these lazily; load them at import
 
 from . import __version__
 from .dfa import DfaConfig, dfa_rows
-from .errors import DfaError, FlowmemError, PipelineError, TailError
+from .errors import DfaError, FlowError, FlowmemError, PipelineError, TailError
 from .flows import (
     FLOW_TYPES,
     GROUPS,
@@ -42,6 +42,7 @@ from .flows import (
     _halves,
     _joined_panel,
     _read_cells,
+    _SumOverflow,
     _valid_date,
     aggregate_daily,
     increasing,
@@ -405,15 +406,20 @@ def read_panel(path) -> tuple[FlowPanel, int]:
     Anything the raw read cannot judge alone (a quote, a lone CR, a bad
     row, amount or token, a repeated wide row) sends the file to
     `read_flows_csv`, which raises the error naming its line. Each cell is
-    summed with math.fsum, so the panel does not depend on the split.
+    summed with math.fsum, so the panel does not depend on the split; a
+    cell that sums past the float range is a FlowError naming the file
+    and the cell.
     """
-    read = _read_raw(path)
-    if read is not None:
-        return read
-    seen = itertools.count()
-    # zip stops on the exhausted reader before it draws from `seen`
-    panel = aggregate_daily(record for record, _ in zip(read_flows_csv(path), seen))
-    return panel, next(seen)
+    try:
+        read = _read_raw(path)
+        if read is not None:
+            return read
+        seen = itertools.count()
+        # zip stops on the exhausted reader before it draws from `seen`
+        panel = aggregate_daily(record for record, _ in zip(read_flows_csv(path), seen))
+        return panel, next(seen)
+    except _SumOverflow as exc:
+        raise FlowError(f"{path}: {exc}") from None
 
 
 def _read_raw(path) -> tuple[FlowPanel, int] | None:
@@ -449,13 +455,17 @@ def _stage_ingest(run: _Run):
 
 def _stage_prices(run: _Run):
     """The rest of ingest, read at the head of the parent's lane after the
-    fork: the prices file, if any. Its errors are ingest's."""
+    fork: the prices file, if any. Its errors are ingest's, and so is a
+    file of fewer than the 2 prices a return needs."""
     config = run.config
     if config.prices_csv is not None:
+        path = config.resolve(config.prices_csv)
         try:
-            run.prices = read_prices_csv(config.resolve(config.prices_csv))
+            run.prices = read_prices_csv(path)
         except Exception as exc:
             raise _stage_error("ingest", exc)
+        if (count := len(run.prices[0])) < 2:
+            raise PipelineError("ingest", f"{path}: need at least 2 prices, got {count}")
     return ()  # no file
 
 

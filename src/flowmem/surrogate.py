@@ -15,7 +15,7 @@ import numpy as np
 import numpy.fft  # noqa: F401  numpy loads these lazily; load them at import, not mid-run
 import numpy.random  # noqa: F401
 
-from .dfa import DfaConfig, dfa_rows
+from .dfa import DfaConfig, dfa_made_rows
 from .errors import DfaError, SurrogateError
 from .synth import _rng
 
@@ -115,15 +115,18 @@ def surrogate_band(series, spec: SurrogateSpec, config: DfaConfig = DfaConfig())
     """DFA exponent distribution over `spec.count` independent surrogates.
 
     Surrogate k is driven by a stream derived from (spec.seed, k), so any
-    single surrogate is reproducible in isolation.
+    single surrogate is reproducible in isolation. The copies are made a
+    kernel chunk at a time, as the DFA takes them (`dfa_made_rows`).
     """
     seeds = [child_seed(spec.seed, k) for k in range(spec.count)]
-    if spec.kind == "shuffle":
-        copies = np.stack([shuffle(series, seed) for seed in seeds])
-    else:
-        copies = _phase_randomized(series, seeds)
+
+    def copies(part):
+        if spec.kind == "shuffle":
+            return np.stack([shuffle(series, seed) for seed in seeds[part]])
+        return _phase_randomized(series, seeds[part])
+
     hurst_values = []
-    for result in dfa_rows(copies, config):
+    for result in dfa_made_rows(spec.count, np.size(series), copies, config):
         if isinstance(result, DfaError):
             raise result
         hurst_values.append(result[1].hurst)

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -387,11 +388,53 @@ class TestBatchedKernelOracle:
                 assert curve.scales.tolist() == alone.scales.tolist()
                 assert curve.values.tolist() == alone.values.tolist()
 
+    def test_non_finite_first_chunk(self):
+        length = 2000
+        rows_per_chunk = _CHUNK_DOUBLES // length
+        k = rows_per_chunk + 5
+        x = fgn(0.7, length + 3 * k, seed=12)
+        rows = np.stack([x[3 * i : 3 * i + length] for i in range(k)])
+        rows[:rows_per_chunk] = np.inf  # the whole first chunk
+        entries = dfa_rows(rows)
+        bad = [str(e) for e in entries[:rows_per_chunk]]
+        assert bad == ["non-finite values in input series"] * rows_per_chunk
+        for row, (curve, fit) in zip(rows[rows_per_chunk:], entries[rows_per_chunk:]):
+            ((alone_curve, alone_fit),) = dfa_rows(row[np.newaxis])
+            assert curve.values.tolist() == alone_curve.values.tolist()
+            assert fit == alone_fit
+
     def test_basis_is_cached_and_read_only(self):
         q = _basis(12, 2)
         assert _basis(12, 2) is q
         assert not q.flags.writeable
         np.testing.assert_allclose(q.T @ q, np.eye(3), atol=1e-14)
+
+
+def traced_peak_mb(call) -> float:
+    """The peak of the memory that `call()` allocates, as tracemalloc counts it."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+class TestBoundedWorkingSet:
+    """Copies and windows are made and profiled a kernel chunk at a time, so
+    the memory a batch holds does not grow with its copies or windows."""
+
+    @pytest.mark.parametrize("kind", ["shuffle", "phase_randomize"])
+    def test_surrogate_band_of_200_copies(self, kind):
+        x = fgn(0.8, 2000, seed=5)
+        spec = SurrogateSpec(kind=kind, seed=3, count=200)
+        assert traced_peak_mb(lambda: surrogate_band(x, spec)) < 2.0  # 9.4 and 10.9 held whole
+
+    def test_rolling_hurst_at_step_one(self):
+        x = fgn(0.7, 2500, seed=2)
+        calendar = tuple(f"d{i:05d}" for i in range(x.size))
+        peak = traced_peak_mb(lambda: rolling_hurst(x, calendar, window=250, step=1))
+        assert peak < 4.0  # 9.4 held whole
 
 
 def reference_line_fit(x, y):

@@ -587,6 +587,20 @@ class TestTwoProcessRead:
                     pipeline.read_panel(path)
         assert len(forks) == 1
 
+    @pytest.mark.parametrize(
+        "split_min, quote", [(1, ""), (10**9, ""), (10**9, '"')], ids=["halves", "one-range", "csv"]
+    )
+    def test_cell_summing_past_the_float_range_names_file_and_cell(
+        self, tmp_path, monkeypatch, split_min, quote
+    ):
+        path = long_file(tmp_path / "flows.csv")
+        rows = f"2020-01-05,{quote}F8{quote},retail,BUY,1.7e308\n2020-01-05,F9,retail,BUY,1.7e308\n"
+        path.write_text(path.read_text() + rows)
+        monkeypatch.setattr(pipeline, "SPLIT_MIN_BYTES", split_min)
+        expected = f"{path}: cell (2020-01-05, retail, BUY) exceeds the float range"
+        with pytest.raises(FlowError, match=f"^{re.escape(expected)}$"):
+            pipeline.read_panel(path)
+
     def test_quoted_newline_at_the_split_point_reads_serially(self, tmp_path, forks):
         rows = [f"2020-01-{day:02d},F1,retail,BUY,1.5" for day in range(1, 21)]
         quoted = '2020-01-21,"' + "x" * 200 + '\ny",retail,SELL,2.5'

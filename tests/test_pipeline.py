@@ -298,6 +298,16 @@ class TestStageErrors:
         assert str(info.value) == f"stage 'ingest': {prices}: line 5: bad close 'abc'"
         assert not list((tmp_path / "out" / "quarantine").iterdir())
 
+    def test_one_row_prices_file_fails_at_ingest_naming_it(self, data_dir, tmp_path):
+        prices = tmp_path / "prices.csv"
+        lines = (data_dir / "prices_synth.csv").read_text().splitlines(keepends=True)
+        prices.write_text("".join(lines[:2]))
+        config = load_config(data_dir / "run_config.json", out_dir=str(tmp_path / "out"))
+        with pytest.raises(PipelineError) as info:
+            run_pipeline(replace(config, prices_csv=str(prices)))
+        assert str(info.value) == f"stage 'ingest': {prices}: need at least 2 prices, got 1"
+        assert not list((tmp_path / "out" / "quarantine").iterdir())
+
     def test_missing_out_dir(self, data_dir):
         config = load_config(data_dir / "run_config.json")
         with pytest.raises(PipelineError, match="output directory"):
