@@ -21,7 +21,6 @@ from .dfa import (
     fit_hurst,
     fluctuation,
     make_scale_grid,
-    profile,
 )
 from .flows import (
     FLOW_TYPES,

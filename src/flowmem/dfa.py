@@ -30,6 +30,8 @@ _F_FLOOR_REL = 1e-12
 # chunk's rows are made and profiled only when the kernel takes them, so it
 # also bounds the memory a batch of surrogate copies or rolling windows holds
 _CHUNK_DOUBLES = 16_384
+# the fewest scales a log-log fit takes
+MIN_SCALES = 4
 
 
 @dataclass(frozen=True)
@@ -56,8 +58,8 @@ class DfaConfig:
             )
         if not 0.0 < self.n_max_fraction <= 1.0:
             raise DfaError(f"n_max_fraction must be in (0, 1], got {self.n_max_fraction}")
-        if self.n_scales < 4:
-            raise DfaError(f"need at least 4 scales, got {self.n_scales}")
+        if self.n_scales < MIN_SCALES:
+            raise DfaError(f"need at least {MIN_SCALES} scales, got {self.n_scales}")
         if self.min_blocks < 2:
             raise DfaError(f"min_blocks must be >= 2, got {self.min_blocks}")
 
@@ -82,21 +84,6 @@ class DfaFit:
     scale_range: tuple[int, int]
     n_points_used: int
     detrend_order: int
-
-
-def profile(series) -> np.ndarray:
-    """Integrated profile: cumulative sum of deviations from the mean.
-
-    The final element is zero up to accumulation error.
-    """
-    x = np.asarray(series, dtype=float)
-    if x.ndim != 1:
-        raise DfaError("profile expects a 1-d series")
-    if x.size < 2:
-        raise DfaError(f"profile needs at least 2 observations, got {x.size}")
-    if not np.all(np.isfinite(x)):
-        raise DfaError("non-finite values in input series")
-    return np.cumsum(x - x.mean())
 
 
 def make_scale_grid(length: int, config: DfaConfig = DfaConfig()) -> np.ndarray:
@@ -235,8 +222,8 @@ def _loglog_fits(log_values: np.ndarray, scales: np.ndarray, order: int) -> list
 
 def fit_hurst(curve: FluctuationCurve) -> DfaFit:
     """OLS of log10 F(n) on log10 n over the admissible scales."""
-    if curve.scales.size < 4:
-        raise DfaError(f"insufficient scales for fit: {curve.scales.size} < 4")
+    if curve.scales.size < MIN_SCALES:
+        raise DfaError(f"insufficient scales for fit: {curve.scales.size} < {MIN_SCALES}")
     return _loglog_fits(np.log10(curve.values)[np.newaxis], curve.scales, curve.detrend_order)[0]
 
 
@@ -304,8 +291,8 @@ def dfa_made_rows(
             )
         kernel_rows = profiles if finite.all() else profiles[finite]
         values[part][finite], keep[part][finite] = _fluctuation_rows(kernel_rows, scales, order)
-    whole = keep.all(axis=1) & (scales.size >= 4)  # under 4 scales, fit_hurst names the error
-    whole_fits = iter(_loglog_fits(np.log10(values[whole]), scales, order))
+    whole = keep.all(axis=1) & (scales.size >= MIN_SCALES)  # else fit_hurst names the error
+    whole_fits = iter(_loglog_fits(np.log10(values[whole]), scales, order) if whole.any() else ())
     entries = []
     for i, (row_values, row_keep, row_whole) in enumerate(zip(values, keep, whole)):
         if i in errors:

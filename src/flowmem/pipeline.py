@@ -32,7 +32,7 @@ import numpy as np
 import numpy.random  # noqa: F401  numpy loads these lazily; load them at import, not mid-run
 
 from . import __version__
-from .dfa import DfaConfig, dfa_rows
+from .dfa import MIN_SCALES, DfaConfig, dfa_rows, make_scale_grid
 from .errors import DfaError, FlowError, FlowmemError, PipelineError, TailError
 from .flows import (
     FLOW_TYPES,
@@ -322,10 +322,10 @@ def rolling_csv(roll: RollingHurst) -> str:
     ))
 
 
-def read_rolling_csv(path, step: int, window: int | None = None) -> RollingHurst:
+def read_rolling_csv(path, step: int) -> RollingHurst:
     """The RollingHurst a `rolling_csv` file holds, whose end dates must
     strictly increase. The file does not hold the window length,
-    n_points_used or a gap's reason, so those come back as `window`, 0 and
+    n_points_used or a gap's reason, so those come back as None, 0 and
     "gap"."""
 
     def window_row(_header, _line, row):
@@ -336,7 +336,7 @@ def read_rolling_csv(path, step: int, window: int | None = None) -> RollingHurst
 
     header = ("end_date", "H", "stderr", "r2")
     rows = read_csv(path, (header,), increasing(window_row), FlowmemError)
-    return RollingHurst.from_rows(rows, window, step)
+    return RollingHurst.from_rows(rows, None, step)
 
 
 def table_csv(rows) -> str:
@@ -380,14 +380,16 @@ class RunReport:
 
 class _Run:
     """One pipeline execution: its config, the staging directory its files
-    are written into, the inputs ingest reads for the other stages, and
-    the queue of surrogate bands its two processes share."""
+    are written into, the inputs ingest reads for the other stages, the
+    rolling stage's exponents for the regression, and the queue of
+    surrogate bands its two processes share."""
 
     def __init__(self, config: RunConfig, staging: str):
         self.config = config
         self.staging = staging
         self.panel: FlowPanel | None = None
         self.prices: tuple | None = None  # (calendar, closes), with a prices file
+        self.rolling: dict = {}  # {(group, flow): RollingHurst}
         self.queue: int | None = None  # the surrogate band queue's read end (`run_pipeline`)
         self.report: RunReport | None = None
 
@@ -450,6 +452,17 @@ def _stage_ingest(run: _Run):
     for group in GROUPS:
         if not any(run.panel.series[group, side].any() for side in SIDES):
             raise PipelineError("ingest", f"{path}: no flows for investor group {group!r}")
+    # a DFA grid of at least MIN_SCALES scales for the whole series and for
+    # one rolling window, else the static DFA fails or every window is a gap
+    window = "config key 'rolling.window'", config.rolling_window
+    for where, length in ((path, len(run.panel.calendar)), window):
+        try:
+            count = make_scale_grid(length, config.dfa).size
+        except DfaError as exc:
+            raise PipelineError("ingest", f"{where}: {exc}") from None
+        if count < MIN_SCALES:
+            message = f"length {length} leaves {count} DFA scales; a fit needs {MIN_SCALES}"
+            raise PipelineError("ingest", f"{where}: {message}")
     return ()  # no file
 
 
@@ -584,6 +597,7 @@ def _stage_rolling(run: _Run):
             step=config.rolling_step,
             config=config.dfa,
         )
+        run.rolling[group, flow_type] = roll
         key = series_key(group, flow_type)
         yield ROLLING_CSV.format(key=key), rolling_csv(roll)
         if config.regimes:
@@ -592,9 +606,8 @@ def _stage_rolling(run: _Run):
 
 def read_rolling_dir(directory, step: int) -> dict:
     """{(group, flow): RollingHurst} of the fig4 files in `directory`, in
-    series order; a series without a file is left out. The regression
-    stage reads the run's staged files with it, and `flowmem regress` any
-    directory."""
+    series order, as `flowmem regress` reads them; a series without a file
+    is left out."""
     rolling = {}
     for group, flow in itertools.product(GROUPS, FLOW_TYPES):
         path = os.path.join(directory, ROLLING_CSV.format(key=series_key(group, flow)))
@@ -606,8 +619,7 @@ def read_rolling_dir(directory, step: int) -> dict:
 def _stage_regression(run: _Run):
     config = run.config
     if run.prices is not None:
-        rolling = read_rolling_dir(run.staging, config.rolling_step)
-        rows = regression_table(rolling, run.prices, config.fill_policy, config.lag_k, config.robust_se)
+        rows = regression_table(run.rolling, run.prices, config.fill_policy, config.lag_k, config.robust_se)
         yield TABLE_CSV, table_csv(rows)
 
 
@@ -657,24 +669,25 @@ def run_pipeline(config: RunConfig) -> RunReport:
     """Execute every stage, publish the run's artifacts, return its report.
 
     Each file a stage yields is written into `<out_dir>/.staging/`,
-    cleared first of anything a killed run left, by `_write` alone, and the
-    report is assembled from the staged files as `assemble_report` rebuilds
-    it later. After the flows are read, the surrogate bands go into a
-    queue, one byte per band in an os.pipe, and a worker (`_beside`, a
-    forked process where a fork succeeds) takes bands from it while this
-    process reads the prices and runs the tails, static DFA, rolling and
-    regression stages, then takes the bands that are left; each band is
-    taken once. The worker hands back its files' text, which this process
-    writes the same way, so a worker orphaned by a killed run cannot write
-    anything at all; the stages share nothing else, and the regression
-    stage reads the staged fig4 files. A failure in this process before
-    the surrogate stage's place in `_STAGES` kills the worker, whose result
-    could not matter. `_publish` then moves the staged files to the top
-    level or, on any exception in a stage, to `quarantine/`, and a
-    PipelineError names the earliest failed stage in `_STAGES` order, and
-    in the surrogate stage the earliest failed band, as a serial run
-    would; an error from outside the toolkit keeps its type name in the
-    message.
+    cleared first of anything a killed run left, by `_write` alone. After
+    the flows are read, the surrogate bands go into a queue, one byte per
+    band in an os.pipe, and a worker (`_beside`, a forked process where a
+    fork succeeds) takes bands from it while this process reads the prices
+    and runs the tails, static DFA, rolling and regression stages, then
+    takes the bands that are left; each band is taken once. One hand-off
+    rule holds: inside a process, stages pass values on `_Run` (the panel,
+    the prices, the rolling exponents the regression takes); between
+    processes, the worker passes back its files' text, which this process
+    writes, so a worker orphaned by a killed run cannot write anything at
+    all; the report is built from the staged files, as `assemble_report`
+    rebuilds it later. A stage moved into the worker's lane takes its
+    inputs from files. A failure in this process before the surrogate
+    stage's place in `_STAGES` kills the worker, whose result could not
+    matter. `_publish` then moves the staged files to the top level or, on
+    any exception in a stage, to `quarantine/`, and a PipelineError names
+    the earliest failed stage in `_STAGES` order, and in the surrogate
+    stage the earliest failed band, as a serial run would; an error from
+    outside the toolkit keeps its type name in the message.
     """
     out_dir = config.out_dir
     if not out_dir:
@@ -911,15 +924,13 @@ def assemble_report(out_dir: str) -> RunReport:
             entry.setdefault("surrogates", {})[kind] = band
 
         roll_csv = ROLLING_CSV.format(key=key)
-        roll = read_rolling_csv(
-            os.path.join(out_dir, roll_csv), config.rolling_step, config.rolling_window
-        )
+        roll = read_rolling_csv(os.path.join(out_dir, roll_csv), config.rolling_step)
         entry["rolling"] = {
             "csv": roll_csv,
             "n_windows": len(roll.errors),
             "n_gaps": len(roll.errors) - roll.errors.count(None),
-            "window": roll.window,
-            "step": roll.step,
+            "window": config.rolling_window,
+            "step": config.rolling_step,
         }
         if config.regimes:
             report.regimes[key] = _report_input(out_dir, REGIMES_JSON, key=key)

@@ -134,6 +134,10 @@ class TestSynthAndDfa:
             ("2020-01-01,1.0\n2020-01-03,2.0\n2020-01-03,3.0\n",
              "line 4: dates must be strictly increasing: 2020-01-03 is not after 2020-01-03 of line 3"),
             ("2020-01-01,1.0\n2020-01-02,\xe9\n", "not UTF-8 text"),
+            pytest.param(  # 20 days: the one-scale grid [5] leaves no fit
+                "".join(f"2020-01-{d:02d},{d % 7}\n" for d in range(1, 21)),
+                "insufficient scales for fit: 1 < 4", id="one-scale-grid",
+            ),
         ],
     )
     def test_bad_series_file_fails_cleanly(self, runner, tmp_path, rows, message):
@@ -304,14 +308,17 @@ class TestStageByteIdentity:
         assert (tmp_path / "ccdf.csv").read_bytes() == (out / "fig2_ccdf_retail_NET.csv").read_bytes()
         assert (tmp_path / "fit.json").read_bytes() == (out / "tails_retail_NET.json").read_bytes()
 
-    def test_regress_matches_pipeline_table(self, runner, data_dir, bundled_run, tmp_path):
-        _, _, out = bundled_run
-        result = invoke(
-            runner, "regress", "--roll-dir", out,
-            "--prices", data_dir / "prices_synth.csv", "--out", tmp_path / "table.csv",
-        )
-        assert result.exit_code == 0
-        assert (tmp_path / "table.csv").read_bytes() == (out / "table1_regression.csv").read_bytes()
+    def test_regress_matches_pipeline_table(self, runner, data_dir, bundled_run, gap_run, tmp_path):
+        """The table `flowmem regress` reads from fig4 files is the one the
+        run made from its rolling exponents in memory, with or without gaps."""
+        for (_, report, out), gaps in ((bundled_run, [0] * 9), (gap_run, [0] * 6 + [11] * 3)):
+            assert [entry["rolling"]["n_gaps"] for entry in report.series.values()] == gaps
+            result = invoke(
+                runner, "regress", "--roll-dir", out,
+                "--prices", data_dir / "prices_synth.csv", "--out", tmp_path / "table.csv",
+            )
+            assert result.exit_code == 0
+            assert (tmp_path / "table.csv").read_bytes() == (out / "table1_regression.csv").read_bytes()
 
     def test_regress_defaults_to_the_run_config(self, runner, data_dir, tmp_path):
         out = tmp_path / "run"

@@ -19,7 +19,6 @@ from flowmem.dfa import (
     fit_hurst,
     fluctuation,
     make_scale_grid,
-    profile,
 )
 from flowmem.errors import DfaError
 from flowmem.pipeline import curve_csv
@@ -35,23 +34,9 @@ from flowmem.surrogate import (
 from flowmem.synth import cumsum, fgn, iid_gaussian
 
 
-class TestProfile:
-    def test_hand_values(self):
-        np.testing.assert_allclose(profile([1, 2, 3]), [-1.0, -1.0, 0.0])
-        np.testing.assert_allclose(profile([1, -1, 1, -1]), [1.0, 0.0, 1.0, 0.0])
-
-    def test_final_element_near_zero(self):
-        x = iid_gaussian(100, seed=15)
-        y = profile(x)
-        assert abs(y[-1]) <= 1e-9 * np.sum(np.abs(x))
-
-    def test_too_short(self):
-        with pytest.raises(DfaError):
-            profile([1.0])
-
-    def test_non_finite(self):
-        with pytest.raises(DfaError):
-            profile([1.0, np.nan, 2.0])
+def profile(x):
+    """The integrated profile the kernel forms of each row."""
+    return np.cumsum(x - x.mean())
 
 
 class TestScaleGrid:
@@ -244,6 +229,17 @@ class TestDfaHurst:
             "insufficient scales for fit: 3 < 4", "non-finite values in input series"
         ]
 
+    @pytest.mark.filterwarnings("error")
+    def test_every_short_length_returns_or_raises_dfa_error(self):
+        """Lengths 20 to 23 have the one-scale grid [5], and 24 to 31 two or
+        three scales: too few for a fit, which is a DfaError."""
+        x = fgn(0.7, 199, seed=8)
+        for length in range(2, 200):
+            try:
+                dfa_hurst(x[:length])
+            except DfaError:
+                pass
+
     @pytest.mark.parametrize("shape", [(2000,), (2, 3, 250)])
     def test_rows_must_be_two_dimensional(self, shape):
         with pytest.raises(DfaError, match=re.escape(f"(k, L) array of rows, got shape {shape}")):
@@ -294,6 +290,8 @@ def per_scale_fluctuation(y, scales, m):
 
 
 def per_scale_hurst(x, config=DfaConfig()):
+    if not np.all(np.isfinite(x)):
+        raise DfaError("non-finite values in input series")
     prof = profile(x)
     scales = make_scale_grid(prof.size, config)
     return fit_hurst(per_scale_fluctuation(prof, scales, config.detrend_order))

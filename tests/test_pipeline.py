@@ -308,6 +308,29 @@ class TestStageErrors:
         assert str(info.value) == f"stage 'ingest': {prices}: need at least 2 prices, got 1"
         assert not list((tmp_path / "out" / "quarantine").iterdir())
 
+    @pytest.mark.parametrize(
+        "n_min, window, message",
+        [
+            (400, 250, "{flows}: series too short for DFA: length 600 < n_min*min_blocks = 1600"),
+            (5, 10, "{window}: series too short for DFA: length 10 < n_min*min_blocks = 20"),
+            (5, 20, "{window}: length 20 leaves 1 DFA scales; a fit needs 4"),
+            (5, 24, "{window}: length 24 leaves 2 DFA scales; a fit needs 4"),
+            (5, 30, "{window}: length 30 leaves 3 DFA scales; a fit needs 4"),
+        ],
+    )
+    def test_dfa_grid_too_small_fails_at_ingest(self, data_dir, tmp_path, n_min, window, message):
+        """A static DFA that cannot fit, or a window length that makes every
+        window a gap, fails before any file is staged."""
+        out = tmp_path / "out"
+        config = load_config(data_dir / "run_config.json", out_dir=str(out))
+        config = replace(config, dfa=replace(config.dfa, n_min=n_min), rolling_window=window)
+        with pytest.raises(PipelineError) as info:
+            run_pipeline(config)
+        flows = config.resolve(config.flows_csv)
+        want = message.format(flows=flows, window="config key 'rolling.window'")
+        assert str(info.value) == f"stage 'ingest': {want}"
+        assert not list((out / "quarantine").iterdir())
+
     def test_missing_out_dir(self, data_dir):
         config = load_config(data_dir / "run_config.json")
         with pytest.raises(PipelineError, match="output directory"):
@@ -958,6 +981,19 @@ class TestReportContent:
         for row in rows:
             assert row["n"] > 200
             assert "t_beta_robust" in row
+
+    def test_regression_takes_the_rolling_stage_values(self, bundled_run, tmp_path, monkeypatch):
+        """The regression stage parses no fig4 file the run just wrote."""
+        config, _, previous = bundled_run
+
+        def unused(*args):
+            raise AssertionError("the run read its fig4 files back")
+
+        monkeypatch.setattr(pipeline, "read_rolling_dir", unused)
+        out = tmp_path / "out"
+        run_pipeline(replace(config, out_dir=str(out)))
+        name = "table1_regression.csv"
+        assert (out / name).read_bytes() == (previous / name).read_bytes()
 
     def test_provenance_pins_config_and_rng(self, bundled_run):
         config, report, _ = bundled_run

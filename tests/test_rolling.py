@@ -102,13 +102,13 @@ class TestRollingHurst:
         path = tmp_path / "roll.csv"
         path.write_text(rolling_csv(roll))
         assert path.read_text() == "end_date,H,stderr,r2\nd1,0.5,0.01,0.99\nd2,,,\n"
-        # the file holds neither n_points_used nor a gap's reason
-        assert read_rolling_csv(path, step=5, window=250) == RollingHurst.from_rows(
+        # the file holds neither the window length, n_points_used nor a gap's reason
+        assert read_rolling_csv(path, step=5) == RollingHurst.from_rows(
             (
                 ("d1", 0.5, 0.01, 0.99, 0, None),
                 ("d2", math.nan, math.nan, math.nan, 0, "gap"),
             ),
-            window=250,
+            window=None,
             step=5,
         )
 
