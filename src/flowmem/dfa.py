@@ -91,7 +91,8 @@ def make_scale_grid(length: int, config: DfaConfig = DfaConfig()) -> np.ndarray:
 
     n_scales geometric targets between n_min and floor(length * n_max_fraction)
     are rounded to the nearest integer and deduplicated; scales whose block
-    count floor(length/n) falls below min_blocks are discarded.
+    count floor(length/n) falls below min_blocks are discarded. A length left
+    with fewer than MIN_SCALES scales, too few for any log-log fit, raises.
     """
     if length < config.n_min * config.min_blocks:
         raise DfaError(
@@ -107,8 +108,8 @@ def make_scale_grid(length: int, config: DfaConfig = DfaConfig()) -> np.ndarray:
     # (np.unique itself imports numpy.ma on first use)
     scales = rounded[np.append(True, rounded[1:] != rounded[:-1])]
     scales = scales[(scales >= config.n_min) & (length // scales >= config.min_blocks)]
-    if scales.size == 0:
-        raise DfaError("series too short for DFA: no admissible scales")
+    if (count := scales.size) < MIN_SCALES:
+        raise DfaError(f"length {length} leaves {count} DFA scales; a fit needs {MIN_SCALES}")
     return scales
 
 
@@ -246,7 +247,7 @@ def dfa_rows(rows, config: DfaConfig = DfaConfig()) -> list[tuple[FluctuationCur
 
     Entry i is row i's (FluctuationCurve, DfaFit), or the DfaError that
     `dfa_hurst` raises on row i alone. Errors that depend only on the length
-    and the config (no admissible scale grid, a singular block basis) would
+    and the config (a grid too small for a fit, a singular block basis) would
     fail every row alike and are raised. Rows that keep every scale are
     fitted together by `_loglog_fits`; a row that drops a scale goes through
     `fit_hurst`.
@@ -268,8 +269,6 @@ def dfa_made_rows(
     before the kernel takes them, so no more than one chunk of either is
     held. A row's entry does not depend on its chunk.
     """
-    if length < 2:
-        raise DfaError(f"profile needs at least 2 observations, got {length}")
     order = config.detrend_order
     scales = make_scale_grid(length, config)
     values = np.empty((count, scales.size))
@@ -291,8 +290,8 @@ def dfa_made_rows(
             )
         kernel_rows = profiles if finite.all() else profiles[finite]
         values[part][finite], keep[part][finite] = _fluctuation_rows(kernel_rows, scales, order)
-    whole = keep.all(axis=1) & (scales.size >= MIN_SCALES)  # else fit_hurst names the error
-    whole_fits = iter(_loglog_fits(np.log10(values[whole]), scales, order) if whole.any() else ())
+    whole = keep.all(axis=1)
+    whole_fits = iter(_loglog_fits(np.log10(values[whole]), scales, order))
     entries = []
     for i, (row_values, row_keep, row_whole) in enumerate(zip(values, keep, whole)):
         if i in errors:

@@ -32,12 +32,11 @@ import numpy as np
 import numpy.random  # noqa: F401  numpy loads these lazily; load them at import, not mid-run
 
 from . import __version__
-from .dfa import MIN_SCALES, DfaConfig, dfa_rows, make_scale_grid
+from .dfa import DfaConfig, dfa_rows, make_scale_grid
 from .errors import DfaError, FlowError, FlowmemError, PipelineError, TailError
 from .flows import (
     FLOW_TYPES,
     GROUPS,
-    SIDES,
     FlowPanel,
     _halves,
     _joined_panel,
@@ -449,20 +448,21 @@ def _stage_ingest(run: _Run):
     config = run.config
     path = config.resolve(config.flows_csv)
     run.panel, _ = read_panel(path)
-    for group in GROUPS:
-        if not any(run.panel.series[group, side].any() for side in SIDES):
-            raise PipelineError("ingest", f"{path}: no flows for investor group {group!r}")
-    # a DFA grid of at least MIN_SCALES scales for the whole series and for
-    # one rolling window, else the static DFA fails or every window is a gap
-    window = "config key 'rolling.window'", config.rolling_window
-    for where, length in ((path, len(run.panel.calendar)), window):
+    # a DFA grid for the series and for one window, and a series one window long
+    length, window = len(run.panel.calendar), config.rolling_window
+    window_key = "config key 'rolling.window'"
+    for where, size in ((path, length), (window_key, window)):
         try:
-            count = make_scale_grid(length, config.dfa).size
+            make_scale_grid(size, config.dfa)
         except DfaError as exc:
             raise PipelineError("ingest", f"{where}: {exc}") from None
-        if count < MIN_SCALES:
-            message = f"length {length} leaves {count} DFA scales; a fit needs {MIN_SCALES}"
-            raise PipelineError("ingest", f"{where}: {message}")
+    if length < window:
+        raise PipelineError("ingest", f"{path}: length {length} < {window_key} = {window}")
+    # a constant series has no fluctuation for the static DFA to fit
+    for (group, flow_type), values in run.panel.series.items():
+        if values.min() == values.max():
+            constant = f"series {series_key(group, flow_type)} is {float(values[0])} on every day"
+            raise PipelineError("ingest", f"{path}: {constant}")
     return ()  # no file
 
 
@@ -527,7 +527,7 @@ def _stage_tails(run: _Run):
 def static_dfa_table(series: dict, config: DfaConfig, include_order1: bool = False) -> dict:
     """Static DFA of every series of a {key: values} mapping of one length:
     {key: {"curve", "fit"[, "fit_order1"]}}, from one `dfa_rows` call per
-    detrend order. The first failing series' error is raised.
+    detrend order. The first failing series' error is raised, prefixed by its key.
 
     The dict less "curve" is the dfa_fit artifact's content: "fit" and,
     when include_order1 is set, the order-1 cross-check "fit_order1".
@@ -540,16 +540,16 @@ def static_dfa_table(series: dict, config: DfaConfig, include_order1: bool = Fal
     for key, *results in zip(series, *orders.values()):
         for result in results:
             if isinstance(result, DfaError):
-                raise result
+                raise DfaError(f"{key}: {result}")
         fits = {name: fit for name, (_, fit) in zip(orders, results)}
         table[key] = {"curve": results[0][0], **fits}
     return table
 
 
 def _stage_static_dfa(run: _Run):
-    table = static_dfa_table(run.panel.series, run.config.dfa, run.config.dfa_include_order1)
-    for (group, flow_type), entry in table.items():
-        key = series_key(group, flow_type)
+    series = {series_key(*pair): values for pair, values in run.panel.series.items()}
+    table = static_dfa_table(series, run.config.dfa, run.config.dfa_include_order1)
+    for key, entry in table.items():
         yield CURVE_CSV.format(key=key), curve_csv(entry.pop("curve"))
         yield DFA_FIT_JSON.format(key=key), _json_text(entry)
 

@@ -2,8 +2,8 @@
 
 Window length and step are counted in trading days (calendar positions),
 and the exponent of each window is stamped with the window's final date.
-Windows where the estimator fails are kept as flagged gaps so downstream
-date alignment cannot silently shift.
+Windows whose data the fit fails on stay as flagged gaps, so downstream date
+alignment cannot silently shift; a window length `make_scale_grid` rejects raises.
 """
 
 from __future__ import annotations

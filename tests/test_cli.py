@@ -136,7 +136,11 @@ class TestSynthAndDfa:
             ("2020-01-01,1.0\n2020-01-02,\xe9\n", "not UTF-8 text"),
             pytest.param(  # 20 days: the one-scale grid [5] leaves no fit
                 "".join(f"2020-01-{d:02d},{d % 7}\n" for d in range(1, 21)),
-                "insufficient scales for fit: 1 < 4", id="one-scale-grid",
+                "Error: length 20 leaves 1 DFA scales; a fit needs 4", id="one-scale-grid",
+            ),
+            pytest.param(  # a constant series: DFA(2) leaves F at the floor at every scale
+                "".join(f"2020-{m:02d}-{d:02d},3.7\n" for m in (1, 2) for d in range(1, 21)),
+                "Error: s.csv: insufficient scales for fit: 0 < 4", id="constant",
             ),
         ],
     )
@@ -147,6 +151,17 @@ class TestSynthAndDfa:
         assert result.exit_code == 1
         assert result.output.startswith("Error: ") and message in result.output
         assert result.output.count("\n") == 1
+
+    def test_roll_window_with_too_few_scales_fails(self, runner, data_dir, tmp_path):
+        """A 24-day window leaves 2 DFA scales, so every window would be a gap."""
+        out = tmp_path / "r.csv"
+        result = invoke(
+            runner, "roll", "--flows", data_dir / "flows_synth.csv",
+            "--group", "retail", "--flow", "NET", "--window", 24, "--out", out,
+        )
+        assert result.exit_code == 1
+        assert result.output == "Error: length 24 leaves 2 DFA scales; a fit needs 4\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("bad", ["2020-13-45", "2020-02-30"])
     def test_series_file_with_impossible_date_names_line(self, runner, tmp_path, bad):

@@ -53,8 +53,8 @@ class TestScaleGrid:
         assert np.all(1000 // scales >= 4)
 
     def test_short_series_caps_scales(self):
-        scales = make_scale_grid(40, DfaConfig(n_min=8))
-        assert scales.max() <= 10  # floor(40/10) == 4 blocks, larger n would drop below
+        scales = make_scale_grid(48, DfaConfig(n_min=8))
+        assert scales.max() <= 12  # floor(48/12) == 4 blocks, larger n would drop below
 
     def test_matches_reimplementation_oracle(self):
         # independent restatement of the grid rule: geometric targets,
@@ -78,6 +78,8 @@ class TestScaleGrid:
             make_scale_grid(19)
         with pytest.raises(DfaError, match="too short"):
             make_scale_grid(31, DfaConfig(n_min=8))
+        with pytest.raises(DfaError, match=re.escape("length 40 leaves 3 DFA scales; a fit needs 4")):
+            make_scale_grid(40, DfaConfig(n_min=8))  # scales 8, 9 and 10
 
     def test_config_invariants(self):
         with pytest.raises(DfaError):
@@ -232,13 +234,23 @@ class TestDfaHurst:
     @pytest.mark.filterwarnings("error")
     def test_every_short_length_returns_or_raises_dfa_error(self):
         """Lengths 20 to 23 have the one-scale grid [5], and 24 to 31 two or
-        three scales: too few for a fit, which is a DfaError."""
+        three scales: too few for a fit, which is a DfaError. A length the
+        grid rejects fails every row alike, so `dfa_rows` raises the grid's
+        error rather than returning it per row."""
         x = fgn(0.7, 199, seed=8)
+        rejected = 0
         for length in range(2, 200):
+            try:
+                make_scale_grid(length)
+            except DfaError as exc:
+                rejected += 1
+                with pytest.raises(DfaError, match=f"^{re.escape(str(exc))}$"):
+                    dfa_rows(np.stack([x[:length]] * 3))
             try:
                 dfa_hurst(x[:length])
             except DfaError:
                 pass
+        assert rejected == 30  # lengths 2 to 31
 
     @pytest.mark.parametrize("shape", [(2000,), (2, 3, 250)])
     def test_rows_must_be_two_dimensional(self, shape):

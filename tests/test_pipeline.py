@@ -208,8 +208,9 @@ class TestPublish:
         out = tmp_path / "out"
         shutil.copytree(previous, out)
         (out / "tails_retail_BUY.json").write_text("{}\n")  # marks the older copy
-        with pytest.raises(PipelineError, match="rolling"):
-            run_pipeline(replace(config, out_dir=str(out), rolling_window=5000))
+        with pytest.raises(PipelineError) as info:
+            run_pipeline(replace(config, out_dir=str(out), seed=-1))  # numpy rejects the seed
+        assert info.value.stage == "surrogates"
         assert [p.name for p in out.iterdir()] == ["quarantine"]
         quarantined = {p.name for p in (out / "quarantine").iterdir()}
         assert quarantined == {p.name for p in previous.iterdir()}
@@ -233,8 +234,9 @@ class TestPublish:
         out = tmp_path / "out"
         (out / "quarantine").mkdir(parents=True)
         (out / "quarantine" / "earlier.txt").write_text("kept\n")
-        with pytest.raises(PipelineError, match="rolling"):
-            run_pipeline(replace(config, out_dir=str(out), rolling_window=5000))
+        with pytest.raises(PipelineError) as info:
+            run_pipeline(replace(config, out_dir=str(out), seed=-1))  # numpy rejects the seed
+        assert info.value.stage == "surrogates"
         assert [p.name for p in out.iterdir()] == ["quarantine"]
         quarantined = {p.name for p in (out / "quarantine").iterdir()}
         assert "earlier.txt" in quarantined and "fig2_ccdf_retail_BUY.csv" in quarantined
@@ -242,11 +244,15 @@ class TestPublish:
 
 
 class TestStageErrors:
-    def test_bad_window_names_rolling_stage_and_quarantines(self, data_dir, tmp_path):
+    def test_bad_window_names_rolling_stage_and_quarantines(self, data_dir, tmp_path, monkeypatch):
+        """A window `rolling_hurst` rejects fails the run at `rolling`. Ingest
+        rejects a 5000-day window first, so the patch hands it to that stage."""
+        real = pipeline.rolling_hurst
+        monkeypatch.setattr(pipeline, "rolling_hurst", lambda *a, **kw: real(*a, **{**kw, "window": 5000}))
         config = load_config(data_dir / "run_config.json", out_dir=str(tmp_path / "out"))
-        config = replace(config, rolling_window=5000)
-        with pytest.raises(PipelineError, match="rolling"):
+        with pytest.raises(PipelineError) as info:
             run_pipeline(config)
+        assert str(info.value) == "stage 'rolling': series length 600 shorter than window 5000"
         out = tmp_path / "out"
         quarantined = list((out / "quarantine").iterdir())
         assert quarantined  # partial outputs moved aside
@@ -268,8 +274,9 @@ class TestStageErrors:
         out = tmp_path / "out"
         shutil.copytree(previous, out)
         config = load_config(data_dir / "run_config.json", out_dir=str(out))
-        with pytest.raises(PipelineError, match="rolling"):
-            run_pipeline(replace(config, rolling_window=5000))
+        with pytest.raises(PipelineError) as info:
+            run_pipeline(replace(config, seed=-1))  # numpy rejects the seed
+        assert info.value.stage == "surrogates"
         for name in ("config.json", "provenance.json", "report.json"):
             assert not (out / name).exists()
             assert (out / "quarantine" / name).read_bytes() == (previous / name).read_bytes()
@@ -316,11 +323,13 @@ class TestStageErrors:
             (5, 20, "{window}: length 20 leaves 1 DFA scales; a fit needs 4"),
             (5, 24, "{window}: length 24 leaves 2 DFA scales; a fit needs 4"),
             (5, 30, "{window}: length 30 leaves 3 DFA scales; a fit needs 4"),
+            (5, 5000, "{flows}: length 600 < {window} = 5000"),
         ],
     )
     def test_dfa_grid_too_small_fails_at_ingest(self, data_dir, tmp_path, n_min, window, message):
-        """A static DFA that cannot fit, or a window length that makes every
-        window a gap, fails before any file is staged."""
+        """A static DFA that cannot fit, a window length that makes every
+        window a gap, or a window longer than the series fails before any
+        file is staged."""
         out = tmp_path / "out"
         config = load_config(data_dir / "run_config.json", out_dir=str(out))
         config = replace(config, dfa=replace(config.dfa, n_min=n_min), rolling_window=window)
@@ -329,6 +338,28 @@ class TestStageErrors:
         flows = config.resolve(config.flows_csv)
         want = message.format(flows=flows, window="config key 'rolling.window'")
         assert str(info.value) == f"stage 'ingest': {want}"
+        assert not list((out / "quarantine").iterdir())
+
+    @pytest.mark.parametrize(
+        "group, edit, series",
+        [("retail", lambda buy, sell: ("0.0", sell), "retail_BUY"),
+         ("foreign", lambda buy, sell: (buy, buy), "foreign_NET")],
+        ids=["zero-buy", "zero-net"],
+    )
+    def test_constant_series_fails_at_ingest_naming_it(self, data_dir, tmp_path, group, edit, series):
+        """A constant series has nothing for the static DFA to fit."""
+        header, *rows = (data_dir / "flows_synth.csv").read_text().splitlines()
+        for i, row in enumerate(rows):
+            date, who, buy, sell = row.split(",")
+            if who == group:
+                rows[i] = ",".join((date, who, *edit(buy, sell)))
+        flows = tmp_path / "flows.csv"
+        flows.write_text("\n".join([header, *rows, ""]))
+        out = tmp_path / "out"
+        config = load_config(data_dir / "run_config.json", out_dir=str(out))
+        with pytest.raises(PipelineError) as info:
+            run_pipeline(replace(config, flows_csv=str(flows)))
+        assert str(info.value) == f"stage 'ingest': {flows}: series {series} is 0.0 on every day"
         assert not list((out / "quarantine").iterdir())
 
     def test_missing_out_dir(self, data_dir):

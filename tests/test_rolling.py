@@ -93,6 +93,12 @@ class TestRollingHurst:
         with pytest.raises(DfaError, match="shorter"):
             rolling_hurst(iid_gaussian(100, seed=1), day_calendar(100), window=250)
 
+    def test_window_with_too_few_scales_raises(self):
+        """A 24-day window's grid keeps 2 scales: every window would be a gap,
+        so the length is an error, not a series of gaps."""
+        with pytest.raises(DfaError, match="^length 24 leaves 2 DFA scales; a fit needs 4$"):
+            rolling_hurst(iid_gaussian(600, seed=1), day_calendar(600), window=24)
+
     def test_csv_gap_rows(self, tmp_path):
         rows = (
             ("d1", 0.5, 0.01, 0.99, 12, None),
