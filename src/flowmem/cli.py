@@ -26,6 +26,7 @@ from .pipeline import (
     _write_text,
     assemble_report,
     ccdf_csv,
+    check_varies,
     curve_csv,
     load_config,
     read_panel,
@@ -110,15 +111,19 @@ def with_dfa_options(fn):
 
 
 def _load_series(flows, series, group, flow):
-    """Resolve a series from either a flows CSV or a date,value CSV."""
+    """Resolve a series from either a flows CSV or a date,value CSV; a
+    series that is one value on every day is an error (`check_varies`)."""
     if (flows is None) == (series is None):
         raise click.UsageError("provide exactly one of --flows or --series")
     if flows is not None:
         if group is None or flow is None:
             raise click.UsageError("--flows requires --group and --flow")
         panel, _ = read_panel(flows)
-        return panel.calendar, panel.series[group, flow], series_key(group, flow)
+        key = series_key(group, flow)
+        check_varies(f"{flows}: series {key}", panel.series[group, flow])
+        return panel.calendar, panel.series[group, flow], key
     calendar, values = read_prices_csv(series, column="value")
+    check_varies(f"{series}: column value", values)
     return calendar, values, os.path.basename(series)
 
 

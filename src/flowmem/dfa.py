@@ -94,11 +94,6 @@ def make_scale_grid(length: int, config: DfaConfig = DfaConfig()) -> np.ndarray:
     count floor(length/n) falls below min_blocks are discarded. A length left
     with fewer than MIN_SCALES scales, too few for any log-log fit, raises.
     """
-    if length < config.n_min * config.min_blocks:
-        raise DfaError(
-            f"series too short for DFA: length {length} < "
-            f"n_min*min_blocks = {config.n_min * config.min_blocks}"
-        )
     n_max = max(int(length * config.n_max_fraction), config.n_min)
     targets = np.exp(
         np.linspace(np.log(config.n_min), np.log(n_max), config.n_scales)
@@ -107,7 +102,7 @@ def make_scale_grid(length: int, config: DfaConfig = DfaConfig()) -> np.ndarray:
     # the targets increase, so np.unique's sorted dedup is a drop of repeats
     # (np.unique itself imports numpy.ma on first use)
     scales = rounded[np.append(True, rounded[1:] != rounded[:-1])]
-    scales = scales[(scales >= config.n_min) & (length // scales >= config.min_blocks)]
+    scales = scales[length // scales >= config.min_blocks]
     if (count := scales.size) < MIN_SCALES:
         raise DfaError(f"length {length} leaves {count} DFA scales; a fit needs {MIN_SCALES}")
     return scales
@@ -125,8 +120,9 @@ def _basis(n: int, order: int) -> np.ndarray:
 
 def _fluctuation_rows(profiles: np.ndarray, scales, order: int) -> tuple[np.ndarray, np.ndarray]:
     """F(n) of every row of a finite (k, L) profile array, one kernel chunk
-    in `dfa_made_rows`: the (k, scales) table of F and the mask of entries
-    above their row's F floor.
+    in `dfa_made_rows`, at an int array of scales that each fit the length
+    and the order (a `make_scale_grid` grid): the (k, scales) table of F and
+    the mask of entries above their row's F floor.
 
     At each scale a row's blocks are the columns of an (n, blocks) matrix,
     and the matmul pair runs on each row's matrix in turn, with the shapes
@@ -135,16 +131,8 @@ def _fluctuation_rows(profiles: np.ndarray, scales, order: int) -> tuple[np.ndar
     C-contiguous (n, blocks) slab per row and are summed as such.
     """
     k, length = profiles.shape
-    scales = np.asarray(scales, dtype=int)
-    bases = []
-    for n in scales.tolist():
-        blocks = length // n
-        if blocks < 1:
-            raise DfaError(f"scale {n} exceeds series length {length}")
-        if n < order + 2:
-            raise DfaError(f"scale {n} too small for order-{order} detrending")
-        bases.append((n, blocks, _basis(n, order)))
-    sums = np.empty((k, scales.size))
+    bases = [(n, length // n, _basis(n, order)) for n in scales.tolist()]
+    sums = np.empty((k, len(bases)))
     for j, (n, blocks, q) in enumerate(bases):
         # (k, n, blocks): one column per block, fixed layout for determinism
         seg = profiles[:, : blocks * n].reshape(k, blocks, n).transpose(0, 2, 1)
@@ -172,12 +160,14 @@ def fluctuation(profile_values, scales, detrend_order: int = 2) -> FluctuationCu
     m = int(detrend_order)
     if m < 0:
         raise DfaError(f"detrend order must be >= 0, got {m}")
+    scales = np.asarray(scales, dtype=int)
+    for n in scales.tolist():
+        if n > y.size:
+            raise DfaError(f"scale {n} exceeds series length {y.size}")
+        if n < m + 2:
+            raise DfaError(f"scale {n} too small for order-{m} detrending")
     values, keep = _fluctuation_rows(y[np.newaxis, :], scales, m)
-    return FluctuationCurve(
-        scales=np.asarray(scales, dtype=int)[keep[0]],
-        values=values[0][keep[0]],
-        detrend_order=m,
-    )
+    return FluctuationCurve(scales=scales[keep[0]], values=values[0][keep[0]], detrend_order=m)
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -190,10 +180,11 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def line_fits(x: np.ndarray, ys: np.ndarray):
     """Closed-form simple OLS of each row of a (k, m) array `ys` on one x, the
     one least-squares core of the DFA log-log fits, `stats.ols` and the
-    `ccdf_ols` tail fit: (slope, intercept, stderr, ssr, sst, resid, sxx, dx),
-    one entry per row but sxx and dx, the deviations of x from its mean. Each
-    row's dot products are taken alone by `_row_dots`, so a row's fit has the
-    bits it has in a batch of one. A constant x raises ZeroDivisionError."""
+    `ccdf_ols` tail fit: (slope, intercept, stderr, ssr, r_squared, resid,
+    sxx, dx), one entry per row but sxx and dx, the deviations of x from its
+    mean. R² is 1 - ssr/sst clipped to [0, 1], and 1.0 for a constant row.
+    Each row's dot products are taken alone by `_row_dots`, so a row's fit has
+    the bits it has in a batch of one. A constant x raises ZeroDivisionError."""
     xm = x.mean()
     dx = x - xm
     sxx = float(dx @ dx)
@@ -206,16 +197,17 @@ def line_fits(x: np.ndarray, ys: np.ndarray):
     resid = ys - intercept[:, np.newaxis] - slope[:, np.newaxis] * x
     ssr = _row_dots(resid, resid)
     stderr = np.sqrt(np.maximum(ssr, 0.0) / (x.size - 2) / sxx)
-    return slope, intercept, stderr, ssr, _row_dots(dy, dy), resid, sxx, dx
+    sst = _row_dots(dy, dy)
+    with np.errstate(divide="ignore", invalid="ignore"):  # sst == 0 reads 1.0
+        r_squared = np.where(sst > 0.0, np.clip(1.0 - ssr / sst, 0.0, 1.0), 1.0)
+    return slope, intercept, stderr, ssr, r_squared, resid, sxx, dx
 
 
 def _loglog_fits(log_values: np.ndarray, scales: np.ndarray, order: int) -> list[DfaFit]:
     """The OLS fit of log F on log n of every row of a (k, scales) array, the
     one log-log fit of the static, rolling and surrogate stages."""
     x = np.log10(scales.astype(float))
-    slope, intercept, stderr, ssr, sst, _, _, _ = line_fits(x, log_values)
-    with np.errstate(divide="ignore", invalid="ignore"):  # sst == 0 reads 1.0 below
-        r_squared = np.where(sst > 0.0, np.clip(1.0 - ssr / sst, 0.0, 1.0), 1.0)
+    slope, intercept, stderr, _, r_squared, _, _, _ = line_fits(x, log_values)
     scale_range = (int(scales[0]), int(scales[-1]))
     rows = zip(slope.tolist(), intercept.tolist(), stderr.tolist(), r_squared.tolist())
     return [DfaFit(h, b, se, r2, scale_range, int(scales.size), order) for h, b, se, r2 in rows]

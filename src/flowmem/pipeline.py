@@ -33,7 +33,7 @@ import numpy.random  # noqa: F401  numpy loads these lazily; load them at import
 
 from . import __version__
 from .dfa import DfaConfig, dfa_rows, make_scale_grid
-from .errors import DfaError, FlowError, FlowmemError, PipelineError, TailError
+from .errors import DfaError, FlowError, FlowmemError, PipelineError, StatsError, TailError
 from .flows import (
     FLOW_TYPES,
     GROUPS,
@@ -50,6 +50,9 @@ from .flows import (
 )
 from .rolling import RegimeWindow, RollingHurst, regime_summary, rolling_hurst
 from .stats import FILL_POLICIES, read_prices_csv, regression_table
+# ingest's check of the regression's pairs, under a name of its own so that
+# the `stats.align` span of perfbench/tracing.py counts the regression's alone
+from .stats import align_h_rv as _ingest_align
 from .surrogate import SURROGATE_KINDS, SurrogateSpec, surrogate_band
 from .synth import RNG_NAME
 from .tails import TAIL_SIDES, empirical_ccdf, fit_tail_exponent, gaussian_ccdf_reference
@@ -458,18 +461,24 @@ def _stage_ingest(run: _Run):
             raise PipelineError("ingest", f"{where}: {exc}") from None
     if length < window:
         raise PipelineError("ingest", f"{path}: length {length} < {window_key} = {window}")
-    # a constant series has no fluctuation for the static DFA to fit
     for (group, flow_type), values in run.panel.series.items():
-        if values.min() == values.max():
-            constant = f"series {series_key(group, flow_type)} is {float(values[0])} on every day"
-            raise PipelineError("ingest", f"{path}: {constant}")
+        check_varies(f"{path}: series {series_key(group, flow_type)}", values)
     return ()  # no file
+
+
+def check_varies(name: str, values) -> None:
+    """Reject a series that is one value on every day, naming it: it has no
+    fluctuation for a DFA to fit, nor a tail. The rule of `run`'s ingest and
+    of the stage commands."""
+    if values.min() == values.max():
+        raise FlowError(f"{name} is {float(values[0])} on every day")
 
 
 def _stage_prices(run: _Run):
     """The rest of ingest, read at the head of the parent's lane after the
-    fork: the prices file, if any. Its errors are ingest's, and so is a
-    file of fewer than the 2 prices a return needs."""
+    fork: the prices file, if any. Its errors are ingest's, and so are a
+    file of fewer than the 2 prices a return needs and one whose dates
+    leave the regression fewer than 3 pairs, or pairs from one window."""
     config = run.config
     if config.prices_csv is not None:
         path = config.resolve(config.prices_csv)
@@ -479,6 +488,22 @@ def _stage_prices(run: _Run):
             raise _stage_error("ingest", exc)
         if (count := len(run.prices[0])) < 2:
             raise PipelineError("ingest", f"{path}: need at least 2 prices, got {count}")
+        # the regression's pairs as `regression_table` aligns them, each
+        # window's index standing in for its exponent
+        window, step, lag = config.rolling_window, config.rolling_step, config.lag_k
+        ends = enumerate(run.panel.calendar[window - 1 :: step])
+        stand_in = RollingHurst.from_rows([(end, i, 0, 0, 0, None) for i, end in ends], window, step)
+        days = run.prices[0][1:]  # the days of the returns
+        try:
+            windows = _ingest_align(stand_in, days, np.zeros(count - 1), config.fill_policy).hurst
+        except StatsError:  # no date in common
+            windows = np.zeros(0)
+        windows = windows[: max(windows.size - lag, 0)].tolist()
+        if len(windows) < 3 or windows[0] == windows[-1]:
+            got = f"{len(windows)} regression pairs from {len(set(windows))} rolling windows"
+            keys = f"'rolling.window' = {window}, 'rolling.step' = {step}, 'regression.lag_k' = {lag}"
+            needs = "a fit needs 3 pairs from 2 windows"
+            raise PipelineError("ingest", f"{path}: {got} (config keys {keys}); {needs}")
     return ()  # no file
 
 

@@ -117,30 +117,30 @@ def ols(y, x) -> OlsResult:
         raise StatsError(f"need at least 3 observations, got {n}")
     if not (np.all(np.isfinite(yv)) and np.all(np.isfinite(xv))):
         raise StatsError("non-finite values in regression input")
-    try:
-        (beta,), (alpha,), _, (ssr,), (sst,), (resid,), sxx, dx = line_fits(xv, yv[np.newaxis])
-    except ZeroDivisionError:
-        raise StatsError("degenerate regressor: x is constant") from None
-    xm = xv.mean()
-    dof = n - 2
-    residual_variance = ssr / dof
-    if sst > 0.0:
-        r_squared = max(0.0, min(1.0, 1.0 - ssr / sst))
-    else:
-        r_squared = 1.0 if ssr < 1e-300 else 0.0
-
-    var_beta = residual_variance / sxx
-    var_alpha = residual_variance * (1.0 / n + xm * xm / sxx)
-    u2 = resid * resid
-    w_beta = dx / sxx
-    w_alpha = 1.0 / n - xm * w_beta
-    var_beta_robust = float(n / dof) * float((w_beta * w_beta) @ u2)
-    var_alpha_robust = float(n / dof) * float((w_alpha * w_alpha) @ u2)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed variance raises below
+        try:  # x is constant if its spread is within the round-off of its mean
+            if xv.max() - xv.min() <= n * math.ulp(1.0) * np.abs(xv).max():
+                raise ZeroDivisionError  # as line_fits raises for a 0 sxx
+            (beta,), (alpha,), _, (ssr,), (r_squared,), (resid,), sxx, dx = line_fits(xv, yv[np.newaxis])
+        except ZeroDivisionError:
+            raise StatsError("degenerate regressor: x is constant") from None
+        xm = xv.mean()
+        dof = n - 2
+        residual_variance = ssr / dof
+        var_beta = residual_variance / sxx
+        var_alpha = residual_variance * (1.0 / n + xm * xm / sxx)
+        u2 = resid * resid
+        w_beta = dx / sxx
+        w_alpha = 1.0 / n - xm * w_beta
+        var_beta_robust = float(n / dof) * float((w_beta * w_beta) @ u2)
+        var_alpha_robust = float(n / dof) * float((w_alpha * w_alpha) @ u2)
+    if not all(map(math.isfinite, (var_beta, var_alpha, var_beta_robust, var_alpha_robust))):
+        raise StatsError("degenerate regression: a coefficient variance overflows the float range")
 
     def t_value(est, var):
         if var <= 0.0:
             return math.inf if est > 0 else (-math.inf if est < 0 else 0.0)
-        return est / math.sqrt(var)
+        return float(est) / math.sqrt(var)  # float division: an overflow is inf, not a warning
 
     return OlsResult(
         alpha=float(alpha),

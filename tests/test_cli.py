@@ -138,9 +138,9 @@ class TestSynthAndDfa:
                 "".join(f"2020-01-{d:02d},{d % 7}\n" for d in range(1, 21)),
                 "Error: length 20 leaves 1 DFA scales; a fit needs 4", id="one-scale-grid",
             ),
-            pytest.param(  # a constant series: DFA(2) leaves F at the floor at every scale
+            pytest.param(  # a constant series: DFA(2) would leave F at the floor at every scale
                 "".join(f"2020-{m:02d}-{d:02d},3.7\n" for m in (1, 2) for d in range(1, 21)),
-                "Error: s.csv: insufficient scales for fit: 0 < 4", id="constant",
+                "s.csv: column value is 3.7 on every day", id="constant",
             ),
         ],
     )
@@ -151,6 +151,43 @@ class TestSynthAndDfa:
         assert result.exit_code == 1
         assert result.output.startswith("Error: ") and message in result.output
         assert result.output.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "command, outputs",
+        [
+            ("dfa", ["--out-curve", "c.csv", "--out-fit", "f.json"]),
+            ("roll", ["--out", "r.csv"]),
+            ("surrogate", ["--kind", "shuffle", "--seed", 1, "--out", "b.json",
+                           "--out-values", "v.csv"]),
+            ("tails", ["--out-ccdf", "c.csv", "--out-fit", "f.json"]),
+        ],
+    )
+    def test_constant_series_fails_every_stage_command(self, runner, tmp_path, command, outputs):
+        """The stage commands reject a series `run` rejects at ingest, by
+        the same rule, and write nothing."""
+        series = tmp_path / "const.csv"
+        series.write_text("date,value\n" + "".join(f"2015-{1 + i // 28:02d}-{1 + i % 28:02d},2.5\n"
+                                                   for i in range(300)))
+        out = tmp_path / "out"
+        out.mkdir()
+        args = [out / name if str(name).endswith((".csv", ".json")) else name for name in outputs]
+        result = invoke(runner, command, "--series", series, *args)
+        assert result.exit_code == 1
+        assert result.output == f"Error: {series}: column value is 2.5 on every day\n"
+        assert not list(out.iterdir())
+
+    def test_constant_flows_series_names_file_and_series(self, runner, data_dir, tmp_path):
+        lines = (data_dir / "flows_synth.csv").read_text().splitlines(keepends=True)
+        flows = tmp_path / "flows.csv"
+        flows.write_text("".join(
+            re.sub(r"^([^,]*,retail),[^,]*,", r"\1,0.0,", line) for line in lines
+        ))
+        out = tmp_path / "r.csv"
+        result = invoke(runner, "roll", "--flows", flows, "--group", "retail", "--flow", "BUY",
+                        "--out", out)
+        assert result.exit_code == 1
+        assert result.output == f"Error: {flows}: series retail_BUY is 0.0 on every day\n"
+        assert not out.exists()
 
     def test_roll_window_with_too_few_scales_fails(self, runner, data_dir, tmp_path):
         """A 24-day window leaves 2 DFA scales, so every window would be a gap."""

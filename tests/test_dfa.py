@@ -1,5 +1,8 @@
+import math
 import re
+import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -74,9 +77,9 @@ class TestScaleGrid:
         assert list(make_scale_grid(613)) == oracle(613, n_min=5)
 
     def test_too_short_raises(self):
-        with pytest.raises(DfaError, match="too short"):
+        with pytest.raises(DfaError, match=re.escape("length 19 leaves 0 DFA scales; a fit needs 4")):
             make_scale_grid(19)
-        with pytest.raises(DfaError, match="too short"):
+        with pytest.raises(DfaError, match=re.escape("length 31 leaves 0 DFA scales; a fit needs 4")):
             make_scale_grid(31, DfaConfig(n_min=8))
         with pytest.raises(DfaError, match=re.escape("length 40 leaves 3 DFA scales; a fit needs 4")):
             make_scale_grid(40, DfaConfig(n_min=8))  # scales 8, 9 and 10
@@ -133,6 +136,12 @@ class TestFluctuation:
     def test_scale_exceeding_length(self):
         with pytest.raises(DfaError, match="exceeds"):
             fluctuation(np.ones(10), [11], detrend_order=0)
+
+    def test_scale_too_small_for_order(self):
+        """`fluctuation` takes its scales from the caller, so it checks each
+        one; the grid's scales reach the kernel unchecked."""
+        with pytest.raises(DfaError, match=re.escape("scale 3 too small for order-2 detrending")):
+            fluctuation(np.ones(10), [4, 3], detrend_order=2)
 
 
 class TestFitHurst:
@@ -505,9 +514,16 @@ class TestLineFitCore:
         x = np.asarray([p[0] for p in pairs])
         y = np.asarray([p[1] for p in pairs])
         dx = x - x.mean()
-        assume(float(dx @ dx) > 0.0)
+        # the complement of ols' rules: x is resolved past the round-off of
+        # its mean, and no variance overflows (1/sxx bounds the squared HC1
+        # weights, and n·stderr² the slope's variances)
+        assume(x.max() - x.min() > x.size * math.ulp(1.0) * np.abs(x).max())
+        assume(float(dx @ dx) * sys.float_info.max > 1.0)
         slope, intercept, stderr, r_squared = reference_line_fit(x, y)
-        res = ols(y, x)
+        assume(x.size * stderr * stderr < math.inf)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = ols(y, x)
         assert (res.beta, res.alpha) == (slope, intercept)
         if float((y - y.mean()) @ (y - y.mean())) > 0.0:
             assert res.r_squared == r_squared

@@ -316,10 +316,40 @@ class TestStageErrors:
         assert not list((tmp_path / "out" / "quarantine").iterdir())
 
     @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ({"lag_k": 100000}, "0 regression pairs from 0 rolling windows (config keys "
+             "'rolling.window' = 250, 'rolling.step' = 5, 'regression.lag_k' = 100000)"),
+            ({"rolling_step": 100000}, "351 regression pairs from 1 rolling windows (config keys "
+             "'rolling.window' = 250, 'rolling.step' = 100000, 'regression.lag_k' = 0)"),
+            ({"prices_csv": "2035"}, "5 regression pairs from 1 rolling windows (config keys "
+             "'rolling.window' = 250, 'rolling.step' = 5, 'regression.lag_k' = 0)"),
+        ],
+        ids=["lag", "one-window", "prices-after-flows"],
+    )
+    def test_too_few_regression_pairs_fail_at_ingest(self, data_dir, tmp_path, edit, message):
+        """A lag, step or prices calendar that leaves the regression fewer
+        than 3 pairs, or pairs from one window (so a constant regressor),
+        fails before any file is staged, naming the prices file and the
+        config keys. The 2035 prices share no date with the 2015-2016 flows."""
+        if edit.get("prices_csv") == "2035":
+            prices = tmp_path / "prices.csv"
+            text = (data_dir / "prices_synth.csv").read_text()
+            prices.write_text(text.replace("2015-", "2035-").replace("2016-", "2036-"))
+            edit = {"prices_csv": str(prices)}
+        out = tmp_path / "out"
+        config = replace(load_config(data_dir / "run_config.json", out_dir=str(out)), **edit)
+        with pytest.raises(PipelineError) as info:
+            run_pipeline(config)
+        path = config.resolve(config.prices_csv)
+        assert str(info.value) == f"stage 'ingest': {path}: {message}; a fit needs 3 pairs from 2 windows"
+        assert not list((out / "quarantine").iterdir())
+
+    @pytest.mark.parametrize(
         "n_min, window, message",
         [
-            (400, 250, "{flows}: series too short for DFA: length 600 < n_min*min_blocks = 1600"),
-            (5, 10, "{window}: series too short for DFA: length 10 < n_min*min_blocks = 20"),
+            (400, 250, "{flows}: length 600 leaves 0 DFA scales; a fit needs 4"),
+            (5, 10, "{window}: length 10 leaves 0 DFA scales; a fit needs 4"),
             (5, 20, "{window}: length 20 leaves 1 DFA scales; a fit needs 4"),
             (5, 24, "{window}: length 24 leaves 2 DFA scales; a fit needs 4"),
             (5, 30, "{window}: length 30 leaves 3 DFA scales; a fit needs 4"),

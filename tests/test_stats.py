@@ -277,6 +277,20 @@ class TestOls:
         with pytest.raises(StatsError, match="degenerate"):
             ols(np.arange(5.0), np.full(5, 2.0))
 
+    @pytest.mark.filterwarnings("error")
+    def test_regressor_constant_within_round_off(self):
+        """x spread over 2 ulps of 1e6 is constant to within the round-off
+        of its mean; the fit read t_beta_robust = inf from it."""
+        with pytest.raises(StatsError, match=re.escape("degenerate regressor: x is constant")):
+            ols([0.0, 1.0, 2.0], [1e6, 1e6, 1e6 * (1 + 2**-52)])
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_variance_raises(self):
+        """An x spread of 1e-160 against a y of 1e6 resolves beta (3e160)
+        but not its variance, which overflowed to a t_beta of 0.0."""
+        with pytest.raises(StatsError, match="variance overflows"):
+            ols([1e6, -1e6, 3.0], [0.0, 0.0, 1e-160])
+
     def test_residual_orthogonality(self):
         rng = np.random.Generator(np.random.PCG64(5))
         x = rng.normal(size=200)

@@ -100,6 +100,11 @@ class TestGaussianReference:
         with pytest.raises(TailError):
             gaussian_ccdf_reference(0.0, 0.0, [1.0])
 
+    @pytest.mark.parametrize("xs", [[1.0, 1.0], [2.0, 1.0]])
+    def test_xs_not_increasing(self, xs):
+        with pytest.raises(TailError, match="xs must be strictly increasing"):
+            gaussian_ccdf_reference(0.0, 1.0, xs)
+
 
 # erfc(z) underflows past sqrt(MAXLOG): Cephes returns 0 there, libm subnormals
 ROOT_MAXLOG = np.sqrt(7.09782712893383996843e2)
