@@ -169,10 +169,15 @@ def _parse_amount(token: str) -> float:
     return value
 
 
-def _first_sight(cache: dict, parse, token: str):
-    """Check a token not seen before in this file and remember the result."""
-    value = cache[token] = parse(token)
-    return value
+class _Checked(dict):
+    """Raw token -> its checked value, `parse` called on a token's first lookup."""
+
+    def __init__(self, parse):
+        self.parse = parse
+
+    def __missing__(self, token: str):
+        value = self[token] = self.parse(token)
+        return value
 
 
 def read_csv(path, headers, convert, error) -> Iterator:
@@ -249,30 +254,20 @@ def read_flows_csv(path) -> Iterator[tuple[str, str, str, float]]:
     Each distinct raw date, group and side token is checked once per file
     and its value cached; every amount is checked.
     """
-    # raw token -> checked value; no checked value is empty, so
-    # `cache.get(token) or ...` checks a token only on first sight
-    dates: dict[str, str] = {}
-    groups: dict[str, str] = {}
-    sides: dict[str, str] = {}
+    dates, groups, sides = _Checked(_parse_date), _Checked(_parse_group), _Checked(_parse_side)
     first_lines: dict = {}  # wide schema: (date, group) -> line
 
     def records(header, line, row):
         if header == WIDE_HEADER:
             d, g, buy, sell = row
-            date = dates.get(d) or _first_sight(dates, _parse_date, d)
-            group = groups.get(g) or _first_sight(groups, _parse_group, g)
+            date, group = dates[d], groups[g]
             first = first_lines.setdefault((date, group), line)
             if first != line:
                 raise ValueError(f"repeats the {date} {group} row of line {first}")
             buy, sell = _parse_amount(buy), _parse_amount(sell)
             return (date, group, "BUY", buy), (date, group, "SELL", sell)
         d, _, g, s, amount = row
-        return ((
-            dates.get(d) or _first_sight(dates, _parse_date, d),
-            groups.get(g) or _first_sight(groups, _parse_group, g),
-            sides.get(s) or _first_sight(sides, _parse_side, s),
-            _parse_amount(amount),
-        ),)
+        return ((dates[d], groups[g], sides[s], _parse_amount(amount)),)
 
     return itertools.chain.from_iterable(
         read_csv(path, (LONG_HEADER, WIDE_HEADER), records, FlowError)
@@ -367,26 +362,20 @@ def _joined_panel(header, reads) -> tuple[FlowPanel, int] | None:
     byte ranges, each distinct raw token checked once. The raw cells are
     emptied as they are joined, so raw and joined never coexist in memory."""
     wide = header == WIDE_HEADER
-    dates: dict[str, str] = {}
-    groups: dict[str, str] = {}
-    sides: dict[str, str] = {}
+    dates, groups, sides = _Checked(_parse_date), _Checked(_parse_group), _Checked(_parse_side)
     cells: dict = {}
     try:
         for raw_cells, _ in reads:
             while raw_cells:
                 raw, amounts = raw_cells.popitem()
-                d, g = raw[0], raw[1]
-                date = dates.get(d) or _first_sight(dates, _parse_date, d)
-                group = groups.get(g) or _first_sight(groups, _parse_group, g)
+                date, group = dates[raw[0]], groups[raw[1]]
                 if wide:
                     if (date, group, "BUY") in cells:
                         return None
                     cells[date, group, "BUY"] = [amounts[0]]
                     cells[date, group, "SELL"] = [amounts[1]]
                     continue
-                s = raw[2]
-                side = sides.get(s) or _first_sight(sides, _parse_side, s)
-                cell = cells.setdefault((date, group, side), amounts)
+                cell = cells.setdefault((date, group, sides[raw[2]]), amounts)
                 if cell is not amounts:
                     cell.extend(amounts)
         return _panel(cells), sum(records for _, records in reads)

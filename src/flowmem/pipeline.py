@@ -33,13 +33,14 @@ import numpy.random  # noqa: F401  numpy loads these lazily; load them at import
 
 from . import __version__
 from .dfa import DfaConfig, dfa_rows, make_scale_grid
-from .errors import DfaError, FlowError, FlowmemError, PipelineError, StatsError, TailError
+from .errors import DfaError, FlowError, FlowmemError, PipelineError, TailError
 from .flows import (
     FLOW_TYPES,
     GROUPS,
     FlowPanel,
     _halves,
     _joined_panel,
+    _parse_date,
     _read_cells,
     _SumOverflow,
     _valid_date,
@@ -49,10 +50,7 @@ from .flows import (
     read_flows_csv,
 )
 from .rolling import RegimeWindow, RollingHurst, regime_summary, rolling_hurst
-from .stats import FILL_POLICIES, read_prices_csv, regression_table
-# ingest's check of the regression's pairs, under a name of its own so that
-# the `stats.align` span of perfbench/tracing.py counts the regression's alone
-from .stats import align_h_rv as _ingest_align
+from .stats import FILL_POLICIES, _paired, read_prices_csv, regression_table
 from .surrogate import SURROGATE_KINDS, SurrogateSpec, surrogate_band
 from .synth import RNG_NAME
 from .tails import TAIL_SIDES, empirical_ccdf, fit_tail_exponent, gaussian_ccdf_reference
@@ -325,13 +323,14 @@ def rolling_csv(roll: RollingHurst) -> str:
 
 
 def read_rolling_csv(path, step: int) -> RollingHurst:
-    """The RollingHurst a `rolling_csv` file holds, whose end dates must
-    strictly increase. The file does not hold the window length,
-    n_points_used or a gap's reason, so those come back as None, 0 and
-    "gap"."""
+    """The RollingHurst a `rolling_csv` file holds, whose end dates must be
+    real calendar dates that strictly increase. The file does not hold the
+    window length, n_points_used or a gap's reason, so those come back as
+    None, 0 and "gap"."""
 
     def window_row(_header, _line, row):
-        end_date, h, stderr, r2 = row
+        date, h, stderr, r2 = row
+        end_date = _parse_date(date)
         if not h:
             return end_date, math.nan, math.nan, math.nan, 0, "gap"
         return end_date, float(h), float(stderr), float(r2), 0, None
@@ -431,20 +430,18 @@ def _read_raw(path) -> tuple[FlowPanel, int] | None:
     if layout is None:
         return None
     header, (first, second) = layout
-    start, size = first[0], second[1]
-    if size < SPLIT_MIN_BYTES:
-        whole = _read_cells(path, header, start, size)
-        return None if whole is None else _joined_panel(header, [whole])
-    mine, (theirs, error) = _beside(
-        lambda: _read_cells(path, header, *second),
-        lambda: _read_cells(path, header, *first),
-        useless=lambda mine: mine is None,
-    )
-    if mine is None:
-        return None
-    if error is not None:
-        raise error
-    return None if theirs is None else _joined_panel(header, [mine, theirs])
+    if second[1] < SPLIT_MIN_BYTES:
+        reads = [_read_cells(path, header, first[0], second[1])]
+    else:
+        mine, (theirs, error) = _beside(
+            lambda: _read_cells(path, header, *second),
+            lambda: _read_cells(path, header, *first),
+            useless=lambda mine: mine is None,
+        )
+        if mine is not None and error is not None:
+            raise error
+        reads = [mine, theirs]
+    return None if None in reads else _joined_panel(header, reads)
 
 
 def _stage_ingest(run: _Run):
@@ -488,16 +485,11 @@ def _stage_prices(run: _Run):
             raise _stage_error("ingest", exc)
         if (count := len(run.prices[0])) < 2:
             raise PipelineError("ingest", f"{path}: need at least 2 prices, got {count}")
-        # the regression's pairs as `regression_table` aligns them, each
-        # window's index standing in for its exponent
+        # the window of each regression pair, as `regression_table` pairs the
+        # rolling end dates with the days of the returns
         window, step, lag = config.rolling_window, config.rolling_step, config.lag_k
-        ends = enumerate(run.panel.calendar[window - 1 :: step])
-        stand_in = RollingHurst.from_rows([(end, i, 0, 0, 0, None) for i, end in ends], window, step)
-        days = run.prices[0][1:]  # the days of the returns
-        try:
-            windows = _ingest_align(stand_in, days, np.zeros(count - 1), config.fill_policy).hurst
-        except StatsError:  # no date in common
-            windows = np.zeros(0)
+        ends = run.panel.calendar[window - 1 :: step]
+        _, windows = _paired(ends, step, run.prices[0][1:], config.fill_policy)
         windows = windows[: max(windows.size - lag, 0)].tolist()
         if len(windows) < 3 or windows[0] == windows[-1]:
             got = f"{len(windows)} regression pairs from {len(set(windows))} rolling windows"

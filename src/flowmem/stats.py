@@ -67,6 +67,22 @@ def read_prices_csv(path, column: str = "close") -> tuple[tuple[str, ...], np.nd
     return dates, np.asarray(values)
 
 
+def _paired(end_dates, step: int, calendar, fill_policy: str):
+    """(covered, windows): the indices of the `calendar` days that a window
+    ending on `end_dates` (increasing, non-empty) covers under `fill_policy`,
+    gap windows included, and the index of each one's window."""
+    ends = np.asarray(end_dates, dtype=str)
+    days = np.asarray(calendar, dtype=str)
+    latest = np.searchsorted(ends, days, side="right") - 1  # the last entry stamped by each day
+    if fill_policy == "step_dates_only":
+        fresh = ends[latest] == days
+    else:
+        # each entry is held from the first day whose latest entry it is
+        fresh = np.arange(days.size) - np.searchsorted(latest, latest) < step
+    covered = np.flatnonzero((latest >= 0) & fresh)
+    return covered, latest[covered]
+
+
 def align_h_rv(
     rolling: RollingHurst, calendar, volatility, fill_policy: str = "forward_fill"
 ) -> AlignedPairs:
@@ -83,21 +99,15 @@ def align_h_rv(
         raise StatsError(f"unknown fill policy {fill_policy!r}")
     if not rolling.end_dates:
         raise StatsError("rolling series has no entries")
-    ends = np.asarray(rolling.end_dates, dtype=str)
     days = np.asarray(calendar, dtype=str)
-    latest = np.searchsorted(ends, days, side="right") - 1  # the last entry stamped by each day
-    if fill_policy == "step_dates_only":
-        fresh = ends[latest] == days
-    else:
-        # each entry is held from the first day whose latest entry it is
-        fresh = np.arange(days.size) - np.searchsorted(latest, latest) < rolling.step
-    kept = np.flatnonzero((latest >= 0) & rolling.ok[latest] & fresh)
-    if not kept.size:
+    covered, windows = _paired(rolling.end_dates, rolling.step, days, fill_policy)
+    kept = rolling.ok[windows]
+    if not kept.any():
         raise StatsError("no overlapping dates between rolling exponent and volatility")
     return AlignedPairs(
-        dates=tuple(days[kept].tolist()),
-        hurst=rolling.hurst[latest[kept]],
-        volatility=np.asarray(volatility, dtype=float)[kept],
+        dates=tuple(days[covered[kept]].tolist()),
+        hurst=rolling.hurst[windows[kept]],
+        volatility=np.asarray(volatility, dtype=float)[covered[kept]],
     )
 
 

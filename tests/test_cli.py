@@ -475,6 +475,29 @@ class TestReportCommand:
         )
         assert not (tmp_path / "table.csv").exists()
 
+    @pytest.mark.parametrize("command", ["regress", "report"])
+    @pytest.mark.parametrize("date", ["banana", "2015-13-45"])
+    def test_fig4_bad_end_date_names_file_and_line(self, runner, data_dir, bundled_run, tmp_path,
+                                                   command, date):
+        import shutil
+
+        _, _, out = bundled_run
+        broken = tmp_path / "broken"
+        shutil.copytree(out, broken)
+        fig4 = broken / "fig4_rolling_retail_NET.csv"
+        lines = fig4.read_text().splitlines(keepends=True)
+        lines[-1] = date + lines[-1][lines[-1].index(","):]  # the last window's end date
+        fig4.write_text("".join(lines))
+        args = ("report", "--dir", broken) if command == "report" else (
+            "regress", "--roll-dir", broken, "--prices", data_dir / "prices_synth.csv",
+            "--out", tmp_path / "table.csv")
+        result = invoke(runner, *args)
+        assert result.exit_code == 1
+        assert result.output == (
+            f"Error: {fig4}: line {len(lines)}: bad date {date!r}, expected a YYYY-MM-DD date\n"
+        )
+        assert not (tmp_path / "table.csv").exists()
+
     @pytest.mark.parametrize("command, prefix", [
         ("report", "Error: stage 'report': "),
         ("regress", "Error: "),  # regress runs no stage, so it names none

@@ -519,6 +519,62 @@ def forks(monkeypatch):
     return calls
 
 
+def spelled_file(path, wide):
+    """A flows file whose date, group and side tokens each come in several
+    spellings, padded or cased, every spelling on many rows; and the distinct
+    raw tokens of each kind, sorted, as the check of that kind sees them."""
+    rng = np.random.default_rng(5)
+    rows = []
+    for day in range(20):
+        date = f"2020-02-{1 + day:02d}"
+        for group in GROUPS:
+            groups = [group, group.upper(), f" {group.title()}"]
+            if wide:  # one row per (date, group), so the spellings vary by day
+                rows.append(([date, f" {date}"][day % 2], groups[day % 3],
+                             repr(rng.random()), repr(rng.random())))
+                continue
+            for side, k in itertools.product(SIDES, range(3)):
+                rows.append(([date, f" {date}", f"{date} "][k], "F1", groups[(k + day) % 3],
+                             [side, side.lower(), f"{side} "][k], repr(rng.random())))
+    path.write_text("\n".join([WIDE if wide else LONG, *map(",".join, rows)]) + "\n")
+    columns = {"_parse_date": 0, "_parse_group": 1} if wide else {
+        "_parse_date": 0, "_parse_group": 2, "_parse_side": 3}
+    tokens = {name: sorted({row[i] for row in rows}) for name, i in columns.items()}
+    return path, {"_parse_side": [], **tokens}
+
+
+def recorded(parse, tokens):
+    """`parse`, appending each token it is called on to `tokens`."""
+
+    def check(token):
+        tokens.append(token)
+        return parse(token)
+
+    return check
+
+
+class TestTokensCheckedOnce:
+    """Each distinct raw date, group and side token of a flows file is
+    checked once, by either reader, in one range or in two halves."""
+
+    @pytest.mark.parametrize("wide", [False, True], ids=["long", "wide"])
+    @pytest.mark.parametrize("read", ["read_flows_csv", "one-range", "halves"])
+    def test_each_distinct_token_is_parsed_once(self, tmp_path, monkeypatch, wide, read):
+        path, expected = spelled_file(tmp_path / "flows.csv", wide)
+        seen = {name: [] for name in expected}
+        for name, tokens in seen.items():
+            monkeypatch.setattr(flows, name, recorded(getattr(flows, name), tokens))
+        if read == "read_flows_csv":
+            serial_read(path)
+        else:
+            split_min = 1 if read == "halves" else path.stat().st_size + 1
+            monkeypatch.setattr(pipeline, "SPLIT_MIN_BYTES", split_min)
+            monkeypatch.setattr(pipeline, "read_flows_csv", None)  # the raw read alone
+            pipeline.read_panel(path)
+        assert {name: sorted(tokens) for name, tokens in seen.items()} == expected
+        assert len(expected["_parse_group"]) == 9  # each group in three spellings
+
+
 class TestTwoProcessRead:
     """`pipeline.read_panel` reads a file by raw tokens, a large one in two
     processes; its panel, record count and errors are those of the serial
@@ -576,6 +632,22 @@ class TestTwoProcessRead:
         path.write_text(text + repeat)
         last = len(path.read_text().split("\n")) - 1
         first = line_of(path, row)
+        for split_min in (1, path.stat().st_size + 1):  # two halves, then one range here
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(pipeline, "SPLIT_MIN_BYTES", split_min)
+                with pytest.raises(
+                    FlowError,
+                    match=f"^{re.escape(str(path))}: line {last}: "
+                    f"repeats the 2020-01-05 institutional row of line {first}$",
+                ):
+                    pipeline.read_panel(path)
+        assert len(forks) == 1
+
+    def test_wide_row_repeated_under_another_spelling_names_both_lines(self, tmp_path, forks):
+        path = wide_file(tmp_path / "flows.csv")
+        first = line_of(path, "2020-01-05,institutional,")
+        path.write_text(path.read_text() + "2020-01-05, INSTITUTIONAL,1.0,2.0\n")
+        last = len(path.read_text().split("\n")) - 1
         for split_min in (1, path.stat().st_size + 1):  # two halves, then one range here
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(pipeline, "SPLIT_MIN_BYTES", split_min)

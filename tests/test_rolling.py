@@ -101,18 +101,18 @@ class TestRollingHurst:
 
     def test_csv_gap_rows(self, tmp_path):
         rows = (
-            ("d1", 0.5, 0.01, 0.99, 12, None),
-            ("d2", math.nan, math.nan, math.nan, 0, "insufficient scales"),
+            ("2020-01-02", 0.5, 0.01, 0.99, 12, None),
+            ("2020-01-03", math.nan, math.nan, math.nan, 0, "insufficient scales"),
         )
         roll = RollingHurst.from_rows(rows, window=250, step=5)
         path = tmp_path / "roll.csv"
         path.write_text(rolling_csv(roll))
-        assert path.read_text() == "end_date,H,stderr,r2\nd1,0.5,0.01,0.99\nd2,,,\n"
+        assert path.read_text() == "end_date,H,stderr,r2\n2020-01-02,0.5,0.01,0.99\n2020-01-03,,,\n"
         # the file holds neither the window length, n_points_used nor a gap's reason
         assert read_rolling_csv(path, step=5) == RollingHurst.from_rows(
             (
-                ("d1", 0.5, 0.01, 0.99, 0, None),
-                ("d2", math.nan, math.nan, math.nan, 0, "gap"),
+                ("2020-01-02", 0.5, 0.01, 0.99, 0, None),
+                ("2020-01-03", math.nan, math.nan, math.nan, 0, "gap"),
             ),
             window=None,
             step=5,

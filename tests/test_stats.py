@@ -227,6 +227,61 @@ class TestAlignmentOracle:
         assert outcome(align_h_rv) == outcome(reference_align_h_rv)
 
 
+def one_mask_align_h_rv(rolling, calendar, volatility, fill_policy):
+    """`align_h_rv` as one mask over the days, before its date pairing was
+    split out, kept as the oracle of that split."""
+    ends = np.asarray(rolling.end_dates, dtype=str)
+    days = np.asarray(calendar, dtype=str)
+    latest = np.searchsorted(ends, days, side="right") - 1
+    if fill_policy == "step_dates_only":
+        fresh = ends[latest] == days
+    else:
+        fresh = np.arange(days.size) - np.searchsorted(latest, latest) < rolling.step
+    kept = np.flatnonzero((latest >= 0) & rolling.ok[latest] & fresh)
+    if not kept.size:
+        raise StatsError("no overlapping dates between rolling exponent and volatility")
+    return AlignedPairs(
+        dates=tuple(days[kept].tolist()),
+        hurst=rolling.hurst[latest[kept]],
+        volatility=np.asarray(volatility, dtype=float)[kept],
+    )
+
+
+@st.composite
+def pairing_cases(draw):
+    """1-30 stamps and a volatility calendar of 1-60 days, both real dates,
+    the calendar able to start before the first stamp and end after the
+    last; a step of 1-10, a fill policy, and any gap mask, all gaps too."""
+    first = datetime.date(2020, 1, 1)
+
+    def dates(low, high, most):
+        offsets = sorted(draw(st.sets(st.integers(low, high), min_size=1, max_size=most)))
+        return [(first + datetime.timedelta(days=i)).isoformat() for i in offsets]
+
+    stamps, days = dates(20, 80, 30), dates(0, 100, 60)
+    gaps = draw(st.just([True] * len(stamps)) | st.lists(st.booleans(), min_size=len(stamps),
+                                                          max_size=len(stamps)))
+    finite = st.floats(-1e6, 1e6, allow_nan=False)
+    hs = [None if gap else draw(finite) for gap in gaps]
+    volatility = np.array(draw(st.lists(finite, min_size=len(days), max_size=len(days))))
+    rolling = make_rolling(list(zip(stamps, hs)), step=draw(st.integers(1, 10)))
+    return rolling, tuple(days), volatility, draw(st.sampled_from(FILL_POLICIES))
+
+
+class TestPairingSplit:
+    @given(pairing_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_one_mask_formula(self, case):
+        def outcome(align):
+            try:
+                pairs = align(*case)
+            except StatsError as exc:
+                return str(exc)
+            return pairs.dates, pairs.hurst.tolist(), pairs.volatility.tolist()
+
+        assert outcome(align_h_rv) == outcome(one_mask_align_h_rv)
+
+
 class TestOls:
     def test_exact_line(self):
         x = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
