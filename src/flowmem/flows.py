@@ -14,7 +14,7 @@ import itertools
 import math
 from collections import defaultdict
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,42 +34,13 @@ WIDE_HEADER = ("date", "group", "buy", "sell")
 @dataclass(frozen=True, eq=False)
 class FlowPanel:
     """Calendar-aligned flow series keyed by (group, flow type) string
-    pairs, e.g. ("retail", "NET").
-
-    Immutable after construction; the value arrays are read-only views.
-    """
+    pairs, e.g. ("retail", "NET"), as `aggregate_daily` and the readers
+    build them (`_panel`): the calendar strictly increases, each series is
+    a read-only array as long as it, BUY and SELL are finite and
+    non-negative, and NET = BUY - SELL."""
 
     calendar: tuple[str, ...]
-    series: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if len(self.calendar) == 0:
-            raise FlowError("panel calendar is empty")
-        if any(b <= a for a, b in zip(self.calendar, self.calendar[1:])):
-            raise FlowError("calendar must be strictly increasing")
-        length = len(self.calendar)
-        frozen = {}
-        keys = {(group, flow_type) for group in GROUPS for flow_type in FLOW_TYPES}
-        for key, values in self.series.items():
-            if key not in keys:
-                raise FlowError(f"unknown series key {key!r}")
-            group, flow_type = key
-            arr = np.asarray(values, dtype=float)
-            if arr.shape != (length,):
-                raise FlowError(f"series {key} length {arr.size} != calendar {length}")
-            if not np.all(np.isfinite(arr)):
-                raise FlowError(f"series {key} contains non-finite values")
-            if flow_type in SIDES and np.any(arr < 0):
-                raise FlowError(f"series {key} has negative amounts")
-            arr = arr.copy()
-            arr.flags.writeable = False
-            frozen[group, flow_type] = arr
-        object.__setattr__(self, "series", frozen)
-        for group in GROUPS:
-            if all((group, ft) in frozen for ft in FLOW_TYPES):
-                buy, sell, net = (frozen[group, ft] for ft in FLOW_TYPES)
-                if not np.array_equal(net, buy - sell):
-                    raise FlowError(f"NET != BUY - SELL for group {group}")
+    series: dict
 
     def __eq__(self, other):
         if not isinstance(other, FlowPanel):
@@ -90,7 +61,9 @@ def aggregate_daily(records) -> FlowPanel:
     rounded compensated accumulation (math.fsum), so the result is
     invariant under any reordering of the input. Days with no records for
     a group get an explicit zero, and the calendar is the sorted set of
-    distinct dates present in the input.
+    distinct dates present in the input. An unknown group or side, and a
+    cell that sums past the float range, to a non-finite or to a negative
+    value, raise a FlowError.
     """
     cells: defaultdict[tuple[str, str, str], list[float]] = defaultdict(list)
     for date, group, side, amount in records:
@@ -104,7 +77,8 @@ class _SumOverflow(FlowError):
 
 def _panel(cells) -> FlowPanel:
     """The panel of {(date, group, side): amounts}, each cell summed with
-    math.fsum."""
+    math.fsum, and the one check of a panel's values: a summed BUY or SELL
+    value that is not finite or is negative is a FlowError naming its series."""
     if not cells:
         raise FlowError("no records")
     calendar = tuple(sorted({date for date, _, _ in cells}))
@@ -119,12 +93,21 @@ def _panel(cells) -> FlowPanel:
             column[index[date]] = math.fsum(amounts)
         except OverflowError:
             raise _SumOverflow(f"cell ({date}, {group}, {side}) exceeds the float range") from None
+        except ValueError:  # inf and -inf in one cell
+            column[index[date]] = math.nan
+    for key, column in columns.items():
+        if not np.all(np.isfinite(column)):
+            raise FlowError(f"series {key} contains non-finite values")
+        if np.any(column < 0):
+            raise FlowError(f"series {key} has negative amounts")
     series = {}
     for group in GROUPS:
         buy, sell = columns[group, "BUY"], columns[group, "SELL"]
         series[group, "BUY"] = buy
         series[group, "SELL"] = sell
         series[group, "NET"] = buy - sell
+    for values in series.values():
+        values.flags.writeable = False
     return FlowPanel(calendar=calendar, series=series)
 
 

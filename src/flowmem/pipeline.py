@@ -324,16 +324,24 @@ def rolling_csv(roll: RollingHurst) -> str:
 
 def read_rolling_csv(path, step: int) -> RollingHurst:
     """The RollingHurst a `rolling_csv` file holds, whose end dates must be
-    real calendar dates that strictly increase. The file does not hold the
-    window length, n_points_used or a gap's reason, so those come back as
-    None, 0 and "gap"."""
+    real calendar dates that strictly increase, each followed by three
+    finite numbers (a window) or three empty fields (a gap). The file does
+    not hold the window length, n_points_used or a gap's reason, so those
+    come back as None, 0 and "gap"."""
 
     def window_row(_header, _line, row):
         date, h, stderr, r2 = row
         end_date = _parse_date(date)
-        if not h:
+        if h == stderr == r2 == "":
             return end_date, math.nan, math.nan, math.nan, 0, "gap"
-        return end_date, float(h), float(stderr), float(r2), 0, None
+        try:
+            h, stderr, r2 = float(h), float(stderr), float(r2)
+        except ValueError:
+            h = math.nan  # fails the check below
+        if not (math.isfinite(h) and math.isfinite(stderr) and math.isfinite(r2)):
+            raise ValueError(f"expected three finite numbers or three empty fields after the end "
+                             f"date, got {','.join(row[1:])!r}")
+        return end_date, h, stderr, r2, 0, None
 
     header = ("end_date", "H", "stderr", "r2")
     rows = read_csv(path, (header,), increasing(window_row), FlowmemError)

@@ -498,6 +498,34 @@ class TestReportCommand:
         )
         assert not (tmp_path / "table.csv").exists()
 
+    @pytest.mark.parametrize("command", ["regress", "report"])
+    @pytest.mark.parametrize("fields", ["nan,nan,nan", ",0.1,0.9"])
+    def test_fig4_row_neither_window_nor_gap_names_file_and_line(
+        self, runner, data_dir, bundled_run, tmp_path, command, fields
+    ):
+        """A fig4 row holds three finite numbers or three empty fields, as
+        `rolling_csv` writes them; anything else is not read as a window or
+        a gap."""
+        import shutil
+
+        _, _, out = bundled_run
+        broken = tmp_path / "broken"
+        shutil.copytree(out, broken)
+        fig4 = broken / "fig4_rolling_retail_NET.csv"
+        lines = fig4.read_text().splitlines(keepends=True)
+        lines[-1] = lines[-1][:lines[-1].index(",") + 1] + fields + "\n"  # the last window
+        fig4.write_text("".join(lines))
+        args = ("report", "--dir", broken) if command == "report" else (
+            "regress", "--roll-dir", broken, "--prices", data_dir / "prices_synth.csv",
+            "--out", tmp_path / "table.csv")
+        result = invoke(runner, *args)
+        assert result.exit_code == 1
+        assert result.output == (
+            f"Error: {fig4}: line {len(lines)}: expected three finite numbers or three empty "
+            f"fields after the end date, got {fields!r}\n"
+        )
+        assert not (tmp_path / "table.csv").exists()
+
     @pytest.mark.parametrize("command, prefix", [
         ("report", "Error: stage 'report': "),
         ("regress", "Error: "),  # regress runs no stage, so it names none
