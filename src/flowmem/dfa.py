@@ -18,7 +18,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import legendre
 
 from .errors import DfaError
 
@@ -110,8 +109,14 @@ def make_scale_grid(length: int, config: DfaConfig = DfaConfig()) -> np.ndarray:
 
 @functools.lru_cache(maxsize=256)
 def _basis(n: int, order: int) -> np.ndarray:
-    """Read-only orthonormal basis (n, order+1) of degree-`order` block fits."""
-    q, r = np.linalg.qr(legendre.legvander(np.linspace(-1.0, 1.0, n), order))
+    """Read-only orthonormal basis (n, order+1) of degree-`order` block fits:
+    the QR factor of the Legendre Vandermonde matrix on [-1, 1], built with
+    numpy's `legvander` recurrence (numpy.polynomial is not imported)."""
+    x = np.linspace(-1.0, 1.0, n)
+    v = np.ones((order + 1, n))
+    for i in range(1, order + 1):
+        v[i] = x if i == 1 else (v[i - 1] * x * (2 * i - 1) - v[i - 2] * (i - 1)) / i
+    q, r = np.linalg.qr(v.T)
     if np.min(np.abs(np.diag(r))) < 1e-12 * np.max(np.abs(np.diag(r))):
         raise DfaError(f"singular block fit at scale {n}")
     q.setflags(write=False)

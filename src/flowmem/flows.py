@@ -8,6 +8,7 @@ calendar dates, so holidays are simply whatever the input omits.
 
 from __future__ import annotations
 
+import array
 import csv
 import datetime
 import itertools
@@ -61,26 +62,29 @@ def aggregate_daily(records) -> FlowPanel:
     rounded compensated accumulation (math.fsum), so the result is
     invariant under any reordering of the input. Days with no records for
     a group get an explicit zero, and the calendar is the sorted set of
-    distinct dates present in the input. An unknown group or side, and a
-    cell that sums past the float range, to a non-finite or to a negative
-    value, raise a FlowError.
+    distinct dates present in the input. A date that is not a YYYY-MM-DD
+    calendar date (checked once per distinct token, as the readers check
+    it), an unknown group or side, and a cell that sums past the float
+    range, to a non-finite or to a negative value, raise a FlowError.
     """
+    dates = _Checked(_parse_date)
     cells: defaultdict[tuple[str, str, str], list[float]] = defaultdict(list)
     for date, group, side, amount in records:
+        try:
+            date = dates[date]
+        except ValueError as exc:
+            raise FlowError(str(exc)) from None
         cells[date, group, side].append(amount)
-    return _panel(cells)
+    return _summed_panel(cells)
 
 
 class _SumOverflow(FlowError):
     """A cell summed past the float range; `pipeline.read_panel` names the file."""
 
 
-def _panel(cells) -> FlowPanel:
-    """The panel of {(date, group, side): amounts}, each cell summed with
-    math.fsum, and the one check of a panel's values: a summed BUY or SELL
-    value that is not finite or is negative is a FlowError naming its series."""
-    if not cells:
-        raise FlowError("no records")
+def _summed_panel(cells) -> FlowPanel:
+    """The `_panel` of {(date, group, side): amounts}, each cell summed with
+    math.fsum."""
     calendar = tuple(sorted({date for date, _, _ in cells}))
     index = {date: i for i, date in enumerate(calendar)}
     columns = {(group, side): np.zeros(len(calendar)) for group in GROUPS for side in SIDES}
@@ -95,6 +99,16 @@ def _panel(cells) -> FlowPanel:
             raise _SumOverflow(f"cell ({date}, {group}, {side}) exceeds the float range") from None
         except ValueError:  # inf and -inf in one cell
             column[index[date]] = math.nan
+    return _panel(calendar, columns)
+
+
+def _panel(calendar: tuple[str, ...], columns: dict) -> FlowPanel:
+    """The panel of a sorted calendar and its six {(group, side): array}
+    BUY and SELL columns, and the one check of a panel's values: no
+    calendar is a FlowError, and so is a BUY or SELL value that is not
+    finite or is negative, naming its series."""
+    if not calendar:
+        raise FlowError("no records")
     for key, column in columns.items():
         if not np.all(np.isfinite(column)):
             raise FlowError(f"series {key} contains non-finite values")
@@ -258,7 +272,7 @@ def read_flows_csv(path) -> Iterator[tuple[str, str, str, float]]:
 
 
 # The raw-token read (`pipeline.read_panel`): each byte range of a file
-# (the whole file, or each of its two halves) keys its cells by the raw
+# (the whole file, or each of its two halves) keeps its rows by their raw
 # tokens and checks every amount as its row arrives; the join checks each
 # distinct token once. Where only the serial read can judge the file (a
 # quote, a lone CR, a bad row, amount or token, a repeated wide row) these
@@ -298,11 +312,17 @@ def _halves(path):
 
 def _read_cells(path, header, start: int, stop: int):
     """(cells, records) for bytes [start, stop) of a flows CSV, read in
-    blocks of whole lines: cells are {(date, group, side): amounts} in the
-    long schema and {(date, group): (buy, sell)} in the wide, keyed by raw
-    tokens, and a wide row counts as 2 records."""
+    blocks of whole lines, with raw tokens: in the long schema cells are
+    {(date, group, side): amounts}; in the wide, (date tokens, group
+    tokens, day, group, buy, sell), the distinct tokens as {token: index}
+    in order of first sight and, per row, its date and group token indexes
+    and its two amounts in flat arrays. A wide row counts as 2 records."""
     wide = header == WIDE_HEADER
-    cells = {} if wide else defaultdict(list)
+    if wide:
+        cells = date_ids, group_ids, days, groups, buys, sells = (
+            {}, {}, array.array("i"), array.array("i"), array.array("d"), array.array("d"))
+    else:
+        cells = defaultdict(list)
     records = 0
     inf = math.inf
     with open(path, "rb") as fh:
@@ -325,9 +345,12 @@ def _read_cells(path, header, start: int, stop: int):
                     if wide:
                         d, g, buy, sell = line.split(",")
                         b, s = float(buy), float(sell)
-                        if not (0.0 <= b < inf and 0.0 <= s < inf) or (d, g) in cells:
+                        if not (0.0 <= b < inf and 0.0 <= s < inf):
                             return None
-                        cells[d, g] = b, s
+                        days.append(date_ids.setdefault(d, len(date_ids)))
+                        groups.append(group_ids.setdefault(g, len(group_ids)))
+                        buys.append(b)
+                        sells.append(s)
                     else:
                         d, _, g, s, amount = line.split(",")
                         value = float(amount)
@@ -342,25 +365,49 @@ def _read_cells(path, header, start: int, stop: int):
 
 def _joined_panel(header, reads) -> tuple[FlowPanel, int] | None:
     """The panel and record count of the `_read_cells` results of a file's
-    byte ranges, each distinct raw token checked once. The raw cells are
-    emptied as they are joined, so raw and joined never coexist in memory."""
-    wide = header == WIDE_HEADER
+    byte ranges, each distinct raw token checked once. Long-schema raw
+    cells are emptied as they are joined, so raw and joined never coexist
+    in memory."""
+    ranges = [cells for cells, _ in reads]
     dates, groups, sides = _Checked(_parse_date), _Checked(_parse_group), _Checked(_parse_side)
     cells: dict = {}
     try:
-        for raw_cells, _ in reads:
-            while raw_cells:
-                raw, amounts = raw_cells.popitem()
-                date, group = dates[raw[0]], groups[raw[1]]
-                if wide:
-                    if (date, group, "BUY") in cells:
-                        return None
-                    cells[date, group, "BUY"] = [amounts[0]]
-                    cells[date, group, "SELL"] = [amounts[1]]
-                    continue
-                cell = cells.setdefault((date, group, sides[raw[2]]), amounts)
-                if cell is not amounts:
-                    cell.extend(amounts)
-        return _panel(cells), sum(records for _, records in reads)
+        if header == WIDE_HEADER:
+            panel = _wide_panel(ranges, dates, groups)
+        else:
+            for raw_cells in ranges:
+                while raw_cells:
+                    (d, g, s), amounts = raw_cells.popitem()
+                    cell = cells.setdefault((dates[d], groups[g], sides[s]), amounts)
+                    if cell is not amounts:
+                        cell.extend(amounts)
+            panel = _summed_panel(cells)
     except (ValueError, FlowError):
         return None
+    return panel, sum(records for _, records in reads)
+
+
+def _wide_panel(ranges, dates: _Checked, groups: _Checked) -> FlowPanel:
+    """The panel of the ranges' wide rows, each amount put into its column
+    by its cell's code, group index x days + day index; a (date, group)
+    cell given twice, found by sorting the codes, is a FlowError."""
+    calendar = tuple(sorted({dates[token] for date_ids, *_ in ranges for token in date_ids}))
+    index = {date: i for i, date in enumerate(calendar)}
+    codes = []
+    for date_ids, group_ids, row_days, row_groups, _, _ in ranges:
+        day_at = np.array([index[dates[token]] for token in date_ids], dtype=np.intp)
+        group_at = np.array([GROUPS.index(groups[token]) for token in group_ids], dtype=np.intp)
+        codes.append(group_at[row_groups] * len(calendar) + day_at[row_days])
+    codes = np.concatenate(codes)
+    ordered = np.sort(codes)
+    if np.any(ordered[1:] == ordered[:-1]):
+        raise FlowError("a (date, group) row given twice")
+    *_, buys, sells = zip(*ranges)  # each side's amount arrays, one per range
+    columns = {}
+    for side, amounts in zip(SIDES, (buys, sells)):
+        block = np.zeros((len(GROUPS), len(calendar)))
+        np.put(block, codes, np.concatenate(amounts))
+        for group, column in zip(GROUPS, block):
+            # an array of its own; + 0.0 makes -0.0 the 0.0 that math.fsum sums it to
+            columns[group, side] = column + 0.0
+    return _panel(calendar, columns)

@@ -428,6 +428,15 @@ class TestBatchedKernelOracle:
         assert not q.flags.writeable
         np.testing.assert_allclose(q.T @ q, np.eye(3), atol=1e-14)
 
+    @pytest.mark.parametrize("order", [0, 1, 2, 3])
+    def test_basis_equals_the_legvander_qr_reference(self, order):
+        """`_basis` builds legvander's matrix by its own recurrence: its Q is
+        the numpy.polynomial reference's bit for bit, at every scale a grid
+        can use up to half of a 2,500-day series (min_blocks 2)."""
+        for n in range(order + 2, 1251):
+            q, _ = np.linalg.qr(legendre.legvander(np.linspace(-1.0, 1.0, n), order))
+            assert _basis(n, order).tobytes() == q.tobytes(), n
+
 
 def traced_peak_mb(call) -> float:
     """The peak of the memory that `call()` allocates, as tracemalloc counts it."""

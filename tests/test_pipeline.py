@@ -717,15 +717,17 @@ class TestIngestWorker:
         assert no_children_left()
 
 
-def numpy_ma_after_run(data_dir, out, fork=True):
-    """The numpy.ma modules loaded by a fresh process after one bundled run."""
+def lazy_numpy_after_run(data_dir, out, fork=True):
+    """The numpy.ma and numpy.polynomial modules loaded by a fresh process
+    after one bundled run."""
     src = Path(pipeline.__file__).resolve().parents[1]
     code = (
         "import sys\n"
         + ("" if fork else "import os\ndel os.fork\n")
         + "from flowmem.pipeline import load_config, run_pipeline\n"
         "run_pipeline(load_config(sys.argv[1], out_dir=sys.argv[2]))\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] in (['numpy', 'ma'], "
+        "['numpy', 'polynomial'])))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(src)}
     done = subprocess.run(
@@ -790,14 +792,14 @@ def test_readme_library_use_block_runs(data_dir, tmp_path, monkeypatch):
 
 def test_run_loads_no_numpy_ma(data_dir, tmp_path):
     """np.unique and np.quantile import numpy.ma on first use; a run does
-    without both."""
-    assert numpy_ma_after_run(data_dir, tmp_path / "out") == "[]"
+    without both, and builds its DFA basis without numpy.polynomial."""
+    assert lazy_numpy_after_run(data_dir, tmp_path / "out") == "[]"
 
 
 def test_inline_run_loads_no_numpy_ma(data_dir, tmp_path):
     """Without os.fork the surrogate stage runs in the same process, so its
     code is checked here too."""
-    assert numpy_ma_after_run(data_dir, tmp_path / "out", fork=False) == "[]"
+    assert lazy_numpy_after_run(data_dir, tmp_path / "out", fork=False) == "[]"
 
 
 class TestConfig:
