@@ -33,7 +33,7 @@ import numpy.random  # noqa: F401  numpy loads these lazily; load them at import
 
 from . import __version__
 from .dfa import DfaConfig, dfa_rows, make_scale_grid
-from .errors import DfaError, FlowError, FlowmemError, PipelineError, TailError
+from .errors import DfaError, FlowError, FlowmemError, PipelineError, StatsError, TailError
 from .flows import (
     FLOW_TYPES,
     GROUPS,
@@ -453,21 +453,41 @@ def _read_raw(path) -> tuple[FlowPanel, int] | None:
 
 
 def _stage_ingest(run: _Run):
+    """The flows and, with a prices file, the prices, read and checked
+    before `run_pipeline` forks: a DFA grid for the series and for one
+    window, a series one window long that is not one value on every day,
+    at least the 2 prices a return needs, and dates that leave the
+    regression at least 3 pairs from more than one window."""
     config = run.config
     path = config.resolve(config.flows_csv)
     run.panel, _ = read_panel(path)
-    # a DFA grid for the series and for one window, and a series one window long
     length, window = len(run.panel.calendar), config.rolling_window
     window_key = "config key 'rolling.window'"
     for where, size in ((path, length), (window_key, window)):
         try:
             make_scale_grid(size, config.dfa)
         except DfaError as exc:
-            raise PipelineError("ingest", f"{where}: {exc}") from None
+            raise DfaError(f"{where}: {exc}") from None
     if length < window:
-        raise PipelineError("ingest", f"{path}: length {length} < {window_key} = {window}")
+        raise FlowError(f"{path}: length {length} < {window_key} = {window}")
     for (group, flow_type), values in run.panel.series.items():
         check_varies(f"{path}: series {series_key(group, flow_type)}", values)
+    if config.prices_csv is not None:
+        path = config.resolve(config.prices_csv)
+        run.prices = read_prices_csv(path)
+        if (count := len(run.prices[0])) < 2:
+            raise StatsError(f"{path}: need at least 2 prices, got {count}")
+        # the window of each regression pair, as `regression_table` pairs the
+        # rolling end dates with the days of the returns
+        step, lag = config.rolling_step, config.lag_k
+        ends = run.panel.calendar[window - 1 :: step]
+        _, windows = _paired(ends, step, run.prices[0][1:], config.fill_policy)
+        windows = windows[: max(windows.size - lag, 0)].tolist()
+        if len(windows) < 3 or windows[0] == windows[-1]:
+            got = f"{len(windows)} regression pairs from {len(set(windows))} rolling windows"
+            keys = f"'rolling.window' = {window}, 'rolling.step' = {step}, 'regression.lag_k' = {lag}"
+            needs = "a fit needs 3 pairs from 2 windows"
+            raise StatsError(f"{path}: {got} (config keys {keys}); {needs}")
     return ()  # no file
 
 
@@ -479,34 +499,6 @@ def check_varies(name: str, values) -> None:
         raise FlowError(f"{name} is {float(values[0])} on every day")
 
 
-def _stage_prices(run: _Run):
-    """The rest of ingest, read at the head of the parent's lane after the
-    fork: the prices file, if any. Its errors are ingest's, and so are a
-    file of fewer than the 2 prices a return needs and one whose dates
-    leave the regression fewer than 3 pairs, or pairs from one window."""
-    config = run.config
-    if config.prices_csv is not None:
-        path = config.resolve(config.prices_csv)
-        try:
-            run.prices = read_prices_csv(path)
-        except Exception as exc:
-            raise _stage_error("ingest", exc)
-        if (count := len(run.prices[0])) < 2:
-            raise PipelineError("ingest", f"{path}: need at least 2 prices, got {count}")
-        # the window of each regression pair, as `regression_table` pairs the
-        # rolling end dates with the days of the returns
-        window, step, lag = config.rolling_window, config.rolling_step, config.lag_k
-        ends = run.panel.calendar[window - 1 :: step]
-        _, windows = _paired(ends, step, run.prices[0][1:], config.fill_policy)
-        windows = windows[: max(windows.size - lag, 0)].tolist()
-        if len(windows) < 3 or windows[0] == windows[-1]:
-            got = f"{len(windows)} regression pairs from {len(set(windows))} rolling windows"
-            keys = f"'rolling.window' = {window}, 'rolling.step' = {step}, 'regression.lag_k' = {lag}"
-            needs = "a fit needs 3 pairs from 2 windows"
-            raise PipelineError("ingest", f"{path}: {got} (config keys {keys}); {needs}")
-    return ()  # no file
-
-
 def tail_report(values, side: str, tail_fraction: float):
     """CCDF, mean/variance-matched Gaussian reference and both tail fits.
 
@@ -516,7 +508,7 @@ def tail_report(values, side: str, tail_fraction: float):
     than 0.3.
     """
     plotted = np.abs(values) if side == "absolute" else np.asarray(values, dtype=float)
-    ccdf = empirical_ccdf(plotted, side="upper")
+    ccdf = empirical_ccdf(plotted)
     std = float(plotted.std())
     reference = (
         gaussian_ccdf_reference(float(plotted.mean()), std, ccdf.xs)
@@ -667,11 +659,9 @@ def _stage_report(run: _Run):
 
 
 # The stages by name, in the order that picks the earliest failed one, and
-# `_lane` runs them. "prices" is the rest of ingest, read after the fork
-# (`run_pipeline`), and fails as stage 'ingest'.
+# `_lane` runs them; `_stage_error` labels a failure with its stage's name.
 _STAGES = {
     "ingest": _stage_ingest,
-    "prices": _stage_prices,
     "tails": _stage_tails,
     "static_dfa": _stage_static_dfa,
     "surrogates": _stage_surrogates,
@@ -694,11 +684,11 @@ def run_pipeline(config: RunConfig) -> RunReport:
     """Execute every stage, publish the run's artifacts, return its report.
 
     Each file a stage yields is written into `<out_dir>/.staging/`,
-    cleared first of anything a killed run left, by `_write` alone. After
-    the flows are read, the surrogate bands go into a queue, one byte per
-    band in an os.pipe, and a worker (`_beside`, a forked process where a
-    fork succeeds) takes bands from it while this process reads the prices
-    and runs the tails, static DFA, rolling and regression stages, then
+    cleared first of anything a killed run left, by `_write` alone. Once
+    ingest has read and checked both inputs, the surrogate bands go into a
+    queue, one byte per band in an os.pipe, and a worker (`_beside`, a
+    forked process where a fork succeeds) takes bands from it while this
+    process runs the tails, static DFA, rolling and regression stages, then
     takes the bands that are left; each band is taken once. One hand-off
     rule holds: inside a process, stages pass values on `_Run` (the panel,
     the prices, the rolling exponents the regression takes); between
@@ -730,9 +720,7 @@ def run_pipeline(config: RunConfig) -> RunReport:
                 queue.write(bytes(range(len(run.panel.series) * len(config.surrogate_kinds))))
             failed, (files, error) = _beside(
                 lambda: list(_stage_surrogates(run)),
-                lambda: _lane(
-                    run, ["prices", "tails", "static_dfa", "rolling", "regression", "surrogates"]
-                ),
+                lambda: _lane(run, ["tails", "static_dfa", "rolling", "regression", "surrogates"]),
                 useless=lambda failed: failed and _serial_order(failed)[0] < _SURROGATES,
             )
         finally:

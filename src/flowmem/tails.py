@@ -27,7 +27,6 @@ class CcdfPoints:
 
     xs: np.ndarray
     ps: np.ndarray
-    side: str
 
     def __post_init__(self):
         if self.xs.size != self.ps.size:
@@ -56,28 +55,21 @@ def _clean(values) -> np.ndarray:
     return v
 
 
-def empirical_ccdf(values, side: str = "upper") -> CcdfPoints:
-    """Empirical CCDF at the sorted distinct observation values.
-
-    side="absolute" takes |values| first, which is the default treatment
-    for signed net-flow series.
-    """
+def empirical_ccdf(values) -> CcdfPoints:
+    """Empirical CCDF at the sorted distinct observation values (the upper
+    tail; `pipeline.tail_report` takes |values| first for the absolute side)."""
     v = _clean(values)
     if v.size < 10:
         raise TailError(f"need at least 10 values, got {v.size}")
-    if side not in TAIL_SIDES:
-        raise TailError(f"unknown side {side!r}")
-    if side == "absolute":
-        v = np.abs(v)
     n = v.size
     distinct, first_idx = np.unique(np.sort(v), return_index=True)
     if distinct.size == 1:
         warnings.warn("degenerate input: all values equal", stacklevel=2)
-        return CcdfPoints(xs=distinct, ps=np.array([1.0]), side=side)
+        return CcdfPoints(xs=distinct, ps=np.array([1.0]))
     # #{obs > distinct[i]} = n - first_idx[i+1]; the maximum (p = 0) is dropped
     xs = distinct[:-1]
     ps = (n - first_idx[1:]) / n
-    return CcdfPoints(xs=xs, ps=ps, side=side)
+    return CcdfPoints(xs=xs, ps=ps)
 
 
 def gaussian_ccdf_reference(mean: float, std: float, xs) -> CcdfPoints:
@@ -89,7 +81,7 @@ def gaussian_ccdf_reference(mean: float, std: float, xs) -> CcdfPoints:
     z = (x - mean) / (std * np.sqrt(2.0))
     # libm's erfc element by element; scipy.special is kept off the start-up path
     ps = 0.5 * np.array([math.erfc(v) for v in z.tolist()], dtype=float)
-    return CcdfPoints(xs=x, ps=ps, side="upper")
+    return CcdfPoints(xs=x, ps=ps)
 
 
 def fit_tail_exponent(values, tail_fraction: float = 0.05, method: str = "hill") -> TailFit:
@@ -130,7 +122,7 @@ def fit_tail_exponent(values, tail_fraction: float = 0.05, method: str = "hill")
     # ccdf_ols
     if n < n_tail:
         raise TailError(f"insufficient tail points: need {n_tail}, have {n}")
-    ccdf = empirical_ccdf(v, side="upper")
+    ccdf = empirical_ccdf(v)
     xmin = float(np.sort(v)[n - n_tail])
     mask = ccdf.xs >= xmin
     xs = ccdf.xs[mask]

@@ -630,7 +630,7 @@ class TestSurrogateWorker:
         self, data_dir, tmp_path, monkeypatch, stage
     ):
         config = load_config(data_dir / "run_config.json", out_dir=str(tmp_path / "out"))
-        if stage == "ingest":  # the prices read, after the fork
+        if stage == "ingest":  # a bad prices file, which ingest rejects before the fork
             prices = tmp_path / "prices.csv"
             prices.write_text("date,close\n2020-01-02,abc\n")
             config = replace(config, prices_csv=str(prices))
@@ -649,6 +649,31 @@ class TestSurrogateWorker:
             run_pipeline(config)
         assert time.monotonic() - t0 < 10  # the sleeping worker was killed, not waited for
         assert info.value.stage == stage
+        assert no_children_left()
+
+    @pytest.mark.parametrize("fork", [True, False], ids=["forked", "inline"])
+    def test_bad_prices_file_forks_and_computes_nothing(self, data_dir, tmp_path, monkeypatch, fork):
+        # ingest reads the prices before the fork; a failed fork would
+        # compute every band inline first
+        prices = tmp_path / "prices.csv"
+        prices.write_text("date,close\n2020-01-02,abc\n")
+        config = load_config(data_dir / "run_config.json", out_dir=str(tmp_path / "out"))
+        config = replace(config, prices_csv=str(prices))
+        real_fork, forks, bands = os.fork, [], []
+
+        def counted_fork():
+            forks.append(os.getpid())
+            if not fork:
+                raise OSError(11, "Resource temporarily unavailable")
+            return real_fork()
+
+        monkeypatch.setattr(pipeline.os, "fork", counted_fork)
+        self.patch_bands(monkeypatch, config, bands.append, bands.append)
+        with pytest.raises(PipelineError) as info:
+            run_pipeline(config)
+        assert str(info.value) == f"stage 'ingest': {prices}: line 2: bad close 'abc'"
+        assert (forks, bands) == ([], [])
+        assert not list((tmp_path / "out" / "quarantine").iterdir())
         assert no_children_left()
 
 
@@ -788,6 +813,14 @@ def test_readme_library_use_block_runs(data_dir, tmp_path, monkeypatch):
     namespace = {}
     exec(compile(code, "README.md", "exec"), namespace)
     assert namespace["retail_net"].ndim == 1 and namespace["retail_net"].size > 0
+
+
+def test_readme_names_the_stages_in_their_order():
+    """README's order of the stages, the one that picks the earliest failed
+    stage, is `_STAGES`'s."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    order = re.search(r"in the order ((?:`\w+`,\s+)+`\w+`)", readme).group(1)
+    assert re.findall(r"`(\w+)`", order) == list(pipeline._STAGES)
 
 
 def test_run_loads_no_numpy_ma(data_dir, tmp_path):

@@ -7,6 +7,7 @@ from scipy.special import erfc as scipy_erfc
 from scipy.stats import norm
 
 from flowmem.errors import TailError
+from flowmem.pipeline import tail_report
 from flowmem.synth import iid_gaussian, pareto
 from flowmem.tails import (
     CcdfPoints,
@@ -25,7 +26,7 @@ def exact_power_law_sample(alpha, n):
 
 class TestEmpiricalCcdf:
     def test_counting_example(self):
-        ccdf = empirical_ccdf([1.0, 2.0, 3.0, 4.0] + [0.5] * 6, side="upper")
+        ccdf = empirical_ccdf([1.0, 2.0, 3.0, 4.0] + [0.5] * 6)
         lookup = dict(zip(ccdf.xs.tolist(), ccdf.ps.tolist()))
         assert lookup[1.0] == 3 / 10
         assert lookup[3.0] == 1 / 10
@@ -40,10 +41,12 @@ class TestEmpiricalCcdf:
         assert np.all(np.diff(ccdf.ps) < 0)
 
     def test_absolute_side(self):
+        # `tail_report` owns the absolute rule: the CCDF of |values|
         v = np.array([-5.0, -4.0, -3.0, -2.0, -1.0, 1.0, 2.0, 3.0, 4.0, 6.0])
-        ccdf = empirical_ccdf(v, side="absolute")
+        ccdf, _, summary = tail_report(v, "absolute", 0.05)
+        assert ccdf.xs.tolist() == empirical_ccdf(np.abs(v)).xs.tolist()
         assert ccdf.xs[0] == 1.0
-        assert ccdf.side == "absolute"
+        assert summary["side"] == "absolute"
 
     def test_degenerate_all_equal(self):
         with pytest.warns(UserWarning, match="degenerate"):
@@ -61,18 +64,15 @@ class TestEmpiricalCcdf:
         eps = np.sqrt(np.log(2.0 / 0.01) / (2.0 * n))  # 99% DKW band
         assert np.max(np.abs(ccdf.ps - norm.sf(ccdf.xs))) < eps
 
-    @given(
-        st.lists(st.floats(-1e9, 1e9), min_size=10, max_size=300),
-        st.sampled_from(["upper", "absolute"]),
-    )
+    @given(st.lists(st.floats(-1e9, 1e9), min_size=10, max_size=300))
     @settings(max_examples=50, deadline=None)
-    def test_invariants_hold_for_any_input(self, values, side):
+    def test_invariants_hold_for_any_input(self, values):
         import warnings
 
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)
-                ccdf = empirical_ccdf(values, side=side)
+                ccdf = empirical_ccdf(values)
         except TailError:
             return
         assert np.all(ccdf.ps > 0)
@@ -131,7 +131,7 @@ def reference_ccdf_ols(values, tail_fraction):
     `dfa.line_fit`: (exponent, stderr)."""
     v = np.asarray(values, dtype=float)
     n_tail = max(10, int(v.size * tail_fraction))
-    ccdf = empirical_ccdf(v, side="upper")
+    ccdf = empirical_ccdf(v)
     mask = ccdf.xs >= float(np.sort(v)[v.size - n_tail])
     lx = np.log(ccdf.xs[mask])
     ly = np.log(ccdf.ps[mask])
@@ -216,6 +216,6 @@ class TestFitTailExponent:
 class TestCcdfSerialization:
     def test_invalid_points_rejected(self):
         with pytest.raises(TailError):
-            CcdfPoints(xs=np.array([2.0, 1.0]), ps=np.array([0.5, 0.2]), side="upper")
+            CcdfPoints(xs=np.array([2.0, 1.0]), ps=np.array([0.5, 0.2]))
         with pytest.raises(TailError):
-            CcdfPoints(xs=np.array([1.0, 2.0]), ps=np.array([0.2, 0.5]), side="upper")
+            CcdfPoints(xs=np.array([1.0, 2.0]), ps=np.array([0.2, 0.5]))
